@@ -19,7 +19,7 @@ from .oracle import (
     optimal_eps,
     posterior_grid_bounds,
 )
-from .nn import NoisePredictor, Tensor, time_embed
+from .nn import NoisePredictor, time_embed
 from .optim import (
     AdamState,
     EmaState,
@@ -46,7 +46,7 @@ from .sampling import (
     make_grid,
     write_trajectory_csv,
 )
-from .training import TrainConfig, TrainResult, batched_forward_sample, run_training, train_step
+from .training import TrainConfig, TrainResult, run_training, train_step
 from .metrics import Moments, diversity, energy_distance, moments
 from .seeding import rng_for
 
@@ -65,13 +65,11 @@ __all__ = [
     "PlateauLrState",
     "SamplerPlan",
     "ScheduleEntry",
-    "Tensor",
     "TrainConfig",
     "TrainResult",
     "accelerated_sample",
     "adam_step",
     "ancestral_sample",
-    "batched_forward_sample",
     "build_schedule",
     "coarse_posterior_var",
     "diversity",

@@ -73,7 +73,7 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
             "data_dim": ckpt.model.data_dim,
             "embed_dim": ckpt.model.embed_dim,
             "hidden": list(ckpt.model.hidden),
-            "activation": ckpt.model.activation,
+            "activation": "silu",
         },
         "adam": {
             "beta1": ckpt.adam.beta1,
@@ -120,11 +120,17 @@ def load_checkpoint(path) -> Checkpoint:
         header = json.loads(blob[start : start + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValueError(f"corrupt checkpoint header in {path}: {exc}") from exc
-    if header.get("version") != VERSION:
-        raise ValueError(f"unsupported checkpoint version {header.get('version')!r}")
+    version = header.get("version") if isinstance(header, dict) else None
+    if version != VERSION:
+        raise ValueError(f"unsupported checkpoint version {version!r}")
+    try:
+        return _from_header(header, blob, start + header_len, path)
+    except KeyError as exc:
+        raise ValueError(f"checkpoint header in {path} lacks key {exc}") from exc
 
+
+def _from_header(header: dict, blob: bytes, offset: int, path) -> Checkpoint:
     arrays: dict[str, np.ndarray] = {}
-    offset = start + header_len
     for record in header["arrays"]:
         shape = tuple(record["shape"])
         size = int(np.prod(shape)) if shape else 1
@@ -147,6 +153,8 @@ def load_checkpoint(path) -> Checkpoint:
         return out
 
     mh = header["model"]
+    if mh["activation"] != "silu":
+        raise ValueError(f"unsupported activation {mh['activation']!r} in {path}; only 'silu' exists")
     params = collect("param")
     scales = collect("state_scale")
     model = NoisePredictor(
@@ -155,7 +163,6 @@ def load_checkpoint(path) -> Checkpoint:
         hidden=tuple(int(h) for h in mh["hidden"]),
         weights=params[0::2],
         biases=params[1::2],
-        activation=mh["activation"],
         state_scale=scales[0] if scales else None,
     )
     eh = header["ema"]

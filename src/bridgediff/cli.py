@@ -24,7 +24,6 @@ from .configfile import (
     resolve_dataset,
 )
 from .data import load as load_dataset
-from .data import read_header
 from .metrics import diversity, energy_distance, moments
 from .sampling import SamplerPlan, accelerated_sample, make_grid, write_trajectory_csv
 from .schedule import build_schedule, query

@@ -136,13 +136,6 @@ def gen_binary_patterns(n: int, side: int, flip_prob: float, seed: int) -> Paire
     )
 
 
-_GENERATORS = {
-    "joint_gaussian": gen_joint_gaussian,
-    "two_moons": gen_two_moons_paired,
-    "binary_patterns": gen_binary_patterns,
-}
-
-
 def _format_value(v) -> str:
     if isinstance(v, (bool, int, np.integer)):
         return str(int(v))
@@ -199,6 +192,9 @@ def read_header(path) -> dict:
 def load(path) -> PairedDataset:
     """Read a dataset, verifying the CRC32 of the data section."""
     meta = read_header(path)
+    missing = [k for k in ("generator", "seed", "n", "dim", "crc32") if k not in meta]
+    if missing:
+        raise ValueError(f"{path} lacks metadata line(s): {', '.join(missing)}")
     with open(path, "rb") as f:
         blob = f.read()
     offset = 0

@@ -1,11 +1,12 @@
-"""Minimal array-valued reverse-mode autodiff and the noise-prediction MLP.
+"""The noise-prediction MLP and its hand-written backward pass.
 
-Values are float64 numpy arrays; gradients accumulate on a dynamically
-built tape covering just the handful of operations the predictor needs
-(matmul, broadcast add/sub/mul, SiLU, mean). The predictor is a plain
-fully connected net taking the state concatenated with a sinusoidal
-embedding of the step index; the final layer is zero-initialized so a
-fresh model predicts zero noise everywhere.
+The predictor is a plain fully connected net, (Linear -> SiLU) x k and a
+final Linear, over the state concatenated with a sinusoidal embedding of
+the step index; the final layer is zero-initialized so a fresh model
+predicts zero noise everywhere. Values are float64 numpy arrays. For
+training, the forward pass keeps each layer's input, pre-activation and
+sigmoid, and ``loss_and_grads`` runs the backward of the (optionally
+weighted) mean squared error through exactly that graph.
 """
 
 from __future__ import annotations
@@ -14,111 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-
-def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum a gradient back down to the shape it was broadcast from."""
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for axis, size in enumerate(shape):
-        if size == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
-    return grad
-
-
-class Tensor:
-    """Node in the reverse-mode graph."""
-
-    __slots__ = ("data", "grad", "_parents", "_backward")
-
-    def __init__(self, data, _parents=(), _backward=None):
-        self.data = np.asarray(data, dtype=np.float64)
-        self.grad = None
-        self._parents = _parents
-        self._backward = _backward
-
-    def _accumulate(self, g: np.ndarray) -> None:
-        self.grad = g if self.grad is None else self.grad + g
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        out = Tensor(self.data @ other.data, (self, other))
-
-        def backward():
-            self._accumulate(out.grad @ other.data.T)
-            other._accumulate(self.data.T @ out.grad)
-
-        out._backward = backward
-        return out
-
-    def __add__(self, other: "Tensor") -> "Tensor":
-        out = Tensor(self.data + other.data, (self, other))
-
-        def backward():
-            self._accumulate(_unbroadcast(out.grad, self.data.shape))
-            other._accumulate(_unbroadcast(out.grad, other.data.shape))
-
-        out._backward = backward
-        return out
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        out = Tensor(self.data - other.data, (self, other))
-
-        def backward():
-            self._accumulate(_unbroadcast(out.grad, self.data.shape))
-            other._accumulate(_unbroadcast(-out.grad, other.data.shape))
-
-        out._backward = backward
-        return out
-
-    def __mul__(self, other: "Tensor") -> "Tensor":
-        out = Tensor(self.data * other.data, (self, other))
-
-        def backward():
-            self._accumulate(_unbroadcast(out.grad * other.data, self.data.shape))
-            other._accumulate(_unbroadcast(out.grad * self.data, other.data.shape))
-
-        out._backward = backward
-        return out
-
-    def silu(self) -> "Tensor":
-        sig = 1.0 / (1.0 + np.exp(-self.data))
-        out = Tensor(self.data * sig, (self,))
-
-        def backward():
-            self._accumulate(out.grad * sig * (1.0 + self.data * (1.0 - sig)))
-
-        out._backward = backward
-        return out
-
-    def mean(self) -> "Tensor":
-        out = Tensor(np.mean(self.data), (self,))
-
-        def backward():
-            self._accumulate(np.full_like(self.data, out.grad / self.data.size))
-
-        out._backward = backward
-        return out
-
-    def backward(self) -> None:
-        order: list[Tensor] = []
-        seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                order.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for parent in node._parents:
-                if id(parent) not in seen:
-                    stack.append((parent, False))
-        self.grad = np.ones_like(self.data)
-        for node in reversed(order):
-            if node._backward is not None:
-                node._backward()
 
 
 def _embed_freqs(half: int) -> np.ndarray:
@@ -161,7 +57,6 @@ class NoisePredictor:
     hidden: tuple[int, ...]
     weights: list[np.ndarray] = field(repr=False)
     biases: list[np.ndarray] = field(repr=False)
-    activation: str = "silu"
     state_scale: np.ndarray | None = field(default=None, repr=False)
 
     @classmethod
@@ -223,7 +118,6 @@ class NoisePredictor:
             hidden=self.hidden,
             weights=[np.array(arrays[i], dtype=np.float64) for i in range(0, len(arrays), 2)],
             biases=[np.array(arrays[i], dtype=np.float64) for i in range(1, len(arrays), 2)],
-            activation=self.activation,
             state_scale=None if self.state_scale is None else self.state_scale.copy(),
         )
 
@@ -242,48 +136,73 @@ class NoisePredictor:
             return xb
         return xb / self.state_scale[tb.astype(np.intp)][:, None]
 
+    def _layers(self, xb: np.ndarray, tb: np.ndarray, keep: bool):
+        """Output rows and, when ``keep``, every layer's input and every
+        hidden layer's (pre-activation, sigmoid) for the backward pass. A
+        plain forward keeps none, so large batches hold one layer at a time."""
+        h = np.concatenate([self._scaled(xb, tb), _time_embed_rows(tb, self.embed_dim)], axis=1)
+        inputs, acts = [], []
+        for w, b in zip(self.weights[:-1], self.biases[:-1]):
+            z = h @ w + b
+            sig = 1.0 / (1.0 + np.exp(-z))
+            if keep:
+                inputs.append(h)
+                acts.append((z, sig))
+            h = z * sig
+        inputs.append(h)
+        return h @ self.weights[-1] + self.biases[-1], inputs, acts
+
     def forward(self, x, t, T: int) -> np.ndarray:
         """Predict eps for one state (1-D) or a batch (2-D); deterministic."""
         xb, tb, single = self._normalize(x, t)
         if np.any(tb < 0) or np.any(tb > T):
             raise ValueError(f"step index outside 0..{T}")
-        h = np.concatenate([self._scaled(xb, tb), _time_embed_rows(tb, self.embed_dim)], axis=1)
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w + b
-            if i < last:
-                h = h * (1.0 / (1.0 + np.exp(-h)))
-        if not np.all(np.isfinite(h)):
+        out, _, _ = self._layers(xb, tb, keep=False)
+        if not np.all(np.isfinite(out)):
             raise FloatingPointError("non-finite prediction (non-finite parameters?)")
-        return h[0] if single else h
+        return out[0] if single else out
 
     def loss_and_grads(
         self, x, t, target, T: int, sample_weight: np.ndarray | None = None
     ) -> tuple[float, list[np.ndarray]]:
-        """Mean-squared-error loss over the batch and its parameter gradients."""
+        """Mean-squared-error loss over the batch and its parameter gradients.
+
+        ``sample_weight``, when given, scales the squared errors
+        elementwise before the mean; it must broadcast to the batch shape.
+        """
         xb, tb, _ = self._normalize(x, t)
         tgt = np.asarray(target, dtype=np.float64)
         if tgt.ndim == 1:
             tgt = tgt[None, :]
         if tgt.shape != xb.shape:
             raise ValueError(f"target shape {tgt.shape} does not match input {xb.shape}")
-        params = [Tensor(p) for p in self.params()]
-        h = Tensor(np.concatenate([self._scaled(xb, tb), _time_embed_rows(tb, self.embed_dim)], axis=1))
-        last = len(self.weights) - 1
-        for i in range(len(self.weights)):
-            h = h @ params[2 * i] + params[2 * i + 1]
-            if i < last:
-                h = h.silu()
-        diff = h - Tensor(tgt)
+        out, inputs, acts = self._layers(xb, tb, keep=True)
+        diff = out - tgt
         sq = diff * diff
         if sample_weight is not None:
-            sq = sq * Tensor(np.asarray(sample_weight, dtype=np.float64))
-        loss = sq.mean()
-        if not np.isfinite(loss.data):
+            w = np.asarray(sample_weight, dtype=np.float64)
+            if np.broadcast_shapes(w.shape, sq.shape) != sq.shape:
+                raise ValueError(f"sample_weight shape {w.shape} does not broadcast to {sq.shape}")
+            sq = sq * w
+        loss = np.mean(sq)
+        if not np.isfinite(loss):
             raise FloatingPointError("non-finite training loss")
-        loss.backward()
-        grads = [p.grad if p.grad is not None else np.zeros_like(p.data) for p in params]
-        return float(loss.data), grads
+
+        # d(mean)/d(sq), then through the weights and the square. Each float
+        # operation and its order are fixed, so training runs replay byte
+        # for byte across versions; regroup none of them.
+        g = np.full(sq.shape, 1.0 / sq.size)
+        if sample_weight is not None:
+            g = g * w
+        g = g * diff + g * diff
+        grads = []
+        for i in reversed(range(len(self.weights))):
+            grads += [g.sum(axis=0), inputs[i].T @ g]
+            if i > 0:
+                z, sig = acts[i - 1]
+                g = g @ self.weights[i].T
+                g = g * sig * (1.0 + z * (1.0 - sig))
+        return float(loss), grads[::-1]
 
     def eps_fn(self, T: int):
         """Adapter with the (state, step) -> eps signature the samplers take."""

@@ -2,8 +2,10 @@
 
 State vectors are 1-D double arrays of a fixed dimension (scalars are
 treated as dimension-1 states); time indices are scalars. All operations
-are pure functions. The batched variants used by the training loop live in
-``training`` and are pinned to these by tests.
+are pure functions. ``forward_sample`` also takes a batch: (B, d) states
+with one integer step per row, computed with the same arithmetic as the
+scalar call on each row, which is how the training loop noises its
+batches.
 """
 
 from __future__ import annotations
@@ -69,17 +71,39 @@ def forward_marginal(schedule: BridgeSchedule, x0, y, t: int) -> GaussianParams:
     )
 
 
-def forward_sample(schedule: BridgeSchedule, x0, y, t: int, eps) -> np.ndarray:
+def _check_rows(schedule: BridgeSchedule, t, **states) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    t = np.asarray(t)
+    if not np.issubdtype(t.dtype, np.integer):
+        raise TypeError(f"step indices must be integers, got dtype {t.dtype}")
+    if t.ndim != 1:
+        raise ValueError(f"step indices must be a scalar or 1-D, got shape {t.shape}")
+    out = {name: np.asarray(v, dtype=np.float64) for name, v in states.items()}
+    shapes = {name: a.shape for name, a in out.items()}
+    if len(set(shapes.values())) > 1 or any(a.ndim != 2 or len(a) != len(t) for a in out.values()):
+        raise ValueError(f"batched states must all be ({len(t)}, dim), got {shapes}")
+    if np.any(t < 0) or np.any(t > schedule.T):
+        raise ValueError(f"step index outside 0..{schedule.T}")
+    return out, t
+
+
+def forward_sample(schedule: BridgeSchedule, x0, y, t, eps) -> np.ndarray:
     """Draw from the step-t marginal using caller-supplied unit noise.
 
     Returns (1 - mix_t) x0 + mix_t y + sqrt(marginal_var_t) * eps; with
     eps = 0 this is exactly the marginal mean, and at t = T it is y
-    bit-for-bit regardless of x0 and eps.
+    bit-for-bit regardless of x0 and eps. With an integer array ``t`` of
+    shape (B,) and (B, d) states, row i is drawn at step t[i], bit for
+    bit as the scalar call on that row.
     """
-    s = _check_same_dim(x0=x0, y=y, eps=eps)
-    t = _check_t(schedule, t, 0, schedule.T)
-    m = schedule.mix[t]
-    sd = math.sqrt(schedule.marginal_var[t])
+    if np.ndim(t) == 0:
+        s = _check_same_dim(x0=x0, y=y, eps=eps)
+        t = _check_t(schedule, t, 0, schedule.T)
+        m = schedule.mix[t]
+        sd = math.sqrt(schedule.marginal_var[t])
+    else:
+        s, t = _check_rows(schedule, t, x0=x0, y=y, eps=eps)
+        m = schedule.mix[t][:, None]
+        sd = np.sqrt(schedule.marginal_var[t])[:, None]
     return (1.0 - m) * s["x0"] + m * s["y"] + sd * s["eps"]
 
 

@@ -50,7 +50,6 @@ class SamplerPlan:
     eta: float = 1.0
     seed: int = 0
     record_trajectory: bool = False
-    mode: str = "accelerated"
 
     def __post_init__(self):
         grid = tuple(int(t) for t in self.grid)

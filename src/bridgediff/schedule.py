@@ -56,10 +56,6 @@ class BridgeSchedule:
     coef_cond: np.ndarray
     coef_noise: np.ndarray
 
-    def is_degenerate(self, t: int) -> bool:
-        """True where the reverse-step coefficients are undefined."""
-        return t == 0 or t == self.T
-
 
 @dataclass(frozen=True)
 class ScheduleEntry:

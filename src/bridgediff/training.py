@@ -25,6 +25,7 @@ from .optim import (
     ema_update,
     plateau_lr_step,
 )
+from .process import forward_sample
 from .schedule import BridgeSchedule, build_schedule
 from .seeding import rng_for
 
@@ -93,20 +94,6 @@ class TrainingDiverged(RuntimeError):
     """Raised when the loss or a gradient stops being finite."""
 
 
-def batched_forward_sample(
-    schedule: BridgeSchedule,
-    x0: np.ndarray,
-    y: np.ndarray,
-    t_idx: np.ndarray,
-    eps: np.ndarray,
-) -> np.ndarray:
-    """Row-wise forward_sample with a per-row step index; identical
-    arithmetic to the scalar op, so results match it bit for bit."""
-    m = schedule.mix[t_idx][:, None]
-    sd = np.sqrt(schedule.marginal_var[t_idx])[:, None]
-    return (1.0 - m) * x0 + m * y + sd * eps
-
-
 def train_step(
     model: NoisePredictor,
     schedule: BridgeSchedule,
@@ -130,7 +117,7 @@ def train_step(
     high = schedule.T if not weighted else schedule.T - 1
     t_idx = rng.integers(1, high + 1, size=x0.shape[0])
     eps = rng.standard_normal(x0.shape)
-    x_t = batched_forward_sample(schedule, x0, y, t_idx, eps)
+    x_t = forward_sample(schedule, x0, y, t_idx, eps)
     target = x_t - x0
     weights = schedule.coef_noise[t_idx][:, None] if weighted else None
     loss, grads = model.loss_and_grads(x_t, t_idx, target, schedule.T, sample_weight=weights)
@@ -153,7 +140,7 @@ class _Validator:
         self.x0 = np.tile(x0, (len(ts), 1))
         y_rep = np.tile(y, (len(ts), 1))
         eps = rng_for(seed, "val").standard_normal(self.x0.shape)
-        self.x_t = batched_forward_sample(schedule, self.x0, y_rep, self.t_idx, eps)
+        self.x_t = forward_sample(schedule, self.x0, y_rep, self.t_idx, eps)
         self.target = self.x_t - self.x0
         self.T = T
 

@@ -1,7 +1,10 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
-from bridgediff.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
+from bridgediff.checkpoint import MAGIC, Checkpoint, load_checkpoint, save_checkpoint
 from bridgediff.nn import NoisePredictor
 from bridgediff.optim import AdamState, EmaState, PlateauLrState
 from bridgediff.seeding import rng_for
@@ -67,7 +70,40 @@ class TestRoundTrip:
         np.testing.assert_array_equal(loaded.ema_model().state_scale, scale)
 
 
+def _rewrite_header(path, edit):
+    """Apply ``edit`` to the parsed JSON header and write the file back."""
+    blob = path.read_bytes()
+    (n,) = struct.unpack("<I", blob[len(MAGIC) : len(MAGIC) + 4])
+    start = len(MAGIC) + 4
+    header = json.loads(blob[start : start + n])
+    edit(header)
+    new = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    path.write_bytes(MAGIC + struct.pack("<I", len(new)) + new + blob[start + n :])
+
+
 class TestCorruption:
+    def test_unknown_activation_rejected(self, ckpt, tmp_path):
+        path = tmp_path / "model.bin"
+        save_checkpoint(path, ckpt)
+        _rewrite_header(path, lambda h: h["model"].update(activation="relu"))
+        with pytest.raises(ValueError, match="activation"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key", ["model", "arrays", "adam", "ema", "plateau", "T", "step"])
+    def test_missing_header_key_rejected(self, ckpt, tmp_path, key):
+        path = tmp_path / "model.bin"
+        save_checkpoint(path, ckpt)
+        _rewrite_header(path, lambda h: h.pop(key))
+        with pytest.raises(ValueError, match=key):
+            load_checkpoint(path)
+
+    def test_missing_model_field_rejected(self, ckpt, tmp_path):
+        path = tmp_path / "model.bin"
+        save_checkpoint(path, ckpt)
+        _rewrite_header(path, lambda h: h["model"].pop("hidden"))
+        with pytest.raises(ValueError, match="hidden"):
+            load_checkpoint(path)
+
     def test_bad_magic(self, ckpt, tmp_path):
         path = tmp_path / "model.bin"
         save_checkpoint(path, ckpt)

@@ -1,7 +1,11 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
 from bridgediff import cli
+from bridgediff.checkpoint import MAGIC
 from bridgediff.data import gen_two_moons_paired, save
 from bridgediff.verify import FamilyResult
 
@@ -179,6 +183,26 @@ class TestSampleCommand:
         ])
         assert code == 2
         assert "mismatch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", [
+        lambda h: h["model"].update(activation="relu"),
+        lambda h: h.pop("model"),
+    ], ids=["relu", "no-model"])
+    def test_bad_checkpoint_header_exits_two(self, tmp_path, moons_file, trained, capsys, edit):
+        blob = trained.read_bytes()
+        (n,) = struct.unpack("<I", blob[len(MAGIC) : len(MAGIC) + 4])
+        start = len(MAGIC) + 4
+        header = json.loads(blob[start : start + n])
+        edit(header)
+        new = json.dumps(header).encode("utf-8")
+        trained.write_bytes(MAGIC + struct.pack("<I", len(new)) + new + blob[start + n :])
+        code = cli.main([
+            "sample", "--checkpoint", str(trained), "--data", str(moons_file),
+            "--steps", "10", "--out", str(tmp_path / "x"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_rerun_byte_identical(self, tmp_path, moons_file, trained):
         for name in ("s1", "s2"):

@@ -153,6 +153,16 @@ class TestPersistence:
         with pytest.raises(ValueError, match="version"):
             load(path)
 
+    @pytest.mark.parametrize("key", ["crc32", "n", "dim", "generator", "seed"])
+    def test_missing_metadata_line_rejected(self, tmp_path, key):
+        ds = gen_binary_patterns(n=5, side=2, flip_prob=0.0, seed=15)
+        path = tmp_path / "pairs.csv"
+        save(ds, path)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join(l for l in lines if not l.startswith(f"# {key}=")), encoding="utf-8")
+        with pytest.raises(ValueError, match=key):
+            load(path)
+
     def test_save_is_deterministic(self, tmp_path):
         ds = gen_two_moons_paired(n=20, noise_sd=0.05, seed=16)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"

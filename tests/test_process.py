@@ -65,6 +65,23 @@ class TestForwardSample:
         out = forward_sample(t4, 0.0, 2.0, 2, 1.0)
         assert out == pytest.approx(1.0 + math.sqrt(0.5), abs=1e-15)
 
+    def test_step_array_matches_scalar_rows_bitwise(self):
+        sch = build_schedule(20, 1.5)
+        rng = rng_for(101, "b")
+        x0, y, eps = (rng.normal(size=(7, 3)) for _ in range(3))
+        t_idx = np.array([0, 20, *rng.integers(1, 20, size=5)])
+        batch = forward_sample(sch, x0, y, t_idx, eps)
+        for i in range(7):
+            row = forward_sample(sch, x0[i], y[i], int(t_idx[i]), eps[i])
+            assert batch[i].tobytes() == row.tobytes()
+        for bad in (np.array([0, 1, 2, 3, 4, 5, 21]), np.array([-1, 1, 2, 3, 4, 5, 6])):
+            with pytest.raises(ValueError, match="outside"):
+                forward_sample(sch, x0, y, bad, eps)
+        with pytest.raises(TypeError, match="integers"):
+            forward_sample(sch, x0, y, t_idx.astype(np.float64), eps)
+        with pytest.raises(ValueError, match="batched states"):
+            forward_sample(sch, x0[:6], y[:6], t_idx, eps[:6])
+
 
 class TestForwardTransition:
     def test_end_collapses_to_conditioning(self, t4):

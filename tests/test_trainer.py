@@ -9,12 +9,7 @@ from bridgediff.oracle import JointGaussianSpec
 from bridgediff.sampling import ancestral_sample
 from bridgediff.schedule import build_schedule
 from bridgediff.seeding import rng_for
-from bridgediff.training import (
-    TrainConfig,
-    batched_forward_sample,
-    run_training,
-    train_step,
-)
+from bridgediff.training import TrainConfig, run_training, train_step
 from bridgediff.process import forward_sample
 
 
@@ -44,20 +39,6 @@ def smoke_config(**overrides):
     )
     base.update(overrides)
     return TrainConfig(**base)
-
-
-class TestBatchedForwardSample:
-    def test_matches_scalar_op_bitwise(self):
-        sch = build_schedule(20, 1.5)
-        rng = rng_for(101, "b")
-        x0 = rng.normal(size=(6, 3))
-        y = rng.normal(size=(6, 3))
-        eps = rng.standard_normal((6, 3))
-        t_idx = rng.integers(1, 21, size=6)
-        batch = batched_forward_sample(sch, x0, y, t_idx, eps)
-        for i in range(6):
-            row = forward_sample(sch, x0[i], y[i], int(t_idx[i]), eps[i])
-            np.testing.assert_array_equal(batch[i], row)
 
 
 class TestTrainStep:
@@ -124,7 +105,7 @@ class TestRunTraining:
         y = gauss_dataset.y[train_rows][rows]
         t_idx = rng.integers(1, config.T + 1, size=config.batch_size)
         eps = rng.standard_normal(x0.shape)
-        target = batched_forward_sample(sch, x0, y, t_idx, eps) - x0
+        target = forward_sample(sch, x0, y, t_idx, eps) - x0
         assert logged == pytest.approx(float(np.mean(target * target)), abs=1e-15)
 
     def test_metrics_format_and_checkpoints(self, gauss_dataset, tmp_path):
