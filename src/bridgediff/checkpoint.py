@@ -129,6 +129,35 @@ def load_checkpoint(path) -> Checkpoint:
         raise ValueError(f"checkpoint header in {path} lacks key {exc}") from exc
 
 
+def _check_arrays(arrays: dict[str, np.ndarray], sizes: list[int], T: int, path) -> None:
+    """The payload must be exactly the arrays of the declared architecture,
+    with finite model and EMA weights and a finite, positive state scale."""
+    shapes = []
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        shapes += [(fan_in, fan_out), (fan_out,)]
+    expected = {f"{prefix}.{i}": shape for prefix in ("param", "ema", "adam_m", "adam_v")
+                for i, shape in enumerate(shapes)}
+    if "state_scale.0" in arrays:
+        expected["state_scale.0"] = (T + 1,)
+    if arrays.keys() != expected.keys():
+        missing = sorted(expected.keys() - arrays.keys())
+        extra = sorted(arrays.keys() - expected.keys())
+        raise ValueError(
+            f"checkpoint arrays in {path} do not match the declared architecture "
+            f"(missing {missing}, unexpected {extra})"
+        )
+    for name, shape in expected.items():
+        if arrays[name].shape != shape:
+            raise ValueError(
+                f"checkpoint array {name} in {path} has shape {arrays[name].shape}, "
+                f"the declared architecture needs {shape}"
+            )
+        if name.split(".")[0] in ("param", "ema", "state_scale") and not np.all(np.isfinite(arrays[name])):
+            raise ValueError(f"checkpoint array {name} in {path} holds non-finite values")
+    if "state_scale.0" in arrays and np.any(arrays["state_scale.0"] <= 0):
+        raise ValueError(f"checkpoint array state_scale.0 in {path} holds non-positive scales")
+
+
 def _from_header(header: dict, blob: bytes, offset: int, path) -> Checkpoint:
     arrays: dict[str, np.ndarray] = {}
     for record in header["arrays"]:
@@ -137,6 +166,8 @@ def _from_header(header: dict, blob: bytes, offset: int, path) -> Checkpoint:
         end = offset + 8 * size
         if end > len(blob):
             raise ValueError(f"truncated checkpoint payload in {path}")
+        if record["name"] in arrays:
+            raise ValueError(f"checkpoint array {record['name']} listed twice in {path}")
         arrays[record["name"]] = np.frombuffer(
             blob, dtype="<f8", count=size, offset=offset
         ).astype(np.float64).reshape(shape)
@@ -144,26 +175,29 @@ def _from_header(header: dict, blob: bytes, offset: int, path) -> Checkpoint:
     if offset != len(blob):
         raise ValueError(f"trailing bytes in checkpoint {path}")
 
-    def collect(prefix: str) -> list[np.ndarray]:
-        out = []
-        i = 0
-        while f"{prefix}.{i}" in arrays:
-            out.append(np.array(arrays[f"{prefix}.{i}"]))
-            i += 1
-        return out
-
     mh = header["model"]
     if mh["activation"] != "silu":
         raise ValueError(f"unsupported activation {mh['activation']!r} in {path}; only 'silu' exists")
+    data_dim, embed_dim = int(mh["data_dim"]), int(mh["embed_dim"])
+    hidden = tuple(int(h) for h in mh["hidden"])
+    T = int(header["T"])
+    if data_dim < 1 or embed_dim < 2 or embed_dim % 2 or not hidden or min(hidden) < 1 or T < 1:
+        raise ValueError(
+            f"bad sizes in {path}: T={T}, data_dim={data_dim}, embed_dim={embed_dim}, hidden={hidden}"
+        )
+    _check_arrays(arrays, [data_dim + embed_dim, *hidden, data_dim], T, path)
+
+    def collect(prefix: str) -> list[np.ndarray]:
+        return [np.array(arrays[f"{prefix}.{i}"]) for i in range(2 * len(hidden) + 2)]
+
     params = collect("param")
-    scales = collect("state_scale")
     model = NoisePredictor(
-        data_dim=int(mh["data_dim"]),
-        embed_dim=int(mh["embed_dim"]),
-        hidden=tuple(int(h) for h in mh["hidden"]),
+        data_dim=data_dim,
+        embed_dim=embed_dim,
+        hidden=hidden,
         weights=params[0::2],
         biases=params[1::2],
-        state_scale=scales[0] if scales else None,
+        state_scale=np.array(arrays["state_scale.0"]) if "state_scale.0" in arrays else None,
     )
     eh = header["ema"]
     ema = EmaState(
@@ -195,7 +229,7 @@ def _from_header(header: dict, blob: bytes, offset: int, path) -> Checkpoint:
         cooldown_count=int(ph["cooldown_count"]),
     )
     return Checkpoint(
-        T=int(header["T"]),
+        T=T,
         s=float(header["s"]),
         step=int(header["step"]),
         model=model,

@@ -9,7 +9,9 @@ produce byte-identical CSV outputs.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -25,10 +27,21 @@ from .configfile import (
 )
 from .data import load as load_dataset
 from .metrics import diversity, energy_distance, moments
-from .sampling import SamplerPlan, accelerated_sample, make_grid, write_trajectory_csv
+from .sampling import (
+    NonFiniteState,
+    SamplerPlan,
+    accelerated_sample,
+    make_grid,
+    write_trajectory_csv,
+)
 from .schedule import build_schedule, query
 from .training import TrainingDiverged, run_training
 from .seeding import rng_for
+
+
+# Chains ``sample`` advances together: one MLP forward per step covers a
+# block, and the block's state, noise and trajectories bound its memory.
+SAMPLE_BLOCK = 256
 
 
 def _fmt(v: float) -> str:
@@ -110,24 +123,46 @@ def cmd_sample(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     samples_path = out_dir / "samples.csv"
-    with open(samples_path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("# format=samples-csv\n# version=1\n")
-        f.write(f"# seed={args.seed}\n# steps={args.steps}\n# eta={_fmt(args.eta)}\n")
-        f.write(f"# k={args.k}\n# n={n}\n# dim={dataset.dim}\n")
-        f.write("y_index,sample_index," + ",".join(f"dim_{i}" for i in range(dataset.dim)) + "\n")
-        for row in range(n):
-            y = dataset.y[row]
-            for rep in range(args.k):
+    chains = [(row, rep) for row in range(n) for rep in range(args.k)]
+    # Rows go to a temp file that replaces samples.csv only once every chain
+    # has finished, so a failed run never leaves a complete-looking file.
+    fd, tmp_path = tempfile.mkstemp(dir=out_dir, prefix=".samples-", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as f:
+            f.write("# format=samples-csv\n# version=1\n")
+            f.write(f"# seed={args.seed}\n# steps={args.steps}\n# eta={_fmt(args.eta)}\n")
+            f.write(f"# k={args.k}\n# n={n}\n# dim={dataset.dim}\n")
+            f.write("y_index,sample_index," + ",".join(f"dim_{i}" for i in range(dataset.dim)) + "\n")
+            for start in range(0, len(chains), SAMPLE_BLOCK):
+                block = chains[start : start + SAMPLE_BLOCK]
                 plan = SamplerPlan(
                     grid=grid,
                     eta=args.eta,
-                    seed=int(rng_for(args.seed, "sample", row, rep).integers(2**62)),
+                    seed=[int(rng_for(args.seed, "sample", row, rep).integers(2**62))
+                          for row, rep in block],
                     record_trajectory=args.trajectories,
                 )
-                x0, traj = accelerated_sample(schedule, eps_fn, y, plan)
-                f.write(f"{row},{rep}," + ",".join(_fmt(v) for v in x0) + "\n")
+                try:
+                    x0, traj = accelerated_sample(
+                        schedule, eps_fn, dataset.y[[row for row, _ in block]], plan
+                    )
+                except NonFiniteState as exc:
+                    row, rep = block[exc.chain]
+                    raise UsageError(
+                        f"non-finite state at step t={exc.step} in chain (row {row}, rep {rep})"
+                    ) from exc
+                except FloatingPointError as exc:
+                    raise UsageError(f"sampling failed: {exc}") from exc
+                for (row, rep), x in zip(block, x0):
+                    f.write(f"{row},{rep}," + ",".join(_fmt(v) for v in x) + "\n")
                 if args.trajectories:
-                    write_trajectory_csv(traj, out_dir / f"trajectory_{row}_{rep}.csv")
+                    for b, (row, rep) in enumerate(block):
+                        write_trajectory_csv([(t, state[b]) for t, state in traj],
+                                             out_dir / f"trajectory_{row}_{rep}.csv")
+        os.replace(tmp_path, samples_path)
+    finally:
+        if os.path.exists(tmp_path):
+            os.unlink(tmp_path)
     print(f"samples: {samples_path}")
     return 0
 

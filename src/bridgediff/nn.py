@@ -3,7 +3,9 @@
 The predictor is a plain fully connected net, (Linear -> SiLU) x k and a
 final Linear, over the state concatenated with a sinusoidal embedding of
 the step index; the final layer is zero-initialized so a fresh model
-predicts zero noise everywhere. Values are float64 numpy arrays. For
+predicts zero noise everywhere. The embedding is a row of a cached,
+read-only (T+1, embed_dim) table, so training and sampling look steps up
+instead of recomputing sinusoids. Values are float64 numpy arrays. For
 training, the forward pass keeps each layer's input, pre-activation and
 sigmoid, and ``loss_and_grads`` runs the backward of the (optionally
 weighted) mean squared error through exactly that graph.
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -37,6 +40,15 @@ def time_embed(t: int, T: int, dim: int) -> np.ndarray:
 def _time_embed_rows(ts: np.ndarray, dim: int) -> np.ndarray:
     angles = np.asarray(ts, dtype=np.float64)[:, None] * _embed_freqs(dim // 2)[None, :]
     return np.concatenate([np.sin(angles), np.cos(angles)], axis=1)
+
+
+@lru_cache(maxsize=16)
+def _embed_table(T: int, dim: int) -> np.ndarray:
+    """Read-only embedding rows for every step 0..T; row t is shared by all
+    callers, so nothing may write to it."""
+    table = _time_embed_rows(np.arange(T + 1), dim)
+    table.flags.writeable = False
+    return table
 
 
 @dataclass
@@ -121,26 +133,33 @@ class NoisePredictor:
             state_scale=None if self.state_scale is None else self.state_scale.copy(),
         )
 
-    def _normalize(self, x, t) -> tuple[np.ndarray, np.ndarray, bool]:
+    def _normalize(self, x, t, T: int) -> tuple[np.ndarray, np.ndarray, bool]:
+        """States as (B, d) rows and steps as (B,) integer indices in 0..T."""
         xb = np.asarray(x, dtype=np.float64)
         single = xb.ndim == 1
         if single:
             xb = xb[None, :]
         if xb.ndim != 2 or xb.shape[1] != self.data_dim:
             raise ValueError(f"expected states of dimension {self.data_dim}, got shape {np.shape(x)}")
-        tb = np.broadcast_to(np.asarray(t, dtype=np.float64), (xb.shape[0],))
+        ta = np.asarray(t)
+        ti = ta.astype(np.intp)
+        if ta.dtype.kind not in "iu" and np.any(ti != ta):
+            raise ValueError("step index must be integer-valued")
+        tb = np.broadcast_to(ti, (xb.shape[0],))
+        if np.any(tb < 0) or np.any(tb > T):
+            raise ValueError(f"step index outside 0..{T}")
         return xb, tb, single
 
     def _scaled(self, xb: np.ndarray, tb: np.ndarray) -> np.ndarray:
         if self.state_scale is None:
             return xb
-        return xb / self.state_scale[tb.astype(np.intp)][:, None]
+        return xb / self.state_scale[tb][:, None]
 
-    def _layers(self, xb: np.ndarray, tb: np.ndarray, keep: bool):
+    def _layers(self, xb: np.ndarray, tb: np.ndarray, T: int, keep: bool):
         """Output rows and, when ``keep``, every layer's input and every
         hidden layer's (pre-activation, sigmoid) for the backward pass. A
         plain forward keeps none, so large batches hold one layer at a time."""
-        h = np.concatenate([self._scaled(xb, tb), _time_embed_rows(tb, self.embed_dim)], axis=1)
+        h = np.concatenate([self._scaled(xb, tb), _embed_table(T, self.embed_dim)[tb]], axis=1)
         inputs, acts = [], []
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
             z = h @ w + b
@@ -154,10 +173,8 @@ class NoisePredictor:
 
     def forward(self, x, t, T: int) -> np.ndarray:
         """Predict eps for one state (1-D) or a batch (2-D); deterministic."""
-        xb, tb, single = self._normalize(x, t)
-        if np.any(tb < 0) or np.any(tb > T):
-            raise ValueError(f"step index outside 0..{T}")
-        out, _, _ = self._layers(xb, tb, keep=False)
+        xb, tb, single = self._normalize(x, t, T)
+        out, _, _ = self._layers(xb, tb, T, keep=False)
         if not np.all(np.isfinite(out)):
             raise FloatingPointError("non-finite prediction (non-finite parameters?)")
         return out[0] if single else out
@@ -170,13 +187,13 @@ class NoisePredictor:
         ``sample_weight``, when given, scales the squared errors
         elementwise before the mean; it must broadcast to the batch shape.
         """
-        xb, tb, _ = self._normalize(x, t)
+        xb, tb, _ = self._normalize(x, t, T)
         tgt = np.asarray(target, dtype=np.float64)
         if tgt.ndim == 1:
             tgt = tgt[None, :]
         if tgt.shape != xb.shape:
             raise ValueError(f"target shape {tgt.shape} does not match input {xb.shape}")
-        out, inputs, acts = self._layers(xb, tb, keep=True)
+        out, inputs, acts = self._layers(xb, tb, T, keep=True)
         diff = out - tgt
         sq = diff * diff
         if sample_weight is not None:

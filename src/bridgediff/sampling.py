@@ -14,6 +14,17 @@ algebraically the coefficient-form recursion (coef_state x + coef_cond y -
 coef_noise eps + sqrt(pv) z), so ancestral sampling is exactly the
 full-grid instance; tests pin the agreement with ``process.reverse_mean``.
 
+The stepper advances a (B, d) batch of chains: each grid step makes one
+``eps_fn`` call for all B rows, and a (d,) input is a batch of one on the
+same path. Every row has its own seed and its own PCG64 stream,
+``rng_for(seed_b, "chain")``, from which the row's normals for all moves
+are drawn in one call; an int seed is shared by every row. A row's noise
+is therefore the same whatever batch it runs in, and with an elementwise
+predictor (such as ``oracle.optimal_eps``) its output is bit for bit that
+of the chain run alone. A network's batched matmuls may round differently
+from B = 1, so with the MLP a row's last bits can depend on the batch it
+ran in (within 1e-12; ``verify`` checks both).
+
 Endpoints are special: the state at t = T is the conditioning input itself
 and carries no extra information, so the first move draws straight from the
 step-grid[-2] marginal around the reconstructed data point (variance scaled
@@ -48,10 +59,12 @@ class SamplerPlan:
 
     grid: tuple[int, ...]
     eta: float = 1.0
-    seed: int = 0
+    seed: int | tuple[int, ...] = 0
     record_trajectory: bool = False
 
     def __post_init__(self):
+        if not isinstance(self.seed, (int, np.integer)):
+            object.__setattr__(self, "seed", tuple(int(s) for s in self.seed))
         grid = tuple(int(t) for t in self.grid)
         object.__setattr__(self, "grid", grid)
         if not grid:
@@ -76,26 +89,53 @@ def make_grid(T: int, S: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+class NonFiniteState(FloatingPointError):
+    """A chain's state left the finite floats; ``chain`` is its batch row."""
+
+    def __init__(self, step: int, chain: int):
+        super().__init__(f"non-finite state while sampling at step t={step} in chain {chain}")
+        self.step = step
+        self.chain = chain
+
+
 def _check_state(x: np.ndarray, t: int) -> None:
-    if not np.all(np.isfinite(x)):
-        raise FloatingPointError(f"non-finite state while sampling at step t={t}")
+    finite = np.isfinite(x)
+    if not finite.all():
+        raise NonFiniteState(t, int(np.flatnonzero(~finite.all(axis=1))[0]))
+
+
+def _row_seeds(seed, rows: int) -> list[int]:
+    if isinstance(seed, (int, np.integer)):
+        return [int(seed)] * rows
+    seeds = [int(s) for s in seed]
+    if len(seeds) != rows:
+        raise ValueError(f"need one seed per chain: {rows} chains, {len(seeds)} seeds")
+    return seeds
 
 
 def _run_chain(
     schedule: BridgeSchedule,
     eps_fn,
-    y: np.ndarray,
+    y,
     grid: tuple[int, ...],
     eta: float,
-    rng: np.random.Generator,
+    seed,
     record: bool,
 ) -> tuple[np.ndarray, Trajectory | None]:
     T = schedule.T
     y = np.array(y, dtype=np.float64)
-    if y.ndim != 1:
-        raise ValueError(f"conditioning input must be a 1-D state, got shape {y.shape}")
+    single = y.ndim == 1
+    if single:
+        y = y[None, :]
+    if y.ndim != 2:
+        raise ValueError(f"conditioning input must be a (d,) state or a (B, d) batch, got shape {y.shape}")
     if grid[-1] != T:
         raise ValueError(f"step grid must end at T={T}, got {grid[-1]}")
+    # Row b's normals for every move, drawn from its own stream in one call:
+    # the values and order of one standard_normal(d) draw per move.
+    noise = np.empty((len(grid) - 1,) + y.shape)
+    for b, row_seed in enumerate(_row_seeds(seed, y.shape[0])):
+        noise[:, b] = rng_for(row_seed, "chain").standard_normal((len(grid) - 1, y.shape[1]))
 
     traj: Trajectory | None = [(T, y.copy())] if record else None
     x = y.copy()
@@ -108,8 +148,7 @@ def _run_chain(
     if len(grid) > 1:
         prev = grid[-2]
         sigma2 = eta * schedule.marginal_var[prev]
-        z = rng.standard_normal(y.shape[0])
-        x = (1.0 - schedule.mix[prev]) * x0_hat + schedule.mix[prev] * y + math.sqrt(sigma2) * z
+        x = (1.0 - schedule.mix[prev]) * x0_hat + schedule.mix[prev] * y + math.sqrt(sigma2) * noise[0]
         _check_state(x, prev)
         if record:
             traj.append((prev, x.copy()))
@@ -134,8 +173,7 @@ def _run_chain(
                 + schedule.mix[prev] * y
                 + scale * (x - (1.0 - schedule.mix[cur]) * x0_hat - schedule.mix[cur] * y)
             )
-            z = rng.standard_normal(y.shape[0])
-            x = mean + math.sqrt(sigma2) * z
+            x = mean + math.sqrt(sigma2) * noise[len(grid) - 1 - i]
             _check_state(x, prev)
             if record:
                 traj.append((prev, x.copy()))
@@ -147,6 +185,8 @@ def _run_chain(
     x0 = x0_hat
     if record:
         traj.append((0, x0.copy()))
+    if single:
+        return x0[0], None if traj is None else [(t, state[0]) for t, state in traj]
     return x0, traj
 
 
@@ -154,20 +194,18 @@ def ancestral_sample(
     schedule: BridgeSchedule,
     eps_fn,
     y,
-    seed: int,
+    seed,
     record_trajectory: bool = False,
 ) -> tuple[np.ndarray, Trajectory | None]:
     """Full reverse chain over every step t = T..1.
 
-    ``eps_fn(x, t)`` supplies the noise prediction (a trained predictor's
-    ``eps_fn`` adapter, or an analytic stand-in). Deterministic given the
-    seed.
+    ``eps_fn(x, t)`` supplies the noise prediction for a (B, d) state (a
+    trained predictor's ``eps_fn`` adapter, or an analytic stand-in).
+    ``y`` is one (d,) input or a (B, d) batch, ``seed`` an int or one int
+    per row. Deterministic given the seeds.
     """
     grid = tuple(range(1, schedule.T + 1))
-    return _run_chain(
-        schedule, eps_fn, np.asarray(y, dtype=np.float64), grid, 1.0,
-        rng_for(seed, "chain"), record_trajectory,
-    )
+    return _run_chain(schedule, eps_fn, y, grid, 1.0, seed, record_trajectory)
 
 
 def accelerated_sample(
@@ -176,7 +214,8 @@ def accelerated_sample(
     y,
     plan: SamplerPlan,
 ) -> tuple[np.ndarray, Trajectory | None]:
-    """Coarse-grid reverse chain per the plan.
+    """Coarse-grid reverse chain per the plan; ``y`` and ``plan.seed`` as
+    for ``ancestral_sample``.
 
     With the dense grid and eta = 1 this reproduces ``ancestral_sample``
     bit for bit under the same seed (shared stepper and noise stream).
@@ -184,8 +223,7 @@ def accelerated_sample(
     if plan.grid[-1] != schedule.T:
         raise ValueError(f"plan grid must end at T={schedule.T}, got {plan.grid[-1]}")
     return _run_chain(
-        schedule, eps_fn, np.asarray(y, dtype=np.float64), plan.grid, plan.eta,
-        rng_for(plan.seed, "chain"), plan.record_trajectory,
+        schedule, eps_fn, y, plan.grid, plan.eta, plan.seed, plan.record_trajectory,
     )
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import process
 from .nn import NoisePredictor
-from .oracle import grid_bayes_posterior, posterior_grid_bounds
+from .oracle import JointGaussianSpec, grid_bayes_posterior, optimal_eps, posterior_grid_bounds
 from .sampling import SamplerPlan, accelerated_sample, ancestral_sample
 from .schedule import build_schedule
 from .seeding import rng_for
@@ -198,6 +198,47 @@ def check_sampler_equivalence(seed: int = 20260810) -> FamilyResult:
     return _result("sampler-equivalence", 0.0, worst, runs, note="bitwise")
 
 
+def check_sampler_batch(
+    seed: int = 20260810,
+    predictor: str = "oracle",
+    sample_fn=accelerated_sample,
+) -> FamilyResult:
+    """B chains advanced in one call must match the same chains run one by
+    one. Bitwise for the elementwise analytic predictor; within 1e-12 for
+    the MLP, whose batched matmuls may round differently from B=1."""
+    rng = rng_for(seed, "verify", "batch", predictor)
+    T, B = 25, 8
+    sch = build_schedule(T, 1.0)
+    if predictor == "oracle":
+        spec = JointGaussianSpec(corr=0.8)
+
+        def eps_fn(x, t):
+            return optimal_eps(spec, sch, t, x)
+
+        tol, note = 0.0, "bitwise"
+    else:
+        model = NoisePredictor.create(2, (12, 12), 8, rng)
+        for arr in model.params():
+            arr += 0.1 * rng.standard_normal(arr.shape)
+        eps_fn, tol, note = model.eps_fn(T), 1e-12, ""
+    y = rng.normal(0.0, 1.0, size=(B, 2))
+    seeds = [int(v) for v in rng.integers(0, 2**62, size=B)]
+    worst = 0.0
+    for grid, eta in ((tuple(range(1, T + 1)), 1.0), ((3, 9, 17, T), 0.5)):
+        plan = SamplerPlan(grid=grid, eta=eta, seed=seeds, record_trajectory=True)
+        batch, batch_traj = sample_fn(sch, eps_fn, y, plan)
+        for b in range(B):
+            one = SamplerPlan(grid=grid, eta=eta, seed=seeds[b], record_trajectory=True)
+            ref, ref_traj = sample_fn(sch, eps_fn, y[b], one)
+            if [t for t, _ in ref_traj] != [t for t, _ in batch_traj]:
+                worst = math.inf
+            pairs = [(ref, batch[b])] + [(sa, sb[b]) for (_, sa), (_, sb) in zip(ref_traj, batch_traj)]
+            for a, c in pairs:
+                if not np.array_equal(a, c):
+                    worst = max(worst, float(np.max(np.abs(a - c))), 1e-300)
+    return _result(f"sampler-batch-{predictor}", tol, worst, 2 * B, note=note)
+
+
 def run_all(seed: int = 20260810) -> list[FamilyResult]:
     return [
         check_schedule_identities(),
@@ -205,4 +246,6 @@ def run_all(seed: int = 20260810) -> list[FamilyResult]:
         check_sign_convention(seed=seed),
         check_gradients(seed=seed),
         check_sampler_equivalence(seed=seed),
+        check_sampler_batch(seed=seed, predictor="oracle"),
+        check_sampler_batch(seed=seed, predictor="mlp"),
     ]

@@ -176,11 +176,12 @@ def test_a6_end_to_end_sampling_fidelity(gauss_model):
     def oracle_eps(x, t):
         return optimal_eps(GAUSS_SPEC, schedule, t, x)
 
+    # One batched call per predictor: chain i keeps its own seed, as when
+    # each ran alone.
     n_runs = 10**4
-    oracle_out = np.empty(n_runs)
-    for i in range(n_runs):
-        out, _ = ancestral_sample(schedule, oracle_eps, y_vec, seed=10_000 + i)
-        oracle_out[i] = out[0]
+    y_rows = np.tile(y_vec, (n_runs, 1))
+    out, _ = ancestral_sample(schedule, oracle_eps, y_rows, seed=range(10_000, 10_000 + n_runs))
+    oracle_out = out[:, 0]
     o_mean, o_var = oracle_out.mean(), oracle_out.var(ddof=1)
     se_mean = math.sqrt(o_var / n_runs + ref_var / n_ref)
     se_var = math.sqrt(2 * o_var**2 / (n_runs - 1) + 2 * ref_var**2 / (n_ref - 1))
@@ -188,11 +189,9 @@ def test_a6_end_to_end_sampling_fidelity(gauss_model):
         abs(o_mean - ref_mean) < 3 * se_mean and abs(o_var - ref_var) < 3 * se_var
     )
 
-    trained_out = np.empty(n_runs)
     eps_fn = model.eps_fn(GAUSS_T)
-    for i in range(n_runs):
-        out, _ = ancestral_sample(schedule, eps_fn, y_vec, seed=20_000 + i)
-        trained_out[i] = out[0]
+    out, _ = ancestral_sample(schedule, eps_fn, y_rows, seed=range(20_000, 20_000 + n_runs))
+    trained_out = out[:, 0]
     t_mean, t_var = trained_out.mean(), trained_out.var(ddof=1)
     trained_ok = (
         abs(t_mean - ref_mean) <= 0.10 * abs(ref_mean)
@@ -249,10 +248,8 @@ def test_a7_accelerated_sampler_consistency(moons_models):
         per_seed = []
         for rep in range(2):
             eval_ds = gen_two_moons_paired(n=500, noise_sd=0.05, seed=991 + rep)
-            outs = np.empty((eval_ds.n, 2))
-            for i in range(eval_ds.n):
-                plan = SamplerPlan(grid=grid, eta=0.0, seed=0)
-                outs[i], _ = accelerated_sample(schedule, eps_fn, eval_ds.y[i], plan)
+            plan = SamplerPlan(grid=grid, eta=0.0, seed=0)
+            outs, _ = accelerated_sample(schedule, eps_fn, eval_ds.y, plan)
             per_seed.append(energy_distance(outs, eval_ds.x0))
         eds[S] = float(np.mean(per_seed))
         noise.append(abs(per_seed[0] - per_seed[1]))
@@ -262,18 +259,13 @@ def test_a7_accelerated_sampler_consistency(moons_models):
     div = {}
     eval_ds = gen_two_moons_paired(n=120, noise_sd=0.05, seed=991)
     for S in (20, 50, 200):
-        grid = make_grid(MOONS_T, S)
-        sets = []
-        for i in range(eval_ds.n):
-            samples = np.empty((5, 2))
-            for k in range(5):
-                plan = SamplerPlan(
-                    grid=grid, eta=1.0,
-                    seed=int(rng_for(707, "div", i, k).integers(2**62)),
-                )
-                samples[k], _ = accelerated_sample(schedule, eps_fn, eval_ds.y[i], plan)
-            sets.append(samples)
-        div[S] = diversity(sets, k=5)
+        plan = SamplerPlan(
+            grid=make_grid(MOONS_T, S), eta=1.0,
+            seed=[int(rng_for(707, "div", i, k).integers(2**62))
+                  for i in range(eval_ds.n) for k in range(5)],
+        )
+        samples, _ = accelerated_sample(schedule, eps_fn, np.repeat(eval_ds.y, 5, axis=0), plan)
+        div[S] = diversity(list(samples.reshape(eval_ds.n, 5, 2)), k=5)
     div_ok = div[20] <= div[50] * 1.02 and div[50] <= div[200] * 1.02
 
     elapsed = time.perf_counter() - start
@@ -304,23 +296,20 @@ def test_a8_variance_scale_diversity_trend(moons_models):
     start = time.perf_counter()
     models, train_elapsed = moons_models
     eval_ds = gen_two_moons_paired(n=200, noise_sd=0.05, seed=991)
-    grid = make_grid(MOONS_T, 200)
+    # Shared seeds across s: paired comparison by common random numbers.
+    # Chain (i, k) keeps its own seed in the one batched call per s.
+    plan = SamplerPlan(
+        grid=make_grid(MOONS_T, 200), eta=1.0,
+        seed=[int(rng_for(808, "a8", i, k).integers(2**62))
+              for i in range(eval_ds.n) for k in range(5)],
+    )
     values = {}
     per_input = {}
     for s in MOONS_S_GRID:
         schedule = build_schedule(MOONS_T, s)
         eps_fn = models[s].eps_fn(MOONS_T)
-        sets = []
-        for i in range(eval_ds.n):
-            samples = np.empty((5, 2))
-            for k in range(5):
-                # shared seeds across s: paired comparison by common random numbers
-                plan = SamplerPlan(
-                    grid=grid, eta=1.0,
-                    seed=int(rng_for(808, "a8", i, k).integers(2**62)),
-                )
-                samples[k], _ = accelerated_sample(schedule, eps_fn, eval_ds.y[i], plan)
-            sets.append(samples)
+        samples, _ = accelerated_sample(schedule, eps_fn, np.repeat(eval_ds.y, 5, axis=0), plan)
+        sets = list(samples.reshape(eval_ds.n, 5, 2))
         values[s] = diversity(sets, k=5)
         per_input[s] = np.array([diversity([samples], k=5) for samples in sets])
 

@@ -127,3 +127,59 @@ class TestCorruption:
         path.write_bytes(path.read_bytes() + b"junk")
         with pytest.raises(ValueError, match="trailing"):
             load_checkpoint(path)
+
+
+class TestArchitecture:
+    """Arrays must match the declared sizes; model, EMA and state-scale
+    values must be finite."""
+
+    @pytest.mark.parametrize("hidden", [[8], [8, 6, 6], [8, 8]], ids=["fewer", "more", "wider"])
+    def test_hidden_mismatch_rejected(self, ckpt, tmp_path, hidden):
+        path = tmp_path / "model.bin"
+        save_checkpoint(path, ckpt)
+        _rewrite_header(path, lambda h: h["model"].update(hidden=hidden))
+        with pytest.raises(ValueError, match="architecture"):
+            load_checkpoint(path)
+
+    def test_data_dim_mismatch_rejected(self, ckpt, tmp_path):
+        path = tmp_path / "model.bin"
+        save_checkpoint(path, ckpt)
+        _rewrite_header(path, lambda h: h["model"].update(data_dim=3))
+        with pytest.raises(ValueError, match="architecture"):
+            load_checkpoint(path)
+
+    def test_empty_arrays_rejected(self, ckpt, tmp_path):
+        path = tmp_path / "model.bin"
+        save_checkpoint(path, ckpt)
+        _rewrite_header(path, lambda h: h.update(arrays=[]))
+        blob = path.read_bytes()
+        (n,) = struct.unpack("<I", blob[len(MAGIC) : len(MAGIC) + 4])
+        path.write_bytes(blob[: len(MAGIC) + 4 + n])
+        with pytest.raises(ValueError, match="architecture"):
+            load_checkpoint(path)
+
+    def test_missing_adam_array_rejected(self, ckpt, tmp_path):
+        ckpt.adam.v.pop()
+        path = tmp_path / "model.bin"
+        save_checkpoint(path, ckpt)
+        with pytest.raises(ValueError, match="adam_v.5"):
+            load_checkpoint(path)
+
+    def test_state_scale_length_must_cover_steps(self, ckpt, tmp_path):
+        ckpt.model.state_scale = np.ones(ckpt.T)
+        path = tmp_path / "model.bin"
+        save_checkpoint(path, ckpt)
+        with pytest.raises(ValueError, match="state_scale"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("where", ["param", "ema", "state_scale"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_nonfinite_values_rejected(self, ckpt, tmp_path, where, value):
+        ckpt.model.state_scale = np.ones(ckpt.T + 1)
+        target = {"param": ckpt.model.weights[1], "ema": ckpt.ema.shadow[0],
+                  "state_scale": ckpt.model.state_scale}[where]
+        target.flat[3] = value
+        path = tmp_path / "model.bin"
+        save_checkpoint(path, ckpt)
+        with pytest.raises(ValueError, match="non-finite"):
+            load_checkpoint(path)

@@ -5,8 +5,12 @@ import numpy as np
 import pytest
 
 from bridgediff import cli
-from bridgediff.checkpoint import MAGIC
+from bridgediff.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from bridgediff.data import gen_two_moons_paired, save
+from bridgediff.data import load as load_dataset
+from bridgediff.sampling import SamplerPlan, accelerated_sample, make_grid
+from bridgediff.schedule import build_schedule
+from bridgediff.seeding import rng_for
 from bridgediff.verify import FamilyResult
 
 
@@ -44,7 +48,7 @@ class TestVerifyCommand:
         code = cli.main(["verify", "--report", str(tmp_path / "report.txt")])
         out = capsys.readouterr().out
         assert code == 0
-        assert out.count("PASS") == 5
+        assert out.count("PASS") == 7
         assert "FAIL" not in out
         assert "all families passed" in out
         report = (tmp_path / "report.txt").read_text(encoding="utf-8")
@@ -122,6 +126,16 @@ class TestTrainCommand:
         assert (out_dir / "train.incomplete").exists()
 
 
+def _edit_header(path, edit):
+    blob = path.read_bytes()
+    (n,) = struct.unpack("<I", blob[len(MAGIC) : len(MAGIC) + 4])
+    start = len(MAGIC) + 4
+    header = json.loads(blob[start : start + n])
+    edit(header)
+    new = json.dumps(header).encode("utf-8")
+    path.write_bytes(MAGIC + struct.pack("<I", len(new)) + new + blob[start + n :])
+
+
 @pytest.fixture()
 def trained(tmp_path, moons_file):
     config = write_config(tmp_path, moons_file)
@@ -189,13 +203,7 @@ class TestSampleCommand:
         lambda h: h.pop("model"),
     ], ids=["relu", "no-model"])
     def test_bad_checkpoint_header_exits_two(self, tmp_path, moons_file, trained, capsys, edit):
-        blob = trained.read_bytes()
-        (n,) = struct.unpack("<I", blob[len(MAGIC) : len(MAGIC) + 4])
-        start = len(MAGIC) + 4
-        header = json.loads(blob[start : start + n])
-        edit(header)
-        new = json.dumps(header).encode("utf-8")
-        trained.write_bytes(MAGIC + struct.pack("<I", len(new)) + new + blob[start + n :])
+        _edit_header(trained, edit)
         code = cli.main([
             "sample", "--checkpoint", str(trained), "--data", str(moons_file),
             "--steps", "10", "--out", str(tmp_path / "x"),
@@ -203,6 +211,98 @@ class TestSampleCommand:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_wrong_architecture_exits_two(self, tmp_path, moons_file, trained, capsys):
+        _edit_header(trained, lambda h: h["model"].update(hidden=[12, 12, 12]))
+        code = cli.main([
+            "sample", "--checkpoint", str(trained), "--data", str(moons_file),
+            "--steps", "10", "--out", str(tmp_path / "x"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "architecture" in err and err.count("\n") == 1
+
+    def test_nan_ema_weights_exit_two(self, tmp_path, moons_file, trained, capsys):
+        ckpt = load_checkpoint(trained)
+        ckpt.ema.shadow[2][0, 0] = np.nan
+        save_checkpoint(trained, ckpt)
+        code = cli.main([
+            "sample", "--checkpoint", str(trained), "--data", str(moons_file),
+            "--steps", "10", "--out", str(tmp_path / "x"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "non-finite" in err and err.count("\n") == 1
+
+    def test_nonfinite_state_names_chain_and_writes_no_samples(
+        self, tmp_path, moons_file, trained, monkeypatch, capsys
+    ):
+        from bridgediff.nn import NoisePredictor
+
+        forward = NoisePredictor.forward
+
+        def nan_at_step_20(self, x, t, T):
+            out = forward(self, x, t, T)
+            if t == 20:
+                out = out.copy()
+                out[3] = np.nan  # chain 3 of the block: row 1, rep 1 at k=2
+            return out
+
+        monkeypatch.setattr(NoisePredictor, "forward", nan_at_step_20)
+        out_dir = tmp_path / "nan"
+        code = cli.main([
+            "sample", "--checkpoint", str(trained), "--data", str(moons_file),
+            "--n", "4", "--k", "2", "--steps", "15", "--out", str(out_dir),
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1
+        assert "t=20" in err and "(row 1, rep 1)" in err
+        assert list(out_dir.iterdir()) == []
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    def test_overflowing_prediction_exits_two(self, tmp_path, trained, capsys):
+        from bridgediff.data import PairedDataset
+
+        huge = tmp_path / "huge.csv"
+        save(PairedDataset(x0=np.full((3, 2), 1e308), y=np.full((3, 2), -1.7e308),
+                           generator="handmade", seed=0), huge)
+        code = cli.main([
+            "sample", "--checkpoint", str(trained), "--data", str(huge),
+            "--steps", "10", "--out", str(tmp_path / "x"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "x" / "samples.csv").exists()
+
+    def test_blocks_match_single_chains(self, tmp_path, moons_file, trained, monkeypatch):
+        # 4 inputs x k=3 in blocks of 5: three blocks, the last one short.
+        monkeypatch.setattr(cli, "SAMPLE_BLOCK", 5)
+        out_dir = tmp_path / "blocks"
+        code = cli.main([
+            "sample", "--checkpoint", str(trained), "--data", str(moons_file),
+            "--n", "4", "--k", "3", "--steps", "15", "--seed", "11", "--trajectories",
+            "--out", str(out_dir),
+        ])
+        assert code == 0
+        rows = [l.split(",") for l in (out_dir / "samples.csv").read_text(encoding="utf-8").splitlines()
+                if not l.startswith("#")][1:]
+        assert [(int(r[0]), int(r[1])) for r in rows] == [(i, k) for i in range(4) for k in range(3)]
+
+        ckpt = load_checkpoint(trained)
+        model = ckpt.ema_model()
+        schedule = build_schedule(ckpt.T, ckpt.s)
+        pairs = load_dataset(moons_file)
+        for r in rows:
+            row, rep = int(r[0]), int(r[1])
+            value = np.array([float(v) for v in r[2:]])
+            plan = SamplerPlan(grid=make_grid(ckpt.T, 15), eta=1.0,
+                               seed=int(rng_for(11, "sample", row, rep).integers(2**62)))
+            ref, _ = accelerated_sample(schedule, model.eps_fn(ckpt.T), pairs.y[row], plan)
+            np.testing.assert_allclose(value, ref, rtol=0, atol=1e-12)
+            last = (out_dir / f"trajectory_{row}_{rep}.csv").read_text(encoding="utf-8").splitlines()[-1]
+            assert last.split(",") == ["0"] + r[2:]
 
     def test_rerun_byte_identical(self, tmp_path, moons_file, trained):
         for name in ("s1", "s2"):

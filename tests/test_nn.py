@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bridgediff.nn import NoisePredictor, _time_embed_rows, time_embed
+from bridgediff.nn import NoisePredictor, _embed_table, _time_embed_rows, time_embed
 from bridgediff.seeding import rng_for
 
 
@@ -38,6 +38,23 @@ class TestTimeEmbed:
             time_embed(11, 10, 8)
 
 
+class TestEmbedTable:
+    @pytest.mark.parametrize("dim", [4, 6, 8, 32, 48])
+    def test_rows_bitwise_equal_to_computed_rows(self, dim):
+        T = 1000
+        table = _embed_table(T, dim)
+        assert table.shape == (T + 1, dim)
+        for t in range(T + 1):
+            np.testing.assert_array_equal(table[t], _time_embed_rows(np.array([float(t)]), dim)[0])
+
+    def test_read_only_and_cached(self):
+        table = _embed_table(40, 8)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 1.0
+        assert _embed_table(40, 8) is table
+
+
 @pytest.fixture
 def model():
     return NoisePredictor.create(3, (16, 12), 8, rng_for(5, "init"))
@@ -64,6 +81,19 @@ class TestNoisePredictor:
     def test_param_count(self, model):
         sizes = [(11, 16), (16,), (16, 12), (12,), (12, 3), (3,)]
         assert model.n_params == sum(int(np.prod(s)) for s in sizes)
+
+    def test_step_outside_range_rejected(self, model):
+        x = np.ones((2, 3))
+        for t in (np.array([0, 41]), np.array([-1, 3])):
+            with pytest.raises(ValueError, match="outside"):
+                model.forward(x, t, 40)
+            with pytest.raises(ValueError, match="outside"):
+                model.loss_and_grads(x, t, np.zeros((2, 3)), 40)
+
+    def test_fractional_step_rejected(self, model):
+        with pytest.raises(ValueError, match="integer"):
+            model.forward(np.ones(3), 2.5, 40)
+        np.testing.assert_array_equal(model.forward(np.ones(3), 2.0, 40), model.forward(np.ones(3), 2, 40))
 
     def test_dim_mismatch_rejected(self, model):
         with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ import pytest
 from bridgediff.nn import NoisePredictor
 from bridgediff.process import reverse_mean
 from bridgediff.sampling import (
+    NonFiniteState,
     SamplerPlan,
     accelerated_sample,
     ancestral_sample,
@@ -198,3 +199,94 @@ class TestTrajectoryExport:
             fields = line.split(",")
             assert int(fields[0]) == t
             assert [float(f) for f in fields[1:]] == list(state)
+
+
+class TestBatch:
+    """B chains in one call against the same chains run one at a time."""
+
+    def _oracle(self, schedule):
+        from bridgediff.oracle import JointGaussianSpec, optimal_eps
+
+        spec = JointGaussianSpec(corr=0.8)
+        return lambda x, t: optimal_eps(spec, schedule, t, x)
+
+    def test_oracle_batch_bitwise_equal_to_single_chains(self, schedule):
+        eps_fn = self._oracle(schedule)
+        y = rng_for(40, "batch-y").normal(size=(9, 2))
+        seeds = [100 + b for b in range(9)]
+        out, traj = ancestral_sample(schedule, eps_fn, y, seed=seeds, record_trajectory=True)
+        assert out.shape == (9, 2)
+        for b in range(9):
+            one, one_traj = ancestral_sample(schedule, eps_fn, y[b], seed=seeds[b],
+                                             record_trajectory=True)
+            np.testing.assert_array_equal(out[b], one)
+            assert [t for t, _ in traj] == [t for t, _ in one_traj]
+            for (_, batch_state), (_, state) in zip(traj, one_traj):
+                np.testing.assert_array_equal(batch_state[b], state)
+
+    def test_trained_shape_mlp_batch_within_tolerance(self):
+        # The acceptance two-moons architecture at its sampling grid; a
+        # batched matmul may round differently from B=1, by far less than
+        # the stated 1e-12.
+        rng = rng_for(41, "batch-mlp")
+        net = NoisePredictor.create(2, (96, 96), 48, rng)
+        for arr in net.params():
+            arr += 0.1 * rng.standard_normal(arr.shape)
+        sch = build_schedule(1000, 1.0)
+        y = rng.normal(size=(12, 2))
+        plan = SamplerPlan(grid=make_grid(1000, 200), eta=1.0, seed=list(range(12)))
+        out, _ = accelerated_sample(sch, net.eps_fn(1000), y, plan)
+        for b in range(12):
+            one = SamplerPlan(grid=plan.grid, eta=1.0, seed=b)
+            ref, _ = accelerated_sample(sch, net.eps_fn(1000), y[b], one)
+            np.testing.assert_allclose(out[b], ref, rtol=0, atol=1e-12)
+
+    def test_predrawn_noise_equals_per_step_draws(self):
+        block = rng_for(42, "chain").standard_normal((29, 3))
+        rng = rng_for(42, "chain")
+        per_step = np.array([rng.standard_normal(3) for _ in range(29)])
+        np.testing.assert_array_equal(block, per_step)
+
+    def test_each_row_uses_its_own_stream(self, schedule, model):
+        # The first move of row b draws the first normals of seed b's stream.
+        T = schedule.T
+        y = np.array([[0.1, 0.9], [-0.5, 0.2], [0.3, 0.3]])
+        seeds = [8, 80, 800]
+        _, traj = ancestral_sample(schedule, model.eps_fn(T), y, seed=seeds,
+                                   record_trajectory=True)
+        first = dict(traj)[T - 1]
+        for b, seed in enumerate(seeds):
+            z = rng_for(seed, "chain").standard_normal(2)
+            x0_hat = y[b] - model.forward(y[b], T, T)
+            expected = (
+                (1 - schedule.mix[T - 1]) * x0_hat
+                + schedule.mix[T - 1] * y[b]
+                + math.sqrt(schedule.marginal_var[T - 1]) * z
+            )
+            np.testing.assert_allclose(first[b], expected, atol=1e-15)
+
+    def test_int_seed_is_shared_by_every_row(self, schedule, model):
+        y = np.tile([0.4, -0.2], (3, 1))
+        out, _ = ancestral_sample(schedule, model.eps_fn(30), y, seed=5)
+        np.testing.assert_array_equal(out[0], out[1])
+        np.testing.assert_array_equal(out[1], out[2])
+
+    def test_seed_count_must_match_rows(self, schedule, model):
+        with pytest.raises(ValueError, match="one seed per chain"):
+            ancestral_sample(schedule, model.eps_fn(30), np.zeros((3, 2)), seed=[1, 2])
+
+    def test_plan_keeps_seed_sequence_hashable(self):
+        plan = SamplerPlan(grid=(1, 2), seed=[3, 4])
+        assert plan.seed == (3, 4)
+        hash(plan)
+
+    def test_nonfinite_state_names_step_and_row(self, schedule):
+        def bad_eps(x, t):
+            eps = np.zeros_like(x)
+            if t == 17:
+                eps[2] = np.nan
+            return eps
+
+        with pytest.raises(NonFiniteState, match="t=17") as info:
+            ancestral_sample(schedule, bad_eps, np.zeros((4, 2)), seed=[1, 2, 3, 4])
+        assert info.value.step == 17 and info.value.chain == 2

@@ -1,10 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 
 from bridgediff import process
 from bridgediff.process import GaussianParams
+from bridgediff.sampling import accelerated_sample
 from bridgediff.verify import (
     check_gradients,
     check_posterior_vs_grid,
+    check_sampler_batch,
     check_sampler_equivalence,
     check_schedule_identities,
     check_sign_convention,
@@ -21,6 +25,8 @@ class TestFamiliesPass:
             "sign-convention",
             "gradient-check",
             "sampler-equivalence",
+            "sampler-batch-oracle",
+            "sampler-batch-mlp",
         ]
         for r in results:
             assert r.passed, f"{r.family}: worst {r.worst_error} > tol {r.tolerance}"
@@ -62,6 +68,16 @@ class TestMutationsCaught:
         result = check_posterior_vs_grid(n_cases=40, posterior_fn=ambiguous)
         assert not result.passed
 
+    def test_shared_noise_fails_batch_family(self):
+        # A batch that runs every row on the first row's seed must be caught.
+        def first_seed_only(schedule, eps_fn, y, plan):
+            seed = plan.seed if np.ndim(y) == 1 else plan.seed[0]
+            return accelerated_sample(schedule, eps_fn, y, replace(plan, seed=seed))
+
+        for predictor in ("oracle", "mlp"):
+            result = check_sampler_batch(predictor=predictor, sample_fn=first_seed_only)
+            assert not result.passed
+
 
 class TestReportContent:
     def test_results_expose_tolerance_and_margin(self):
@@ -73,6 +89,12 @@ class TestReportContent:
         r = check_gradients()
         assert r.cases >= 6 * 3  # every weight/bias array contributes
         assert r.passed
+
+    def test_batch_families_state_their_tolerance(self):
+        oracle = check_sampler_batch(predictor="oracle")
+        mlp = check_sampler_batch(predictor="mlp")
+        assert oracle.tolerance == 0.0 and oracle.note == "bitwise" and oracle.worst_error == 0.0
+        assert mlp.tolerance == 1e-12 and mlp.passed
 
     def test_sampler_family_bitwise(self):
         r = check_sampler_equivalence()
