@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +45,13 @@ SAMPLE_BLOCK = 256
 
 def _fmt(v: float) -> str:
     return repr(float(v))
+
+
+def _temp_beside(path: Path) -> Path:
+    """Unused hidden name in ``path``'s directory for a file that replaces
+    ``path`` once complete. Opened with mode ``"x"`` it gets the permissions
+    a plain write of ``path`` would (``mkstemp`` would force 0600)."""
+    return path.with_name(f".{path.name}-{os.urandom(8).hex()}.tmp")
 
 
 def cmd_verify(args) -> int:
@@ -125,10 +131,12 @@ def cmd_sample(args) -> int:
     samples_path = out_dir / "samples.csv"
     chains = [(row, rep) for row in range(n) for rep in range(args.k)]
     # Rows go to a temp file that replaces samples.csv only once every chain
-    # has finished, so a failed run never leaves a complete-looking file.
-    fd, tmp_path = tempfile.mkstemp(dir=out_dir, prefix=".samples-", suffix=".tmp")
+    # has finished, and trajectories take their final names only after that,
+    # so a failed run never leaves a complete-looking file.
+    samples_tmp = _temp_beside(samples_path)
+    trajectories = []  # (temp path, final path) per written trajectory
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as f:
+        with open(samples_tmp, "x", encoding="utf-8", newline="\n") as f:
             f.write("# format=samples-csv\n# version=1\n")
             f.write(f"# seed={args.seed}\n# steps={args.steps}\n# eta={_fmt(args.eta)}\n")
             f.write(f"# k={args.k}\n# n={n}\n# dim={dataset.dim}\n")
@@ -157,12 +165,16 @@ def cmd_sample(args) -> int:
                     f.write(f"{row},{rep}," + ",".join(_fmt(v) for v in x) + "\n")
                 if args.trajectories:
                     for b, (row, rep) in enumerate(block):
-                        write_trajectory_csv([(t, state[b]) for t, state in traj],
-                                             out_dir / f"trajectory_{row}_{rep}.csv")
-        os.replace(tmp_path, samples_path)
+                        traj_path = out_dir / f"trajectory_{row}_{rep}.csv"
+                        traj_tmp = _temp_beside(traj_path)
+                        trajectories.append((traj_tmp, traj_path))
+                        write_trajectory_csv([(t, state[b]) for t, state in traj], traj_tmp)
+        os.replace(samples_tmp, samples_path)
+        for traj_tmp, traj_path in trajectories:
+            os.replace(traj_tmp, traj_path)
     finally:
-        if os.path.exists(tmp_path):
-            os.unlink(tmp_path)
+        for tmp in [samples_tmp, *(traj_tmp for traj_tmp, _ in trajectories)]:
+            tmp.unlink(missing_ok=True)
     print(f"samples: {samples_path}")
     return 0
 
@@ -243,7 +255,16 @@ def cmd_eval(args) -> int:
         lines.append(f"mean_{i},{_fmt(mom.mean[i])},{samples.shape[0]},{seed}")
         lines.append(f"var_{i},{_fmt(mom.var[i])},{samples.shape[0]},{seed}")
     report = "\n".join(lines) + "\n"
-    Path(args.out).write_text(report, encoding="utf-8")
+    # Through a temp file beside the report, so a failed write leaves an
+    # earlier report as it was.
+    out_path = Path(args.out)
+    tmp = _temp_beside(out_path)
+    try:
+        with open(tmp, "x", encoding="utf-8", newline="\n") as f:
+            f.write(report)
+        os.replace(tmp, out_path)
+    finally:
+        tmp.unlink(missing_ok=True)
     print(report, end="")
     return 0
 
@@ -335,6 +356,9 @@ def main(argv=None) -> int:
         return 1
     except (OSError, ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

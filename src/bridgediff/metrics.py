@@ -1,7 +1,12 @@
-"""Sample-quality metrics: per-input diversity, energy distance, moments."""
+"""Sample-quality metrics: per-input diversity, energy distance, moments.
+
+The energy distance sums pair distances in fixed-size tiles, so its memory
+does not depend on the set sizes and a full 40k-row reference works.
+"""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,22 +37,66 @@ def diversity(sets: list[np.ndarray], k: int = 5, sample_sd: bool = False) -> fl
     return float(np.mean(per_input))
 
 
-def _pairwise_mean_norm(a: np.ndarray, b: np.ndarray) -> float:
-    # All-pairs V-statistic (diagonal included), so identical sets give 0.
-    diff = a[:, None, :] - b[None, :, :]
-    return float(np.mean(np.sqrt(np.sum(diff * diff, axis=2))))
+# Side of the square tiles the pair sums run in: two (tile, tile) float64
+# buffers, 1 MiB together, bound the memory whatever the set sizes.
+_TILE = 256
+
+
+def _pair_distance_sum(a: np.ndarray, b: np.ndarray) -> float:
+    """Sum of |a_i - b_j| over all pairs (i, j), diagonal included.
+
+    Works tile by tile and coordinate by coordinate in two reused buffers,
+    so no (n, m, d) difference array is built. When ``a is b`` only tiles
+    on or above the diagonal are visited and each one above it counts
+    twice: |a_i - a_j| and |a_j - a_i| are the same float. Tile sums are
+    added with ``math.fsum``, so the total stays accurate over billions
+    of pairs.
+    """
+    if a.shape[1] == 0:
+        return 0.0  # no coordinates: every distance is zero
+    same = a is b
+    acc = np.empty((min(a.shape[0], _TILE), min(b.shape[0], _TILE)))
+    tmp = np.empty_like(acc)
+
+    def tile_sums():
+        for i in range(0, a.shape[0], _TILE):
+            rows = a[i : i + _TILE]
+            for j in range(i if same else 0, b.shape[0], _TILE):
+                cols = b[j : j + _TILE]
+                dist = acc[: rows.shape[0], : cols.shape[0]]
+                sq = tmp[: rows.shape[0], : cols.shape[0]]
+                np.subtract(rows[:, 0, None], cols[None, :, 0], out=dist)
+                np.multiply(dist, dist, out=dist)
+                for k in range(1, a.shape[1]):
+                    np.subtract(rows[:, k, None], cols[None, :, k], out=sq)
+                    np.multiply(sq, sq, out=sq)
+                    np.add(dist, sq, out=dist)
+                np.sqrt(dist, out=dist)
+                total = float(dist.sum())
+                yield 2.0 * total if same and j > i else total
+
+    return math.fsum(tile_sums())
 
 
 def energy_distance(a, b) -> float:
     """2 E|a-b| - E|a-a'| - E|b-b'| over all pairs; zero iff the empirical
-    distributions coincide (up to estimator noise)."""
+    distributions coincide (up to estimator noise).
+
+    Each mean is the all-pairs V-statistic (diagonal included), so
+    identical sets give 0.
+    """
     a = np.atleast_2d(np.asarray(a, dtype=np.float64))
     b = np.atleast_2d(np.asarray(b, dtype=np.float64))
     if a.shape[0] < 1 or b.shape[0] < 1:
         raise ValueError("both sample lists must be non-empty")
     if a.shape[1] != b.shape[1]:
         raise ValueError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
-    return 2.0 * _pairwise_mean_norm(a, b) - _pairwise_mean_norm(a, a) - _pairwise_mean_norm(b, b)
+    n, m = a.shape[0], b.shape[0]
+    return (
+        2.0 * _pair_distance_sum(a, b) / (n * m)
+        - _pair_distance_sum(a, a) / (n * n)
+        - _pair_distance_sum(b, b) / (m * m)
+    )
 
 
 @dataclass(frozen=True)

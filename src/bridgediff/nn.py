@@ -159,17 +159,21 @@ class NoisePredictor:
         """Output rows and, when ``keep``, every layer's input and every
         hidden layer's (pre-activation, sigmoid) for the backward pass. A
         plain forward keeps none, so large batches hold one layer at a time."""
-        h = np.concatenate([self._scaled(xb, tb), _embed_table(T, self.embed_dim)[tb]], axis=1)
-        inputs, acts = [], []
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            z = h @ w + b
-            sig = 1.0 / (1.0 + np.exp(-z))
-            if keep:
-                inputs.append(h)
-                acts.append((z, sig))
-            h = z * sig
-        inputs.append(h)
-        return h @ self.weights[-1] + self.biases[-1], inputs, acts
+        # On extreme inputs exp overflows (the sigmoid saturates at 0 as it
+        # should) or a product turns NaN; callers check outputs for
+        # finiteness, so numpy's warnings would only be noise on stderr.
+        with np.errstate(over="ignore", invalid="ignore"):
+            h = np.concatenate([self._scaled(xb, tb), _embed_table(T, self.embed_dim)[tb]], axis=1)
+            inputs, acts = [], []
+            for w, b in zip(self.weights[:-1], self.biases[:-1]):
+                z = h @ w + b
+                sig = 1.0 / (1.0 + np.exp(-z))
+                if keep:
+                    inputs.append(h)
+                    acts.append((z, sig))
+                h = z * sig
+            inputs.append(h)
+            return h @ self.weights[-1] + self.biases[-1], inputs, acts
 
     def forward(self, x, t, T: int) -> np.ndarray:
         """Predict eps for one state (1-D) or a batch (2-D); deterministic."""

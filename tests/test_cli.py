@@ -1,5 +1,7 @@
 import json
+import os
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -260,21 +262,41 @@ class TestSampleCommand:
         assert "t=20" in err and "(row 1, rep 1)" in err
         assert list(out_dir.iterdir()) == []
 
-    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_overflowing_prediction_exits_two(self, tmp_path, trained, capsys):
         from bridgediff.data import PairedDataset
 
         huge = tmp_path / "huge.csv"
         save(PairedDataset(x0=np.full((3, 2), 1e308), y=np.full((3, 2), -1.7e308),
                            generator="handmade", seed=0), huge)
-        code = cli.main([
-            "sample", "--checkpoint", str(trained), "--data", str(huge),
-            "--steps", "10", "--out", str(tmp_path / "x"),
-        ])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main([
+                "sample", "--checkpoint", str(trained), "--data", str(huge),
+                "--steps", "10", "--out", str(tmp_path / "x"),
+            ])
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert [str(w.message) for w in caught] == []
         assert not (tmp_path / "x" / "samples.csv").exists()
+
+    def test_saturating_inputs_print_no_warnings(self, tmp_path, trained, capsys):
+        # exp overflows in the sigmoid, which saturates as it should: the
+        # samples are finite, so the run succeeds without numpy warnings.
+        from bridgediff.data import PairedDataset
+
+        huge = tmp_path / "huge.csv"
+        save(PairedDataset(x0=np.ones((3, 2)), y=np.full((3, 2), -1e300),
+                           generator="handmade", seed=0), huge)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main([
+                "sample", "--checkpoint", str(trained), "--data", str(huge),
+                "--steps", "10", "--out", str(tmp_path / "x"),
+            ])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        assert [str(w.message) for w in caught] == []
 
     def test_blocks_match_single_chains(self, tmp_path, moons_file, trained, monkeypatch):
         # 4 inputs x k=3 in blocks of 5: three blocks, the last one short.
@@ -314,6 +336,46 @@ class TestSampleCommand:
         assert (tmp_path / "s1" / "samples.csv").read_bytes() == (
             tmp_path / "s2" / "samples.csv"
         ).read_bytes()
+
+    def test_failed_run_leaves_no_trajectories(self, tmp_path, moons_file, trained, monkeypatch, capsys):
+        # 8 chains in blocks of 4: the first block's trajectories are written,
+        # then every prediction of the second block is NaN.
+        from bridgediff.nn import NoisePredictor
+
+        monkeypatch.setattr(cli, "SAMPLE_BLOCK", 4)
+        written = []
+        write = cli.write_trajectory_csv
+        monkeypatch.setattr(cli, "write_trajectory_csv",
+                            lambda traj, path: (written.append(path), write(traj, path)))
+        forward = NoisePredictor.forward
+        monkeypatch.setattr(NoisePredictor, "forward",
+                            lambda self, x, t, T: forward(self, x, t, T) * (np.nan if written else 1.0))
+        out_dir = tmp_path / "traj"
+        code = cli.main([
+            "sample", "--checkpoint", str(trained), "--data", str(moons_file),
+            "--n", "4", "--k", "2", "--steps", "15", "--trajectories", "--out", str(out_dir),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err.count("\n") == 1
+        assert len(written) == 4
+        assert list(out_dir.iterdir()) == []
+
+    def test_outputs_get_umask_permissions(self, tmp_path, moons_file, trained):
+        # Files written through a temp name keep the mode a plain write gives.
+        umask = os.umask(0o022)
+        os.umask(umask)
+        out_dir = tmp_path / "perm"
+        assert cli.main([
+            "sample", "--checkpoint", str(trained), "--data", str(moons_file),
+            "--n", "1", "--k", "5", "--steps", "8", "--trajectories", "--out", str(out_dir),
+        ]) == 0
+        assert cli.main([
+            "eval", "--samples", str(out_dir / "samples.csv"), "--reference", str(moons_file),
+            "--out", str(out_dir / "report.csv"),
+        ]) == 0
+        modes = {p.name: p.stat().st_mode & 0o777 for p in out_dir.iterdir()}
+        assert len(modes) == 1 + 5 + 1
+        assert set(modes.values()) == {0o666 & ~umask}
 
     def test_trajectories_exported(self, tmp_path, moons_file, trained):
         out_dir = tmp_path / "traj"
@@ -381,6 +443,49 @@ class TestEvalCommand:
         parser = cli.build_parser()
         args = parser.parse_args(["eval", "--samples", "s", "--reference", "r", "--out", "o"])
         assert args.k == 5
+
+    def _fake_samples(self, tmp_path, moons_file):
+        from bridgediff.data import load as load_ds
+
+        sample_file = tmp_path / "fake_samples.csv"
+        with open(sample_file, "w", encoding="utf-8") as f:
+            f.write("# format=samples-csv\n# version=1\n# seed=0\n")
+            f.write("y_index,sample_index,dim_0,dim_1\n")
+            for i, row in enumerate(load_ds(moons_file).x0[:10]):
+                f.write(f"{i},0,{float(row[0])!r},{float(row[1])!r}\n")
+        return sample_file
+
+    def test_out_of_memory_exits_two(self, tmp_path, moons_file, monkeypatch, capsys):
+        def no_memory(a, b):
+            raise MemoryError("Unable to allocate 23.8 GiB")
+
+        monkeypatch.setattr(cli, "energy_distance", no_memory)
+        code = cli.main([
+            "eval", "--samples", str(self._fake_samples(tmp_path, moons_file)),
+            "--reference", str(moons_file), "--k", "1", "--out", str(tmp_path / "r.csv"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "error: out of memory: Unable to allocate 23.8 GiB\n"
+
+    def test_failed_write_keeps_earlier_report(self, tmp_path, moons_file, monkeypatch, capsys):
+        report_dir = tmp_path / "reports"
+        report_dir.mkdir()
+        report = report_dir / "r.csv"
+        report.write_bytes(b"earlier report\n")
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli.os, "replace", fail)
+        code = cli.main([
+            "eval", "--samples", str(self._fake_samples(tmp_path, moons_file)),
+            "--reference", str(moons_file), "--k", "1", "--out", str(report),
+        ])
+        assert code == 2
+        assert "disk full" in capsys.readouterr().err
+        assert report.read_bytes() == b"earlier report\n"
+        assert list(report_dir.iterdir()) == [report]
 
 
 class TestInfoCommand:

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from bridgediff import metrics
 from bridgediff.metrics import diversity, energy_distance, moments
 from bridgediff.seeding import rng_for
 
@@ -84,9 +86,67 @@ class TestEnergyDistance:
         with pytest.raises(ValueError):
             energy_distance(np.zeros((3, 2)), np.zeros((3, 3)))
 
+    def test_zero_dimensional_samples_give_zero(self):
+        assert energy_distance(np.zeros((3, 0)), np.zeros((4, 0))) == 0.0
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             energy_distance(np.zeros((0, 2)), np.zeros((3, 2)))
+
+
+def _naive_mean_distance(a, b):
+    # Every pair at once: the (n, m, d) difference array the tiles avoid.
+    diff = a[:, None, :] - b[None, :, :]
+    return float(np.mean(np.sqrt(np.sum(diff * diff, axis=2))))
+
+
+class TestTiledPairSums:
+    """``_pair_distance_sum`` against an all-pairs reference, across tile
+    edges (sizes 255, 256, 257 around ``_TILE``) and the ``a is b`` path."""
+
+    SIZES = (1, 255, 256, 257, 600)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("n", SIZES)
+    def test_matches_all_pairs_reference(self, n, d):
+        assert metrics._TILE == 256
+        rng = rng_for(57, "tiles", n, d)
+        a = rng.normal(size=(n, d))
+        for m in self.SIZES:
+            b = rng.normal(size=(m, d)) + 0.3
+            ab = metrics._pair_distance_sum(a, b) / (n * m)
+            aa = metrics._pair_distance_sum(a, a) / (n * n)
+            bb = metrics._pair_distance_sum(b, b) / (m * m)
+            assert ab == pytest.approx(_naive_mean_distance(a, b), rel=1e-12, abs=0)
+            assert aa == pytest.approx(_naive_mean_distance(a, a), rel=1e-12, abs=0)
+            assert bb == pytest.approx(_naive_mean_distance(b, b), rel=1e-12, abs=0)
+            naive_ed = (2.0 * _naive_mean_distance(a, b) - _naive_mean_distance(a, a)
+                        - _naive_mean_distance(b, b))
+            assert energy_distance(a, b) == pytest.approx(naive_ed, rel=0, abs=1e-12 * ab)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_same_set_visits_half_the_tiles(self, n):
+        # ``a is b`` sums the upper tiles twice; a copy sums every tile.
+        a = rng_for(58, "tiles", n).normal(size=(n, 2))
+        assert metrics._pair_distance_sum(a, a) == pytest.approx(
+            metrics._pair_distance_sum(a, a.copy()), rel=1e-12, abs=0
+        )
+        assert energy_distance(a, a) == 0.0
+
+    def test_memory_does_not_grow_with_set_size(self):
+        rng = rng_for(59, "tiles")
+        a = rng.normal(size=(3000, 2))
+        peaks = []
+        for m in (3000, 12000):
+            b = rng.normal(size=(m, 2))
+            tracemalloc.start()
+            try:
+                energy_distance(a, b)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < 8e6
+        assert peaks[1] <= peaks[0] + 65536
 
 
 class TestMoments:
