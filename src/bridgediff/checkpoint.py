@@ -13,17 +13,29 @@ records ``{"name": ..., "shape": [...]}``; the payload is those arrays'
 float64 data, C-order, little-endian, concatenated in header order.
 Writing the same state twice produces identical bytes, and a load/save
 round trip is lossless.
+
+In memory the model parameters, the EMA shadow and the two Adam moments
+are one vector each (see ``nn``). On disk each is split into per-layer
+records ``param.i``, ``ema.i``, ``adam_m.i`` and ``adam_v.i``, written
+from views of those vectors; a load copies each group of records into a
+new vector, so a loaded checkpoint shares no memory with the file's
+bytes or with any other object. A checkpoint is written to a hidden temp
+file beside its path and moved into place once complete, so a failed
+write leaves any earlier file at that path as it was.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from .nn import NoisePredictor
+from .fileio import temp_beside
+from .nn import NoisePredictor, layer_shapes
 from .optim import AdamState, EmaState, PlateauLrState
 
 MAGIC = b"BDGCKPT1"
@@ -49,14 +61,9 @@ class Checkpoint:
 
 def _array_records(model, ema, adam):
     records = []
-    for i, arr in enumerate(model.params()):
-        records.append((f"param.{i}", arr))
-    for i, arr in enumerate(ema.shadow):
-        records.append((f"ema.{i}", arr))
-    for i, arr in enumerate(adam.m):
-        records.append((f"adam_m.{i}", arr))
-    for i, arr in enumerate(adam.v):
-        records.append((f"adam_v.{i}", arr))
+    vectors = {"param": model.flat, "ema": ema.shadow, "adam_m": adam.m, "adam_v": adam.v}
+    for prefix, vec in vectors.items():
+        records += [(f"{prefix}.{i}", arr) for i, arr in enumerate(model.split(vec))]
     if model.state_scale is not None:
         records.append(("state_scale.0", model.state_scale))
     return records
@@ -101,12 +108,18 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         "arrays": [{"name": name, "shape": list(arr.shape)} for name, arr in records],
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<I", len(header_bytes)))
-        f.write(header_bytes)
-        for _, arr in records:
-            f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    path = Path(path)
+    tmp = temp_beside(path)
+    try:
+        with open(tmp, "xb") as f:
+            f.write(MAGIC)
+            f.write(struct.pack("<I", len(header_bytes)))
+            f.write(header_bytes)
+            for _, arr in records:
+                f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -129,12 +142,9 @@ def load_checkpoint(path) -> Checkpoint:
         raise ValueError(f"checkpoint header in {path} lacks key {exc}") from exc
 
 
-def _check_arrays(arrays: dict[str, np.ndarray], sizes: list[int], T: int, path) -> None:
+def _check_arrays(arrays: dict[str, np.ndarray], shapes: list[tuple[int, ...]], T: int, path) -> None:
     """The payload must be exactly the arrays of the declared architecture,
     with finite model and EMA weights and a finite, positive state scale."""
-    shapes = []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        shapes += [(fan_in, fan_out), (fan_out,)]
     expected = {f"{prefix}.{i}": shape for prefix in ("param", "ema", "adam_m", "adam_v")
                 for i, shape in enumerate(shapes)}
     if "state_scale.0" in arrays:
@@ -170,7 +180,7 @@ def _from_header(header: dict, blob: bytes, offset: int, path) -> Checkpoint:
             raise ValueError(f"checkpoint array {record['name']} listed twice in {path}")
         arrays[record["name"]] = np.frombuffer(
             blob, dtype="<f8", count=size, offset=offset
-        ).astype(np.float64).reshape(shape)
+        ).reshape(shape)
         offset = end
     if offset != len(blob):
         raise ValueError(f"trailing bytes in checkpoint {path}")
@@ -185,31 +195,34 @@ def _from_header(header: dict, blob: bytes, offset: int, path) -> Checkpoint:
         raise ValueError(
             f"bad sizes in {path}: T={T}, data_dim={data_dim}, embed_dim={embed_dim}, hidden={hidden}"
         )
-    _check_arrays(arrays, [data_dim + embed_dim, *hidden, data_dim], T, path)
+    shapes = layer_shapes(data_dim, embed_dim, hidden)
+    _check_arrays(arrays, shapes, T, path)
 
-    def collect(prefix: str) -> list[np.ndarray]:
-        return [np.array(arrays[f"{prefix}.{i}"]) for i in range(2 * len(hidden) + 2)]
+    def vector(prefix: str) -> np.ndarray:
+        """One new native float64 vector from the records in storage order."""
+        return np.concatenate(
+            [arrays[f"{prefix}.{i}"].ravel() for i in range(len(shapes))], dtype=np.float64
+        )
 
-    params = collect("param")
+    scale = arrays.get("state_scale.0")
     model = NoisePredictor(
         data_dim=data_dim,
         embed_dim=embed_dim,
         hidden=hidden,
-        weights=params[0::2],
-        biases=params[1::2],
-        state_scale=np.array(arrays["state_scale.0"]) if "state_scale.0" in arrays else None,
+        flat=vector("param"),
+        state_scale=None if scale is None else np.array(scale, dtype=np.float64),
     )
     eh = header["ema"]
     ema = EmaState(
-        shadow=collect("ema"),
+        shadow=vector("ema"),
         decay=float(eh["decay"]),
         start_step=int(eh["start_step"]),
         update_interval=int(eh["update_interval"]),
     )
     ah = header["adam"]
     adam = AdamState(
-        m=collect("adam_m"),
-        v=collect("adam_v"),
+        m=vector("adam_m"),
+        v=vector("adam_v"),
         step=int(ah["step"]),
         beta1=float(ah["beta1"]),
         beta2=float(ah["beta2"]),

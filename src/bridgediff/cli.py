@@ -25,6 +25,7 @@ from .configfile import (
     resolve_dataset,
 )
 from .data import load as load_dataset
+from .fileio import temp_beside
 from .metrics import diversity, energy_distance, moments
 from .sampling import (
     NonFiniteState,
@@ -45,13 +46,6 @@ SAMPLE_BLOCK = 256
 
 def _fmt(v: float) -> str:
     return repr(float(v))
-
-
-def _temp_beside(path: Path) -> Path:
-    """Unused hidden name in ``path``'s directory for a file that replaces
-    ``path`` once complete. Opened with mode ``"x"`` it gets the permissions
-    a plain write of ``path`` would (``mkstemp`` would force 0600)."""
-    return path.with_name(f".{path.name}-{os.urandom(8).hex()}.tmp")
 
 
 def cmd_verify(args) -> int:
@@ -133,7 +127,7 @@ def cmd_sample(args) -> int:
     # Rows go to a temp file that replaces samples.csv only once every chain
     # has finished, and trajectories take their final names only after that,
     # so a failed run never leaves a complete-looking file.
-    samples_tmp = _temp_beside(samples_path)
+    samples_tmp = temp_beside(samples_path)
     trajectories = []  # (temp path, final path) per written trajectory
     try:
         with open(samples_tmp, "x", encoding="utf-8", newline="\n") as f:
@@ -166,7 +160,7 @@ def cmd_sample(args) -> int:
                 if args.trajectories:
                     for b, (row, rep) in enumerate(block):
                         traj_path = out_dir / f"trajectory_{row}_{rep}.csv"
-                        traj_tmp = _temp_beside(traj_path)
+                        traj_tmp = temp_beside(traj_path)
                         trajectories.append((traj_tmp, traj_path))
                         write_trajectory_csv([(t, state[b]) for t, state in traj], traj_tmp)
         os.replace(samples_tmp, samples_path)
@@ -258,7 +252,7 @@ def cmd_eval(args) -> int:
     # Through a temp file beside the report, so a failed write leaves an
     # earlier report as it was.
     out_path = Path(args.out)
-    tmp = _temp_beside(out_path)
+    tmp = temp_beside(out_path)
     try:
         with open(tmp, "x", encoding="utf-8", newline="\n") as f:
             f.write(report)

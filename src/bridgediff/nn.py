@@ -9,6 +9,18 @@ instead of recomputing sinusoids. Values are float64 numpy arrays. For
 training, the forward pass keeps each layer's input, pre-activation and
 sigmoid, and ``loss_and_grads`` runs the backward of the (optionally
 weighted) mean squared error through exactly that graph.
+
+Storage: every parameter lives in one contiguous vector,
+``NoisePredictor.flat``, and the per-layer weights and biases are views
+into it, so the optimizer and the EMA (``optim``) and checkpoints see one
+vector each. Each backward call writes its gradients into views of a
+vector allocated for that call, so gradients a caller holds survive later
+calls. The forward and backward work in place where they own a buffer;
+each in-place step is the float operation the plain expression would
+perform, in the same order, so results are bitwise those of the plain
+expressions. Do not regroup them (for example ``2 * g`` for ``g + g`` or
+``g * (sig * d)`` for ``g * sig * d``), and do not split matmuls into row
+blocks: either changes the rounding and with it every training output.
 """
 
 from __future__ import annotations
@@ -18,6 +30,13 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+
+
+# Rows per block of a hidden layer's elementwise ops. On a large batch
+# (the 18,000-row validation forward) a block of pre-activations and its
+# sigmoids stays in cache across the five passes; elementwise results do
+# not depend on the blocking. The matmuls always run on the whole batch.
+_ELEMENTWISE_ROWS = 256
 
 
 def _embed_freqs(half: int) -> np.ndarray:
@@ -51,6 +70,15 @@ def _embed_table(T: int, dim: int) -> np.ndarray:
     return table
 
 
+def layer_shapes(data_dim: int, embed_dim: int, hidden: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Shapes of the parameter arrays in storage order [W0, b0, W1, b1, ...]."""
+    sizes = [data_dim + embed_dim, *hidden, data_dim]
+    shapes: list[tuple[int, ...]] = []
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        shapes += [(fan_in, fan_out), (fan_out,)]
+    return shapes
+
+
 @dataclass
 class NoisePredictor:
     """Fully connected eps predictor over (state, step-embedding) inputs.
@@ -62,14 +90,36 @@ class NoisePredictor:
     schedule, and standardized inputs keep the net out of its saturated
     tails at large variance scales). It participates in checkpoints so
     training and sampling always agree.
+
+    ``flat`` holds every trainable parameter in one contiguous float64
+    vector laid out as ``layer_shapes`` lists them, each weight in C order.
+    ``weights``, ``biases`` and ``params()`` are views into it, so an
+    in-place edit through any of them changes the model. Rebinding
+    ``flat`` would leave the views behind; build a new predictor instead.
     """
 
     data_dim: int
     embed_dim: int
     hidden: tuple[int, ...]
-    weights: list[np.ndarray] = field(repr=False)
-    biases: list[np.ndarray] = field(repr=False)
+    flat: np.ndarray = field(repr=False)
     state_scale: np.ndarray | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        self.hidden = tuple(int(h) for h in self.hidden)
+        self._slices = []
+        offset = 0
+        for shape in layer_shapes(self.data_dim, self.embed_dim, self.hidden):
+            self._slices.append((offset, offset + math.prod(shape), shape))
+            offset += math.prod(shape)
+        f = self.flat
+        if f.dtype != np.float64 or f.shape != (offset,) or not f.flags.c_contiguous:
+            raise ValueError(
+                f"parameters must be one contiguous float64 vector of {offset} entries, "
+                f"got {f.dtype} {f.shape}"
+            )
+        self._params = self.split(f)
+        self.weights = self._params[0::2]
+        self.biases = self._params[1::2]
 
     @classmethod
     def create(
@@ -90,46 +140,38 @@ class NoisePredictor:
             state_scale = np.asarray(state_scale, dtype=np.float64)
             if state_scale.ndim != 1 or np.any(state_scale <= 0):
                 raise ValueError("state_scale must be a 1-D array of positive scales")
-        sizes = [data_dim + embed_dim, *hidden, data_dim]
-        weights, biases = [], []
-        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-            bound = 1.0 / math.sqrt(fan_in)
-            weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-            biases.append(np.zeros(fan_out))
-        weights[-1][:] = 0.0
-        return cls(
-            data_dim=data_dim,
-            embed_dim=embed_dim,
-            hidden=hidden,
-            weights=weights,
-            biases=biases,
-            state_scale=state_scale,
-        )
+        n = sum(math.prod(shape) for shape in layer_shapes(data_dim, embed_dim, hidden))
+        model = cls(data_dim, embed_dim, hidden, flat=np.zeros(n), state_scale=state_scale)
+        # The output layer is drawn and then zeroed, so a caller that keeps
+        # using ``rng`` sees the same later draws as it always has.
+        for w in model.weights:
+            bound = 1.0 / math.sqrt(w.shape[0])
+            w[...] = rng.uniform(-bound, bound, size=w.shape)
+        model.weights[-1][...] = 0.0
+        return model
 
     @property
     def n_params(self) -> int:
-        return sum(a.size for a in self.params())
+        return self.flat.size
 
     def params(self) -> list[np.ndarray]:
-        """Trainable arrays, interleaved [W0, b0, W1, b1, ...]."""
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
+        """Trainable arrays [W0, b0, W1, b1, ...], as views into ``flat``."""
+        return list(self._params)
 
-    def copy_with(self, arrays: list[np.ndarray]) -> "NoisePredictor":
-        """New predictor with the same sizes and the given parameter arrays."""
-        expected = [a.shape for a in self.params()]
-        got = [np.asarray(a).shape for a in arrays]
-        if expected != got:
-            raise ValueError(f"parameter shape mismatch: {got} vs {expected}")
+    def split(self, vec: np.ndarray) -> list[np.ndarray]:
+        """Per-layer views [W0, b0, W1, b1, ...] of a vector laid out like ``flat``."""
+        return [vec[a:b].reshape(shape) for a, b, shape in self._slices]
+
+    def copy_with(self, flat: np.ndarray) -> "NoisePredictor":
+        """New predictor with the same sizes and its own copy of ``flat``."""
+        flat = np.asarray(flat)
+        if flat.shape != self.flat.shape:
+            raise ValueError(f"parameter vector shape {flat.shape} does not match {self.flat.shape}")
         return NoisePredictor(
             data_dim=self.data_dim,
             embed_dim=self.embed_dim,
             hidden=self.hidden,
-            weights=[np.array(arrays[i], dtype=np.float64) for i in range(0, len(arrays), 2)],
-            biases=[np.array(arrays[i], dtype=np.float64) for i in range(1, len(arrays), 2)],
+            flat=np.array(flat, dtype=np.float64),
             state_scale=None if self.state_scale is None else self.state_scale.copy(),
         )
 
@@ -158,7 +200,8 @@ class NoisePredictor:
     def _layers(self, xb: np.ndarray, tb: np.ndarray, T: int, keep: bool):
         """Output rows and, when ``keep``, every layer's input and every
         hidden layer's (pre-activation, sigmoid) for the backward pass. A
-        plain forward keeps none, so large batches hold one layer at a time."""
+        plain forward keeps none and works in place, so large batches hold
+        one layer at a time."""
         # On extreme inputs exp overflows (the sigmoid saturates at 0 as it
         # should) or a product turns NaN; callers check outputs for
         # finiteness, so numpy's warnings would only be noise on stderr.
@@ -166,21 +209,41 @@ class NoisePredictor:
             h = np.concatenate([self._scaled(xb, tb), _embed_table(T, self.embed_dim)[tb]], axis=1)
             inputs, acts = [], []
             for w, b in zip(self.weights[:-1], self.biases[:-1]):
-                z = h @ w + b
-                sig = 1.0 / (1.0 + np.exp(-z))
+                z = h @ w
+                rows = z.shape[0]
+                sig = np.empty(z.shape if keep else (min(rows, _ELEMENTWISE_ROWS), z.shape[1]))
+                # z += b and sig = 1 / (1 + exp(-z)), op for op, then (plain
+                # forward) z *= sig, a block of rows at a time.
+                for r in range(0, rows, _ELEMENTWISE_ROWS):
+                    zb = z[r : r + _ELEMENTWISE_ROWS]
+                    sb = sig[r : r + _ELEMENTWISE_ROWS] if keep else sig[: zb.shape[0]]
+                    zb += b
+                    np.negative(zb, out=sb)
+                    np.exp(sb, out=sb)
+                    sb += 1.0
+                    np.divide(1.0, sb, out=sb)
+                    if not keep:
+                        zb *= sb
                 if keep:
                     inputs.append(h)
                     acts.append((z, sig))
-                h = z * sig
+                    h = z * sig
+                else:
+                    h = z
             inputs.append(h)
-            return h @ self.weights[-1] + self.biases[-1], inputs, acts
+            out = h @ self.weights[-1]
+            out += self.biases[-1]
+            return out, inputs, acts
 
     def forward(self, x, t, T: int) -> np.ndarray:
         """Predict eps for one state (1-D) or a batch (2-D); deterministic."""
         xb, tb, single = self._normalize(x, t, T)
         out, _, _ = self._layers(xb, tb, T, keep=False)
-        if not np.all(np.isfinite(out)):
-            raise FloatingPointError("non-finite prediction (non-finite parameters?)")
+        if not np.isfinite(out).all():
+            scale = self.state_scale
+            if not np.isfinite(self.flat).all() or (scale is not None and not np.isfinite(scale).all()):
+                raise FloatingPointError("non-finite prediction from non-finite parameters")
+            raise FloatingPointError("non-finite prediction from finite parameters (inputs out of range?)")
         return out[0] if single else out
 
     def loss_and_grads(
@@ -190,7 +253,17 @@ class NoisePredictor:
 
         ``sample_weight``, when given, scales the squared errors
         elementwise before the mean; it must broadcast to the batch shape.
+        The gradients are per-layer views, ordered like ``params()``, of
+        one vector allocated for this call, so they stay valid across
+        later calls.
         """
+        loss, grad = self._loss_and_grad(x, t, target, T, sample_weight)
+        return loss, self.split(grad)
+
+    def _loss_and_grad(
+        self, x, t, target, T: int, sample_weight: np.ndarray | None = None
+    ) -> tuple[float, np.ndarray]:
+        """``loss_and_grads`` with the gradient as one vector laid out like ``flat``."""
         xb, tb, _ = self._normalize(x, t, T)
         tgt = np.asarray(target, dtype=np.float64)
         if tgt.ndim == 1:
@@ -204,26 +277,35 @@ class NoisePredictor:
             w = np.asarray(sample_weight, dtype=np.float64)
             if np.broadcast_shapes(w.shape, sq.shape) != sq.shape:
                 raise ValueError(f"sample_weight shape {w.shape} does not broadcast to {sq.shape}")
-            sq = sq * w
+            sq *= w
         loss = np.mean(sq)
         if not np.isfinite(loss):
             raise FloatingPointError("non-finite training loss")
 
         # d(mean)/d(sq), then through the weights and the square. Each float
         # operation and its order are fixed, so training runs replay byte
-        # for byte across versions; regroup none of them.
+        # for byte across versions; regroup none of them. The in-place
+        # steps below compute g * w, then g * diff + g * diff, and per
+        # hidden layer (g @ W.T) * sig * (1 + z * (1 - sig)), left to right.
         g = np.full(sq.shape, 1.0 / sq.size)
         if sample_weight is not None:
-            g = g * w
-        g = g * diff + g * diff
-        grads = []
+            g *= w
+        g *= diff
+        g += g
+        grad = np.empty(self.flat.size)
+        views = self.split(grad)
         for i in reversed(range(len(self.weights))):
-            grads += [g.sum(axis=0), inputs[i].T @ g]
+            np.sum(g, axis=0, out=views[2 * i + 1])
+            np.matmul(inputs[i].T, g, out=views[2 * i])
             if i > 0:
                 z, sig = acts[i - 1]
                 g = g @ self.weights[i].T
-                g = g * sig * (1.0 + z * (1.0 - sig))
-        return float(loss), grads[::-1]
+                g *= sig
+                np.subtract(1.0, sig, out=sig)
+                z *= sig
+                z += 1.0
+                g *= z
+        return float(loss), grad
 
     def eps_fn(self, T: int):
         """Adapter with the (state, step) -> eps signature the samplers take."""

@@ -1,36 +1,47 @@
 """Optimization machinery: Adam, EMA shadowing, plateau LR scheduling.
 
-All three mutate their state objects in place and return them; parameter
-arrays are updated in place as well (single-writer training loop).
+All three mutate their state objects in place and return them; parameters
+are updated in place as well (single-writer training loop). Adam and the
+EMA work on whole vectors: the model's one parameter vector
+(``NoisePredictor.flat``), a gradient laid out the same way, and moment
+and shadow vectors of that length. Both are elementwise, so one pass over
+the vector gives the same bits as one pass per layer. Their in-place
+ufunc calls spell out a fixed sequence of float operations, which keeps
+training runs replayable byte for byte; regroup none of them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators plus the step counter."""
+    """First/second moment vectors plus the step counter."""
 
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
 
+    def __post_init__(self):
+        # Scratch for adam_step, so an update allocates nothing.
+        self._a = np.empty_like(self.m)
+        self._b = np.empty_like(self.m)
+
     @classmethod
     def for_params(
-        cls, params: list[np.ndarray], beta1: float = 0.9, beta2: float = 0.999,
+        cls, params: np.ndarray, beta1: float = 0.9, beta2: float = 0.999,
         eps: float = 1e-8,
     ) -> "AdamState":
         return cls(
-            m=[np.zeros_like(p) for p in params],
-            v=[np.zeros_like(p) for p in params],
+            m=np.zeros_like(params),
+            v=np.zeros_like(params),
             beta1=float(beta1),
             beta2=float(beta2),
             eps=float(eps),
@@ -38,46 +49,56 @@ class AdamState:
 
 
 def adam_step(
-    params: list[np.ndarray],
-    grads: list[np.ndarray],
+    params: np.ndarray,
+    grad: np.ndarray,
     state: AdamState,
     lr: float,
-) -> tuple[list[np.ndarray], AdamState]:
-    """One bias-corrected Adam update, in place."""
+) -> tuple[np.ndarray, AdamState]:
+    """One bias-corrected Adam update of the parameter vector, in place:
+    m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2 and
+    p -= lr (m / bc1) / (sqrt(v / bc2) + eps)."""
     lr = float(lr)
     if not math.isfinite(lr) or lr < 0.0:
         raise ValueError(f"learning rate must be finite and non-negative, got {lr}")
-    if len(params) != len(grads) or len(params) != len(state.m):
-        raise ValueError("parameter/gradient/state length mismatch")
-    for p, g in zip(params, grads):
-        if p.shape != g.shape:
-            raise ValueError(f"gradient shape {g.shape} does not match parameter {p.shape}")
-        if not np.all(np.isfinite(g)):
-            raise FloatingPointError("non-finite gradient")
+    if grad.shape != params.shape or state.m.shape != params.shape:
+        raise ValueError(
+            f"gradient {grad.shape}, moments {state.m.shape} and parameters {params.shape} differ"
+        )
+    if not np.isfinite(grad).all():
+        raise FloatingPointError("non-finite gradient")
     state.step += 1
     bc1 = 1.0 - state.beta1**state.step
     bc2 = 1.0 - state.beta2**state.step
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+    m, v, a, b = state.m, state.v, state._a, state._b
+    m *= state.beta1
+    np.multiply(grad, 1.0 - state.beta1, out=a)
+    m += a
+    v *= state.beta2
+    np.multiply(grad, grad, out=a)
+    a *= 1.0 - state.beta2
+    v += a
+    np.divide(m, bc1, out=a)
+    a *= lr
+    np.divide(v, bc2, out=b)
+    np.sqrt(b, out=b)
+    b += state.eps
+    a /= b
+    params -= a
     return params, state
 
 
 @dataclass
 class EmaState:
-    """Shadow copy of the parameters, updated geometrically on a step grid."""
+    """Shadow copy of the parameter vector, updated geometrically on a step grid."""
 
-    shadow: list[np.ndarray]
+    shadow: np.ndarray
     decay: float = 0.995
     start_step: int = 0
     update_interval: int = 16
 
     @classmethod
     def from_params(
-        cls, params: list[np.ndarray], decay: float = 0.995,
+        cls, params: np.ndarray, decay: float = 0.995,
         start_step: int = 0, update_interval: int = 16,
     ) -> "EmaState":
         if not 0.0 <= decay < 1.0:
@@ -85,27 +106,22 @@ class EmaState:
         if update_interval < 1:
             raise ValueError(f"EMA update interval must be >= 1, got {update_interval}")
         return cls(
-            shadow=[np.array(p, dtype=np.float64) for p in params],
+            shadow=np.array(params, dtype=np.float64),
             decay=float(decay),
             start_step=int(start_step),
             update_interval=int(update_interval),
         )
 
 
-def ema_update(ema: EmaState, params: list[np.ndarray], step: int) -> EmaState:
-    """Fold the current parameters into the shadow; no-op before start_step
-    or off the update interval."""
+def ema_update(ema: EmaState, params: np.ndarray, step: int) -> EmaState:
+    """Fold the current parameter vector into the shadow; no-op before
+    start_step or off the update interval."""
     if step < ema.start_step:
         return ema
     if step % ema.update_interval != 0:
         return ema
-    if len(params) != len(ema.shadow):
-        raise ValueError("parameter/shadow length mismatch")
-    for s, p in zip(ema.shadow, params):
-        if s.shape != p.shape:
-            raise ValueError(f"shadow shape {s.shape} does not match parameter {p.shape}")
-        s *= ema.decay
-        s += (1.0 - ema.decay) * p
+    ema.shadow *= ema.decay
+    ema.shadow += (1.0 - ema.decay) * params
     return ema
 
 

@@ -75,10 +75,14 @@ class TrainConfig:
             raise ValueError(f"max_steps must be >= 0, got {self.max_steps}")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ValueError(f"val_fraction must lie in [0, 1), got {self.val_fraction}")
-        for name in ("s", "lr", "min_lr"):
+        for name in ("s", "lr", "min_lr", "adam_eps"):
             v = getattr(self, name)
             if not math.isfinite(v) or v <= 0.0:
                 raise ValueError(f"{name} must be finite and positive, got {v}")
+        for name in ("adam_beta1", "adam_beta2"):
+            v = getattr(self, name)
+            if not 0.0 <= v < 1.0:
+                raise ValueError(f"{name} must lie in [0, 1), got {v}")
         self.hidden = tuple(int(h) for h in self.hidden)
 
 
@@ -120,8 +124,8 @@ def train_step(
     x_t = forward_sample(schedule, x0, y, t_idx, eps)
     target = x_t - x0
     weights = schedule.coef_noise[t_idx][:, None] if weighted else None
-    loss, grads = model.loss_and_grads(x_t, t_idx, target, schedule.T, sample_weight=weights)
-    adam_step(model.params(), grads, adam, lr)
+    loss, grad = model._loss_and_grad(x_t, t_idx, target, schedule.T, sample_weight=weights)
+    adam_step(model.flat, grad, adam, lr)
     return loss
 
 
@@ -208,10 +212,10 @@ def run_training(
             state_scale=state_scale,
         )
         adam = AdamState.for_params(
-            model.params(), config.adam_beta1, config.adam_beta2, config.adam_eps
+            model.flat, config.adam_beta1, config.adam_beta2, config.adam_eps
         )
         ema = EmaState.from_params(
-            model.params(), config.ema_decay, config.ema_start_step,
+            model.flat, config.ema_decay, config.ema_start_step,
             config.ema_update_interval,
         )
         plateau = PlateauLrState.create(
@@ -249,7 +253,7 @@ def run_training(
                     f"step {step}: {exc}; lr={plateau.current_lr}, "
                     f"batch rows={rows[:8].tolist()}..."
                 ) from exc
-            ema_update(ema, model.params(), step)
+            ema_update(ema, model.flat, step)
 
             val_field = ""
             if validator is not None and (

@@ -16,12 +16,12 @@ def ckpt():
     model = NoisePredictor.create(2, (8, 6), 4, rng)
     for arr in model.params():
         arr += 0.1 * rng.standard_normal(arr.shape)
-    adam = AdamState.for_params(model.params())
+    adam = AdamState.for_params(model.flat)
     adam.step = 17
-    for m, v in zip(adam.m, adam.v):
+    for m, v in zip(model.split(adam.m), model.split(adam.v)):
         m += rng.standard_normal(m.shape) * 1e-3
         v += np.abs(rng.standard_normal(v.shape)) * 1e-4
-    ema = EmaState.from_params(model.params(), decay=0.99, start_step=5, update_interval=2)
+    ema = EmaState.from_params(model.flat, decay=0.99, start_step=5, update_interval=2)
     plateau = PlateauLrState.create(max_lr=1e-3, min_lr=1e-6)
     plateau.best_metric = 0.123
     plateau.bad_count = 2
@@ -37,10 +37,9 @@ class TestRoundTrip:
         assert loaded.model.hidden == (8, 6)
         for a, b in zip(ckpt.model.params(), loaded.model.params()):
             np.testing.assert_array_equal(a, b)
-        for a, b in zip(ckpt.ema.shadow, loaded.ema.shadow):
-            np.testing.assert_array_equal(a, b)
-        for a, b in zip(ckpt.adam.m + ckpt.adam.v, loaded.adam.m + loaded.adam.v):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(ckpt.ema.shadow, loaded.ema.shadow)
+        np.testing.assert_array_equal(ckpt.adam.m, loaded.adam.m)
+        np.testing.assert_array_equal(ckpt.adam.v, loaded.adam.v)
         assert loaded.adam.step == 17
         assert loaded.plateau.best_metric == 0.123
         assert loaded.plateau.bad_count == 2
@@ -57,7 +56,7 @@ class TestRoundTrip:
         save_checkpoint(path, ckpt)
         loaded = load_checkpoint(path)
         ema_model = loaded.ema_model()
-        for a, b in zip(ema_model.params(), loaded.ema.shadow):
+        for a, b in zip(ema_model.params(), loaded.model.split(loaded.ema.shadow)):
             np.testing.assert_array_equal(a, b)
 
     def test_state_scale_round_trip(self, ckpt, tmp_path):
@@ -68,6 +67,61 @@ class TestRoundTrip:
         loaded = load_checkpoint(path)
         np.testing.assert_array_equal(loaded.model.state_scale, scale)
         np.testing.assert_array_equal(loaded.ema_model().state_scale, scale)
+
+
+class TestStorage:
+    def test_loaded_vectors_are_independent_and_writable(self, ckpt, tmp_path):
+        path = tmp_path / "model.bin"
+        save_checkpoint(path, ckpt)
+        loaded = load_checkpoint(path)
+        vectors = [loaded.model.flat, loaded.ema.shadow, loaded.adam.m, loaded.adam.v]
+        for i, a in enumerate(vectors):
+            assert a.dtype == np.float64 and a.flags.writeable and a.flags.c_contiguous
+            assert a.shape == (loaded.model.n_params,)
+            for b in vectors[i + 1 :]:
+                assert not np.shares_memory(a, b)
+            for b in (ckpt.model.flat, ckpt.ema.shadow, ckpt.adam.m, ckpt.adam.v):
+                assert not np.shares_memory(a, b)
+        for p in loaded.model.params():
+            assert np.shares_memory(p, loaded.model.flat)
+
+    def test_ema_model_owns_its_storage(self, ckpt):
+        ema_model = ckpt.ema_model()
+        np.testing.assert_array_equal(ema_model.flat, ckpt.ema.shadow)
+        assert not np.shares_memory(ema_model.flat, ckpt.ema.shadow)
+        before = ckpt.ema.shadow.copy()
+        ema_model.flat += 1.0
+        np.testing.assert_array_equal(ckpt.ema.shadow, before)
+
+    def test_failed_write_keeps_earlier_checkpoint(self, ckpt, tmp_path, monkeypatch):
+        import bridgediff.checkpoint as checkpoint_mod
+
+        path = tmp_path / "model.bin"
+        save_checkpoint(path, ckpt)
+        earlier = path.read_bytes()
+
+        class Unwritable:
+            shape = (1,)
+
+            def __array__(self, dtype=None, copy=None):
+                raise OSError("disk full")
+
+        records = checkpoint_mod._array_records
+        # Every array but the last is written before the failure.
+        monkeypatch.setattr(
+            checkpoint_mod, "_array_records",
+            lambda *a: records(*a)[:-1] + [("adam_v.5", Unwritable())],
+        )
+        ckpt.step += 1
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, ckpt)
+        assert path.read_bytes() == earlier
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.bin"]
+
+    def test_write_leaves_only_the_checkpoint(self, ckpt, tmp_path):
+        save_checkpoint(tmp_path / "model.bin", ckpt)
+        save_checkpoint(tmp_path / "model.bin", ckpt)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.bin"]
 
 
 def _rewrite_header(path, edit):
@@ -159,9 +213,11 @@ class TestArchitecture:
             load_checkpoint(path)
 
     def test_missing_adam_array_rejected(self, ckpt, tmp_path):
-        ckpt.adam.v.pop()
         path = tmp_path / "model.bin"
         save_checkpoint(path, ckpt)
+        # Drop the last record, adam_v.5 (2 values), and its payload.
+        _rewrite_header(path, lambda h: h["arrays"].pop())
+        path.write_bytes(path.read_bytes()[:-16])
         with pytest.raises(ValueError, match="adam_v.5"):
             load_checkpoint(path)
 
@@ -176,7 +232,7 @@ class TestArchitecture:
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_nonfinite_values_rejected(self, ckpt, tmp_path, where, value):
         ckpt.model.state_scale = np.ones(ckpt.T + 1)
-        target = {"param": ckpt.model.weights[1], "ema": ckpt.ema.shadow[0],
+        target = {"param": ckpt.model.weights[1], "ema": ckpt.model.split(ckpt.ema.shadow)[0],
                   "state_scale": ckpt.model.state_scale}[where]
         target.flat[3] = value
         path = tmp_path / "model.bin"

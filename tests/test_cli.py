@@ -127,6 +127,19 @@ class TestTrainCommand:
         assert "step 1" in capsys.readouterr().err
         assert (out_dir / "train.incomplete").exists()
 
+    @pytest.mark.parametrize("key,value", [
+        ("adam_beta1", "2"), ("adam_beta1", "-0.1"), ("adam_beta2", "1.0"),
+        ("adam_eps", "0"), ("adam_eps", "inf"),
+    ])
+    def test_adam_hyperparameters_out_of_range_exit_two(self, tmp_path, moons_file, capsys, key, value):
+        config = write_config(tmp_path, moons_file, **{key: value})
+        out_dir = tmp_path / "run"
+        code = cli.main(["train", "--config", str(config), "--out", str(out_dir)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert key in err and err.startswith("error: ") and err.count("\n") == 1
+        assert not (out_dir / "ckpt_final.bin").exists()
+
 
 def _edit_header(path, edit):
     blob = path.read_bytes()
@@ -226,7 +239,7 @@ class TestSampleCommand:
 
     def test_nan_ema_weights_exit_two(self, tmp_path, moons_file, trained, capsys):
         ckpt = load_checkpoint(trained)
-        ckpt.ema.shadow[2][0, 0] = np.nan
+        ckpt.model.split(ckpt.ema.shadow)[2][0, 0] = np.nan
         save_checkpoint(trained, ckpt)
         code = cli.main([
             "sample", "--checkpoint", str(trained), "--data", str(moons_file),
@@ -277,6 +290,8 @@ class TestSampleCommand:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
+        # The checkpoint's weights are finite, so the inputs are to blame.
+        assert "non-finite prediction from finite parameters (inputs out of range?)" in err
         assert [str(w.message) for w in caught] == []
         assert not (tmp_path / "x" / "samples.csv").exists()
 

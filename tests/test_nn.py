@@ -186,7 +186,7 @@ class TestNoisePredictor:
             model.loss_and_grads(np.ones((1, 3)), np.array([1]), np.full((1, 3), np.inf), 40)
 
     def test_copy_with_roundtrip(self, model):
-        clone = model.copy_with(model.params())
+        clone = model.copy_with(model.flat)
         for a, b in zip(model.params(), clone.params()):
             np.testing.assert_array_equal(a, b)
             assert a is not b
@@ -200,6 +200,69 @@ class TestNoisePredictor:
             NoisePredictor.create(2, (8,), 5, rng_for(1, "i"))
         with pytest.raises(ValueError):
             NoisePredictor.create(2, (8,), 4, rng_for(1, "i"), state_scale=np.zeros(5))
+
+
+class TestFlatStorage:
+    """All parameters live in one vector; the per-layer arrays are views."""
+
+    def test_views_tile_the_vector_in_storage_order(self, model):
+        shapes = [(11, 16), (16,), (16, 12), (12,), (12, 3), (3,)]
+        assert [p.shape for p in model.params()] == shapes
+        assert model.flat.shape == (model.n_params,) and model.flat.flags.c_contiguous
+        np.testing.assert_array_equal(np.concatenate([p.ravel() for p in model.params()]), model.flat)
+        for p in model.params():
+            assert np.shares_memory(p, model.flat)
+        assert [w is p for w, p in zip(model.weights, model.params()[0::2])] == [True] * 3
+        assert [b is p for b, p in zip(model.biases, model.params()[1::2])] == [True] * 3
+
+    def test_in_place_edits_through_params_change_forward(self, model):
+        x, t = np.ones((2, 3)), np.array([3, 7])
+        np.testing.assert_array_equal(model.forward(x, t, 40), np.zeros((2, 3)))
+        model.params()[5][1] = 0.25  # output bias
+        np.testing.assert_array_equal(model.forward(x, t, 40)[:, 1], [0.25, 0.25])
+        model.params()[4][:] = 0.1  # output weights, zero at init
+        moved = model.forward(x, t, 40)
+        assert np.all(moved[:, 0] != 0.0)
+        model.flat[:] = 0.0
+        np.testing.assert_array_equal(model.forward(x, t, 40), np.zeros((2, 3)))
+
+    def test_second_call_leaves_first_gradients_unchanged(self, model):
+        rng = rng_for(14, "x")
+        for arr in model.params():
+            arr += 0.1 * rng.standard_normal(arr.shape)
+        x, t = rng.normal(size=(5, 3)), rng.integers(1, 41, size=5)
+        _, first = model.loss_and_grads(x, t, rng.normal(size=(5, 3)), 40)
+        kept = [g.copy() for g in first]
+        _, second = model.loss_and_grads(x, t, rng.normal(size=(5, 3)), 40)
+        for g, k, g2 in zip(first, kept, second):
+            np.testing.assert_array_equal(g, k)
+            assert not np.shares_memory(g, g2)
+            assert not np.array_equal(g, g2)
+
+    def test_gradients_are_views_of_one_vector_laid_out_like_params(self, model):
+        rng = rng_for(15, "x")
+        x, t, target = rng.normal(size=(5, 3)), rng.integers(1, 41, size=5), rng.normal(size=(5, 3))
+        loss, grads = model.loss_and_grads(x, t, target, 40)
+        assert [g.shape for g in grads] == [p.shape for p in model.params()]
+        loss_flat, grad = model._loss_and_grad(x, t, target, 40)
+        assert loss_flat == loss
+        for g, view in zip(grads, model.split(grad)):
+            np.testing.assert_array_equal(g, view)
+
+    def test_copy_with_owns_its_storage(self, model):
+        clone = model.copy_with(model.flat)
+        assert not np.shares_memory(clone.flat, model.flat)
+        clone.flat += 1.0
+        clone.weights[0][0, 0] = 7.0
+        assert not np.any(model.flat == 7.0) and model.flat[0] != clone.flat[0]
+
+    def test_copy_with_rejects_wrong_length(self, model):
+        with pytest.raises(ValueError, match="shape"):
+            model.copy_with(np.zeros(model.n_params + 1))
+
+    def test_constructor_rejects_a_vector_of_the_wrong_size(self):
+        with pytest.raises(ValueError, match="contiguous float64 vector"):
+            NoisePredictor(2, 4, (8,), flat=np.zeros(10))
 
 
 class TestStateScale:
@@ -241,5 +304,5 @@ class TestStateScale:
     def test_copy_with_preserves_scale(self):
         scale = np.array([1.0, 2.0])
         model = NoisePredictor.create(2, (8,), 4, rng_for(22, "i"), state_scale=scale)
-        clone = model.copy_with(model.params())
+        clone = model.copy_with(model.flat)
         np.testing.assert_array_equal(clone.state_scale, scale)

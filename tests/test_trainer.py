@@ -46,7 +46,7 @@ class TestTrainStep:
         def run():
             sch = build_schedule(50, 1.0)
             model = NoisePredictor.create(1, (16, 16), 8, rng_for(100, "init"))
-            adam = AdamState.for_params(model.params())
+            adam = AdamState.for_params(model.flat)
             losses = []
             for step in range(1, 11):
                 rng = rng_for(100, "step", step)
@@ -62,7 +62,7 @@ class TestTrainStep:
     def test_weighted_mode_avoids_final_step(self, gauss_dataset):
         sch = build_schedule(50, 1.0)
         model = NoisePredictor.create(1, (8,), 8, rng_for(1, "init"))
-        adam = AdamState.for_params(model.params())
+        adam = AdamState.for_params(model.flat)
         loss = train_step(
             model, sch, gauss_dataset.x0[:64], gauss_dataset.y[:64], adam, 1e-3,
             rng_for(1, "step", 1), weighted=True,
@@ -72,7 +72,7 @@ class TestTrainStep:
     def test_empty_batch_rejected(self, gauss_dataset):
         sch = build_schedule(50, 1.0)
         model = NoisePredictor.create(1, (8,), 8, rng_for(1, "init"))
-        adam = AdamState.for_params(model.params())
+        adam = AdamState.for_params(model.flat)
         with pytest.raises(ValueError):
             train_step(model, sch, np.zeros((0, 1)), np.zeros((0, 1)), adam, 1e-3,
                        rng_for(1, "step", 1))
