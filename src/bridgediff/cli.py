@@ -9,6 +9,7 @@ produce byte-identical CSV outputs.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -25,7 +26,7 @@ from .configfile import (
     resolve_dataset,
 )
 from .data import load as load_dataset
-from .fileio import temp_beside
+from .fileio import temp_beside, write_text_atomic
 from .metrics import diversity, energy_distance, moments
 from .sampling import (
     NonFiniteState,
@@ -63,7 +64,7 @@ def cmd_verify(args) -> int:
     report = "\n".join(lines)
     print(report)
     if args.report:
-        Path(args.report).write_text(report + "\n", encoding="utf-8")
+        write_text_atomic(Path(args.report), report + "\n")
     return 0 if ok else 1
 
 
@@ -174,14 +175,17 @@ def cmd_sample(args) -> int:
 
 
 def _read_samples_csv(path):
+    """Metadata, conditioning indices and sample rows of a samples CSV.
+    A malformed row or a non-finite value is a usage error that names the
+    file and the line."""
     path = Path(path)
     if not path.exists():
         raise UsageError(f"samples file not found: {path}")
     meta = {}
-    rows = []
     header = None
+    y_idx, values = [], []
     with open(path, "r", encoding="utf-8") as f:
-        for line in f:
+        for lineno, line in enumerate(f, start=1):
             line = line.rstrip("\n")
             if line.startswith("#"):
                 key, _, value = line[1:].strip().partition("=")
@@ -189,15 +193,26 @@ def _read_samples_csv(path):
                 continue
             if header is None:
                 header = line.split(",")
+                if header[:2] != ["y_index", "sample_index"]:
+                    raise UsageError(f"not a samples CSV: {path}")
                 continue
-            rows.append(line.split(","))
-    if header is None or header[:2] != ["y_index", "sample_index"]:
+            fields = line.split(",")
+            if len(fields) != len(header):
+                raise UsageError(
+                    f"{path} line {lineno}: {len(fields)} fields, the header has {len(header)}"
+                )
+            try:
+                y_idx.append(int(fields[0]))
+                row = [float(v) for v in fields[2:]]
+            except ValueError as exc:
+                raise UsageError(f"{path} line {lineno}: {exc}") from exc
+            if not all(map(math.isfinite, row)):
+                raise UsageError(f"{path} line {lineno}: non-finite sample value")
+            values.append(row)
+    if header is None:
         raise UsageError(f"not a samples CSV: {path}")
-    y_idx = np.array([int(r[0]) for r in rows], dtype=int)
-    values = np.array([[float(v) for v in r[2:]] for r in rows], dtype=np.float64)
-    if rows and values.shape[1] != len(header) - 2:
-        raise UsageError(f"ragged rows in samples CSV: {path}")
-    return meta, y_idx, values
+    values = np.array(values, dtype=np.float64).reshape(len(values), len(header) - 2)
+    return meta, np.array(y_idx, dtype=int), values
 
 
 def cmd_eval(args) -> int:
@@ -249,16 +264,7 @@ def cmd_eval(args) -> int:
         lines.append(f"mean_{i},{_fmt(mom.mean[i])},{samples.shape[0]},{seed}")
         lines.append(f"var_{i},{_fmt(mom.var[i])},{samples.shape[0]},{seed}")
     report = "\n".join(lines) + "\n"
-    # Through a temp file beside the report, so a failed write leaves an
-    # earlier report as it was.
-    out_path = Path(args.out)
-    tmp = temp_beside(out_path)
-    try:
-        with open(tmp, "x", encoding="utf-8", newline="\n") as f:
-            f.write(report)
-        os.replace(tmp, out_path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    write_text_atomic(Path(args.out), report)
     print(report, end="")
     return 0
 
@@ -279,7 +285,7 @@ def cmd_info(args) -> int:
         lines.append(",".join(fields))
     table = "\n".join(lines) + "\n"
     if args.out:
-        Path(args.out).write_text(table, encoding="utf-8")
+        write_text_atomic(Path(args.out), table)
         print(f"schedule table: {args.out}")
     else:
         print(table, end="")

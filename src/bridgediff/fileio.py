@@ -11,3 +11,15 @@ def temp_beside(path: Path) -> Path:
     ``path`` once complete. Opened with mode ``"x"`` it gets the permissions
     a plain write of ``path`` would (``mkstemp`` would force 0600)."""
     return path.with_name(f".{path.name}-{os.urandom(8).hex()}.tmp")
+
+
+def write_text_atomic(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` through a temp file beside it, so a failed
+    write leaves an earlier file at ``path`` as it was and no temp file."""
+    tmp = temp_beside(path)
+    try:
+        with open(tmp, "x", encoding="utf-8", newline="\n") as f:
+            f.write(text)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)

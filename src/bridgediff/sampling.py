@@ -25,6 +25,17 @@ of the chain run alone. A network's batched matmuls may round differently
 from B = 1, so with the MLP a row's last bits can depend on the batch it
 ran in (within 1e-12; ``verify`` checks both).
 
+Everything in a move that does not depend on the state is planned once
+per call: the mixing weights of both ends, the bridge scale and sigma for
+every move come from the grid and eta (``coarse_posterior_var`` takes the
+whole grid's index arrays) and are read as Python floats, and the
+pre-drawn normals are scaled by sigma in one multiply, so a move draws
+sigma z ready-made. Each planned value is the float a move would compute
+for itself, and the update keeps its operation order, so outputs are bit
+for bit those of computing every move's coefficients at that move. The
+gap check (noise variance within the target marginal) runs over the
+whole plan before the first move and names the offending step.
+
 Endpoints are special: the state at t = T is the conditioning input itself
 and carries no extra information, so the first move draws straight from the
 step-grid[-2] marginal around the reconstructed data point (variance scaled
@@ -131,11 +142,12 @@ def _run_chain(
         raise ValueError(f"conditioning input must be a (d,) state or a (B, d) batch, got shape {y.shape}")
     if grid[-1] != T:
         raise ValueError(f"step grid must end at T={T}, got {grid[-1]}")
+    moves = len(grid) - 1
     # Row b's normals for every move, drawn from its own stream in one call:
     # the values and order of one standard_normal(d) draw per move.
-    noise = np.empty((len(grid) - 1,) + y.shape)
+    noise = np.empty((moves,) + y.shape)
     for b, row_seed in enumerate(_row_seeds(seed, y.shape[0])):
-        noise[:, b] = rng_for(row_seed, "chain").standard_normal((len(grid) - 1, y.shape[1]))
+        noise[:, b] = rng_for(row_seed, "chain").standard_normal((moves, y.shape[1]))
 
     traj: Trajectory | None = [(T, y.copy())] if record else None
     x = y.copy()
@@ -145,35 +157,47 @@ def _run_chain(
     eps = np.asarray(eps_fn(x, T), dtype=np.float64)
     x0_hat = x - eps
     _check_state(x0_hat, T)
-    if len(grid) > 1:
-        prev = grid[-2]
-        sigma2 = eta * schedule.marginal_var[prev]
-        x = (1.0 - schedule.mix[prev]) * x0_hat + schedule.mix[prev] * y + math.sqrt(sigma2) * noise[0]
-        _check_state(x, prev)
-        if record:
-            traj.append((prev, x.copy()))
+    if moves:
+        # The per-move plan depends only on the grid and eta, so it is built
+        # once, elementwise with the float operations a single move would
+        # use, and read as Python floats (numpy scalars cost more per use).
+        # Move j goes from curs[j] to prevs[j]; move 0 leaves T.
+        mix, mv = schedule.mix, schedule.marginal_var
+        curs = np.array(grid[:0:-1])
+        prevs = np.array(grid[-2::-1])
+        sigma2 = np.empty(moves)
+        sigma2[0] = eta * mv[prevs[0]]
+        sigma2[1:] = eta * coarse_posterior_var(schedule, prevs[1:], curs[1:])
+        mv_prev = mv[prevs[1:]]
+        gap = mv_prev - sigma2[1:]
+        exceeded = gap < -1e-12 * mv_prev
+        if exceeded.any():
+            j = 1 + int(np.argmax(exceeded))
+            raise AssertionError(
+                f"noise scale exceeded the marginal variance at step {curs[j]}->{prevs[j]}"
+            )
+        gap[gap < 0.0] = 0.0
+        scale = np.sqrt(gap / mv[curs[1:]]).tolist()
+        # sigma z for every move and row in one multiply.
+        noise *= np.sqrt(sigma2)[:, None, None]
+        keep_prev, mix_prev = (1.0 - mix[prevs]).tolist(), mix[prevs].tolist()
+        keep_cur, mix_cur = (1.0 - mix[curs]).tolist(), mix[curs].tolist()
 
-        for i in range(len(grid) - 2, 0, -1):
-            cur = grid[i]
-            prev = grid[i - 1]
+        x = keep_prev[0] * x0_hat + mix_prev[0] * y + noise[0]
+        _check_state(x, grid[-2])
+        if record:
+            traj.append((grid[-2], x.copy()))
+
+        for j, (cur, prev) in enumerate(zip(grid[-2:0:-1], grid[-3::-1]), start=1):
             eps = np.asarray(eps_fn(x, cur), dtype=np.float64)
             x0_hat = x - eps
             _check_state(x0_hat, cur)
-            sigma2 = eta * coarse_posterior_var(schedule, prev, cur)
-            gap = schedule.marginal_var[prev] - sigma2
-            if gap < 0.0:
-                if gap < -1e-12 * schedule.marginal_var[prev]:
-                    raise AssertionError(
-                        f"noise scale exceeded the marginal variance at step {cur}->{prev}"
-                    )
-                gap = 0.0
-            scale = math.sqrt(gap / schedule.marginal_var[cur])
             mean = (
-                (1.0 - schedule.mix[prev]) * x0_hat
-                + schedule.mix[prev] * y
-                + scale * (x - (1.0 - schedule.mix[cur]) * x0_hat - schedule.mix[cur] * y)
+                keep_prev[j] * x0_hat
+                + mix_prev[j] * y
+                + scale[j - 1] * (x - keep_cur[j] * x0_hat - mix_cur[j] * y)
             )
-            x = mean + math.sqrt(sigma2) * noise[len(grid) - 1 - i]
+            x = mean + noise[j]
             _check_state(x, prev)
             if record:
                 traj.append((prev, x.copy()))

@@ -171,7 +171,9 @@ def query(schedule: BridgeSchedule, t: int) -> ScheduleEntry:
     )
 
 
-def coarse_posterior_var(schedule: BridgeSchedule, t_prev: int, t_cur: int) -> float:
+def coarse_posterior_var(
+    schedule: BridgeSchedule, t_prev: int | np.ndarray, t_cur: int | np.ndarray
+) -> float | np.ndarray:
     """Posterior variance of the jump t_cur -> t_prev on a thinned step grid.
 
     Same formula as the adjacent-step ``posterior_var`` but evaluated
@@ -179,13 +181,22 @@ def coarse_posterior_var(schedule: BridgeSchedule, t_prev: int, t_cur: int) -> f
     bit-for-bit when ``t_prev == t_cur - 1``. Requires ``t_cur < T``
     (the jump away from T is handled separately by the sampler) and is
     guaranteed to lie in ``[0, marginal_var[t_prev]]``.
+
+    Two ints give a float. Integer arrays of pairs (broadcast together)
+    give an array that holds, entry for entry, the bits of the scalar
+    calls; the sampler builds its per-move plan this way.
     """
-    if not 0 <= t_prev < t_cur <= schedule.T - 1:
+    prev, cur = np.asarray(t_prev), np.asarray(t_cur)
+    bad = ~((0 <= prev) & (prev < cur) & (cur <= schedule.T - 1))
+    if bad.any():
+        k = np.flatnonzero(bad)[0]
+        prev, cur = np.broadcast_arrays(prev, cur)
         raise ValueError(
-            f"need 0 <= t_prev < t_cur <= T-1, got ({t_prev}, {t_cur}) with T={schedule.T}"
+            f"need 0 <= t_prev < t_cur <= T-1, got ({prev.flat[k]}, {cur.flat[k]}) with T={schedule.T}"
         )
-    mv_cur = schedule.marginal_var[t_cur]
-    mv_prev = schedule.marginal_var[t_prev]
-    r = (1.0 - schedule.mix[t_cur]) / (1.0 - schedule.mix[t_prev])
+    mv_cur = schedule.marginal_var[cur]
+    mv_prev = schedule.marginal_var[prev]
+    r = (1.0 - schedule.mix[cur]) / (1.0 - schedule.mix[prev])
     tv = mv_cur - mv_prev * r * r
-    return float(tv * mv_prev / mv_cur)
+    pv = tv * mv_prev / mv_cur
+    return float(pv) if pv.ndim == 0 else pv

@@ -9,6 +9,7 @@ continuation of the uninterrupted run. The loss trace is a pure function of
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -205,8 +206,12 @@ def run_training(
             # Per-step scale of a typical state: clean-data spread plus the
             # schedule's marginal variance. Keeps the net's inputs O(1)
             # regardless of the variance scale s.
+            # A spread that overflows is capped at the largest float: the
+            # scale stays finite, as ``create`` requires, and such data
+            # fails as a diverged first step.
             data_var = 0.5 * float(np.mean(dataset.x0.var(axis=0) + dataset.y.var(axis=0)))
-            state_scale = np.sqrt(max(data_var, 1e-12) + schedule.marginal_var)
+            data_var = min(max(data_var, 1e-12), sys.float_info.max)
+            state_scale = np.sqrt(data_var + schedule.marginal_var)
         model = NoisePredictor.create(
             dataset.dim, config.hidden, config.embed_dim, rng_for(config.seed, "init"),
             state_scale=state_scale,

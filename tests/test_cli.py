@@ -503,6 +503,69 @@ class TestEvalCommand:
         assert list(report_dir.iterdir()) == [report]
 
 
+    def _eval_rows(self, tmp_path, moons_file, capsys, rows):
+        sample_file = tmp_path / "bad_samples.csv"
+        header = "# format=samples-csv\n# version=1\n# seed=0\ny_index,sample_index,dim_0,dim_1\n"
+        sample_file.write_text(header + "".join(r + "\n" for r in rows), encoding="utf-8")
+        report = tmp_path / "r.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main([
+                "eval", "--samples", str(sample_file), "--reference", str(moons_file),
+                "--k", "1", "--out", str(report),
+            ])
+        err = capsys.readouterr().err
+        assert not report.exists()
+        return code, err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_nonfinite_sample_value_exits_two(self, tmp_path, moons_file, capsys, value):
+        rows = ["0,0,0.5,0.25", f"1,0,0.125,{value}", "2,0,1.0,-1.0"]
+        code, err = self._eval_rows(tmp_path, moons_file, capsys, rows)
+        assert code == 2
+        assert err.count("\n") == 1 and "Warning" not in err
+        assert "bad_samples.csv line 6" in err and "non-finite" in err
+
+    def test_ragged_row_names_the_line(self, tmp_path, moons_file, capsys):
+        rows = ["0,0,0.5,0.25", "1,0,0.5,0.25", "2,0,0.125"]
+        code, err = self._eval_rows(tmp_path, moons_file, capsys, rows)
+        assert code == 2
+        assert err.count("\n") == 1 and "inhomogeneous" not in err
+        assert "bad_samples.csv line 7" in err and "3 fields" in err
+
+
+class TestAtomicReports:
+    """``verify --report`` and ``info --out`` replace their file only once
+    it is complete."""
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--report"],
+        ["info", "--T", "4", "--s", "1.0", "--out"],
+    ])
+    def test_failed_write_keeps_earlier_file(self, tmp_path, monkeypatch, capsys, argv):
+        out_dir = tmp_path / "reports"
+        out_dir.mkdir()
+        out = out_dir / "report.txt"
+        out.write_bytes(b"earlier report\n")
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli.os, "replace", fail)
+        code = cli.main([*argv, str(out)])
+        assert code == 2
+        assert "disk full" in capsys.readouterr().err
+        assert out.read_bytes() == b"earlier report\n"
+        assert list(out_dir.iterdir()) == [out]
+
+    def test_info_out_writes_the_printed_table(self, tmp_path, capsys):
+        cli.main(["info", "--T", "4", "--s", "1.0"])
+        table = capsys.readouterr().out
+        out = tmp_path / "table.csv"
+        assert cli.main(["info", "--T", "4", "--s", "1.0", "--out", str(out)]) == 0
+        assert out.read_text(encoding="utf-8") == table
+
+
 class TestInfoCommand:
     def test_schedule_table(self, capsys):
         code = cli.main(["info", "--T", "4", "--s", "1.0"])

@@ -84,7 +84,7 @@ class TestNoisePredictor:
 
     def test_step_outside_range_rejected(self, model):
         x = np.ones((2, 3))
-        for t in (np.array([0, 41]), np.array([-1, 3])):
+        for t in (np.array([0, 41]), np.array([-1, 3]), 41, -1, np.int64(41)):
             with pytest.raises(ValueError, match="outside"):
                 model.forward(x, t, 40)
             with pytest.raises(ValueError, match="outside"):
@@ -94,6 +94,10 @@ class TestNoisePredictor:
         with pytest.raises(ValueError, match="integer"):
             model.forward(np.ones(3), 2.5, 40)
         np.testing.assert_array_equal(model.forward(np.ones(3), 2.0, 40), model.forward(np.ones(3), 2, 40))
+
+    def test_step_count_must_match_batch(self, model):
+        with pytest.raises(ValueError):
+            model.forward(np.ones((3, 3)), np.array([1, 2]), 40)
 
     def test_dim_mismatch_rejected(self, model):
         with pytest.raises(ValueError):
@@ -300,6 +304,28 @@ class TestStateScale:
             arr[idx] = keep
             fd = (up - down) / (2 * h)
             assert abs(grad[idx] - fd) <= 1e-4 * max(abs(grad[idx]), abs(fd), 1e-8)
+
+    @pytest.mark.parametrize("scale", [[np.nan, 1.0, np.inf], [1.0, np.nan], [1.0, np.inf]])
+    def test_nonfinite_scale_rejected(self, scale):
+        with pytest.raises(ValueError, match="finite, positive"):
+            NoisePredictor.create(2, (8,), 4, rng_for(1, "i"), state_scale=scale)
+
+    @pytest.mark.parametrize("scaled", [False, True])
+    @pytest.mark.parametrize("rows", [1, 40, 300])
+    def test_scalar_step_bitwise_equal_to_step_per_row(self, rows, scaled):
+        # The sampler's one-step call against the same step given per row,
+        # on the acceptance architecture; 300 rows cross the 256-row block.
+        T = 1000
+        rng = rng_for(23, "scalar-step")
+        scale = np.linspace(0.3, 1.4, T + 1) if scaled else None
+        net = NoisePredictor.create(2, (96, 96), 48, rng, state_scale=scale)
+        for arr in net.params():
+            arr += 0.1 * rng.standard_normal(arr.shape)
+        x = rng.normal(size=(rows, 2))
+        for t in (0, 1, 5, 500, T):
+            per_row = net.forward(x, np.full(rows, t), T)
+            np.testing.assert_array_equal(net.forward(x, t, T), per_row)
+            np.testing.assert_array_equal(net.forward(x, np.int64(t), T), per_row)
 
     def test_copy_with_preserves_scale(self):
         scale = np.array([1.0, 2.0])

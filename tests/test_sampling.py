@@ -13,7 +13,7 @@ from bridgediff.sampling import (
     make_grid,
     write_trajectory_csv,
 )
-from bridgediff.schedule import build_schedule
+from bridgediff.schedule import build_schedule, coarse_posterior_var
 from bridgediff.seeding import rng_for
 
 
@@ -290,3 +290,100 @@ class TestBatch:
         with pytest.raises(NonFiniteState, match="t=17") as info:
             ancestral_sample(schedule, bad_eps, np.zeros((4, 2)), seed=[1, 2, 3, 4])
         assert info.value.step == 17 and info.value.chain == 2
+
+
+def _reference_chain(schedule, eps_fn, y, grid, eta, seeds):
+    """The stepper with every coefficient taken from the schedule at its
+    move, in the float operations and order of the update expression."""
+    T = schedule.T
+    mix, mv = schedule.mix, schedule.marginal_var
+    y = np.array(y, dtype=np.float64)
+    noise = np.empty((len(grid) - 1,) + y.shape)
+    for b, seed in enumerate(seeds):
+        noise[:, b] = rng_for(seed, "chain").standard_normal((len(grid) - 1, y.shape[1]))
+    traj = [(T, y.copy())]
+    x = y.copy()
+    x0_hat = x - eps_fn(x, T)
+    if len(grid) > 1:
+        prev = grid[-2]
+        sigma2 = eta * mv[prev]
+        x = (1.0 - mix[prev]) * x0_hat + mix[prev] * y + math.sqrt(sigma2) * noise[0]
+        traj.append((prev, x.copy()))
+        for i in range(len(grid) - 2, 0, -1):
+            cur, prev = grid[i], grid[i - 1]
+            x0_hat = x - eps_fn(x, cur)
+            sigma2 = eta * coarse_posterior_var(schedule, prev, cur)
+            gap = mv[prev] - sigma2
+            if gap < 0.0:
+                gap = 0.0
+            scale = math.sqrt(gap / mv[cur])
+            mean = (
+                (1.0 - mix[prev]) * x0_hat
+                + mix[prev] * y
+                + scale * (x - (1.0 - mix[cur]) * x0_hat - mix[cur] * y)
+            )
+            x = mean + math.sqrt(sigma2) * noise[len(grid) - 1 - i]
+            traj.append((prev, x.copy()))
+        x0_hat = x - eps_fn(x, grid[0])
+    traj.append((0, x0_hat.copy()))
+    return x0_hat, traj
+
+
+class TestPerMovePlan:
+    """The stepper reads each move's coefficients from a plan built once per
+    call; its chains must be bit for bit those of the per-move formulas."""
+
+    T = 1000
+
+    @pytest.fixture(scope="class")
+    def sch(self):
+        return build_schedule(self.T, 1.0)
+
+    @pytest.fixture(scope="class")
+    def predictors(self, sch):
+        from bridgediff.oracle import JointGaussianSpec, optimal_eps
+
+        spec = JointGaussianSpec(corr=0.8)
+        rng = rng_for(43, "plan-mlp")
+        net = NoisePredictor.create(2, (96, 96), 48, rng,
+                                    state_scale=np.sqrt(0.3 + sch.marginal_var))
+        for arr in net.params():
+            arr += 0.1 * rng.standard_normal(arr.shape)
+        return {"oracle": lambda x, t: optimal_eps(spec, sch, t, x), "mlp": net.eps_fn(self.T)}
+
+    @pytest.mark.parametrize("eta", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("grid", ["dense", "coarse"])
+    @pytest.mark.parametrize("predictor", ["oracle", "mlp"])
+    @pytest.mark.parametrize("rows", [None, 500])
+    def test_bitwise_equal_to_per_move_formulas(self, sch, predictors, predictor, grid, eta, rows):
+        grid = tuple(range(1, self.T + 1)) if grid == "dense" else make_grid(self.T, 200)
+        eps_fn = predictors[predictor]
+        rng = rng_for(44, "plan-y")
+        if rows is None:
+            y, seeds = rng.normal(size=2), 7
+            ref_y, ref_seeds = y[None, :], [7]
+        else:
+            y, seeds = rng.normal(size=(rows, 2)), [300 + b for b in range(rows)]
+            ref_y, ref_seeds = y, seeds
+        plan = SamplerPlan(grid=grid, eta=eta, seed=seeds, record_trajectory=True)
+        out, traj = accelerated_sample(sch, eps_fn, y, plan)
+        ref, ref_traj = _reference_chain(sch, eps_fn, ref_y, grid, eta, ref_seeds)
+        if rows is None:
+            ref, ref_traj = ref[0], [(t, state[0]) for t, state in ref_traj]
+        np.testing.assert_array_equal(out, ref)
+        assert [t for t, _ in traj] == [t for t, _ in ref_traj]
+        for (_, state), (_, ref_state) in zip(traj, ref_traj):
+            np.testing.assert_array_equal(state, ref_state)
+
+    def test_gap_assertion_names_the_step(self, sch):
+        # A negative marginal variance at grid point 500 makes the noise
+        # scale of the move 505 -> 500 exceed it; at eta = 0 no other move
+        # is affected before it.
+        import dataclasses
+
+        mv = sch.marginal_var.copy()
+        mv[500] = -mv[500]
+        broken = dataclasses.replace(sch, marginal_var=mv)
+        plan = SamplerPlan(grid=make_grid(self.T, 200), eta=0.0, seed=1)
+        with pytest.raises(AssertionError, match="at step 505->500"):
+            accelerated_sample(broken, lambda x, t: np.zeros_like(x), np.zeros(2), plan)

@@ -145,7 +145,33 @@ class TestCoarsePosteriorVar:
 
     def test_rejects_bad_pairs(self):
         sch = build_schedule(10, 1.0)
-        with pytest.raises(ValueError):
-            coarse_posterior_var(sch, 5, 5)
-        with pytest.raises(ValueError):
-            coarse_posterior_var(sch, 3, 10)
+        good_prev, good_cur = np.array([1, 4, 8]), np.array([2, 6, 9])
+        for prev, cur in [(5, 5), (3, 10), (6, 5), (-1, 3), (0, 11)]:
+            with pytest.raises(ValueError, match=rf"\({prev}, {cur}\)"):
+                coarse_posterior_var(sch, prev, cur)
+            with pytest.raises(ValueError, match=rf"\({prev}, {cur}\)"):
+                coarse_posterior_var(sch, np.append(good_prev, prev), np.append(good_cur, cur))
+        assert coarse_posterior_var(sch, good_prev, good_cur).shape == (3,)
+
+    @pytest.mark.parametrize("grid", ["coarse", "dense"])
+    def test_index_arrays_bitwise_equal_to_scalar_calls(self, grid):
+        from bridgediff.sampling import make_grid
+
+        sch = build_schedule(1000, 1.0)
+        steps = np.array(make_grid(1000, 200) if grid == "coarse" else range(1, 1001))
+        steps = steps[steps < 1000]
+        if grid == "coarse":
+            # Every ordered pair of grid points.
+            prev, cur = np.triu_indices(steps.size, k=1)
+            prev, cur = steps[prev], steps[cur]
+        else:
+            # Every move of the dense grid, every jump down to step 1 and
+            # every jump down from step 999.
+            prev = np.concatenate([steps[:-1], np.ones(steps.size - 1, dtype=int), steps[:-1]])
+            cur = np.concatenate([steps[1:], steps[1:], np.full(steps.size - 1, 999)])
+            keep = prev < cur
+            prev, cur = prev[keep], cur[keep]
+        batched = coarse_posterior_var(sch, prev, cur)
+        scalar = np.array([coarse_posterior_var(sch, int(p), int(c)) for p, c in zip(prev, cur)])
+        assert batched.dtype == np.float64 and batched.shape == prev.shape
+        np.testing.assert_array_equal(batched.view(np.int64), scalar.view(np.int64))

@@ -1,0 +1,88 @@
+"""Replay the byte-identity recipe and print one sha256 per artefact.
+
+Run from anywhere; the package is imported from the ``src/`` of the
+checkout that holds this script:
+
+    python3 tools/replay_hashes.py > hashes.txt
+
+In a temporary directory it
+
+- saves the acceptance two-moons pairs (40,000 rows, noise 0.05, seed
+  880) as ``pairs.csv``;
+- trains ``w0`` (plain loss) and ``w1`` (weighted loss) for 500 steps at
+  the acceptance configuration, seed 900, validating every 500 steps and
+  writing a checkpoint every 100;
+- runs ``bridgediff sample --n 8 --k 5 --steps 200 --seed 7`` on
+  ``w0/ckpt_final.bin``;
+- runs ``--n 200`` of the same command on ``w1/ckpt_final.bin`` at eta 1
+  and 0.5, each with and without ``--trajectories``.
+
+Each output line is ``<sha256>  <path>``, sorted by path, for every file
+those steps write. Run it at two commits and diff the outputs: a change
+that keeps results byte-identical prints the same lines. BLAS is pinned to
+one thread. The hashes depend on the BLAS library and the numpy version,
+so this is a tool for comparing commits on one machine, not a test.
+"""
+
+from __future__ import annotations
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from bridgediff import cli, data  # noqa: E402
+from bridgediff.training import TrainConfig, run_training  # noqa: E402
+
+# The acceptance configuration of the two-moons task (tests/test_acceptance.py).
+MOONS = dict(
+    T=1000, s=1.0, batch_size=128, hidden=(96, 96), embed_dim=48, lr=1e-3, min_lr=1e-5,
+    ema_decay=0.995, ema_update_interval=4, ema_start_step=500, plateau_patience=10,
+    plateau_cooldown=5, plateau_threshold=1e-5, val_fraction=0.05,
+)
+
+
+def _sample(root: Path, ckpt: str, out: str, *extra: str) -> None:
+    argv = ["sample", "--checkpoint", str(root / ckpt), "--data", str(root / "pairs.csv"),
+            "--k", "5", "--steps", "200", "--seed", "7", "--out", str(root / out), *extra]
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    if code != 0:
+        raise SystemExit(f"bridgediff {' '.join(argv)} exited with code {code}")
+
+
+def replay(root: Path) -> None:
+    pairs = data.gen_two_moons_paired(40000, 0.05, 880)
+    data.save(pairs, root / "pairs.csv")
+    for name, weighted in (("w0", False), ("w1", True)):
+        config = TrainConfig(seed=900, max_steps=500, checkpoint_interval=100,
+                             validation_interval=500, weighted_loss=weighted, **MOONS)
+        run_training(config, pairs, root / name)
+    _sample(root, "w0/ckpt_final.bin", "w0_n8", "--n", "8")
+    for eta in ("1", "0.5"):
+        _sample(root, "w1/ckpt_final.bin", f"w1_n200_eta{eta}", "--n", "200", "--eta", eta)
+        _sample(root, "w1/ckpt_final.bin", f"w1_n200_eta{eta}_traj", "--n", "200", "--eta", eta,
+                "--trajectories")
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory(prefix="replay-hashes-") as tmp:
+        root = Path(tmp)
+        replay(root)
+        for path in sorted(p for p in root.rglob("*") if p.is_file()):
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            print(f"{digest}  {path.relative_to(root).as_posix()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
