@@ -174,10 +174,11 @@ def cmd_sample(args) -> int:
     return 0
 
 
-def _read_samples_csv(path):
+def _read_samples_csv(path, k: int, seen: set):
     """Metadata, conditioning indices and sample rows of a samples CSV.
-    A malformed row or a non-finite value is a usage error that names the
-    file and the line."""
+    A malformed row, a non-finite value, a sample index outside 0..k-1 or
+    a (y_index, sample_index) pair already in ``seen`` is a usage error
+    that names the file and the line. Adds each row's pair to ``seen``."""
     path = Path(path)
     if not path.exists():
         raise UsageError(f"samples file not found: {path}")
@@ -202,10 +203,16 @@ def _read_samples_csv(path):
                     f"{path} line {lineno}: {len(fields)} fields, the header has {len(header)}"
                 )
             try:
-                y_idx.append(int(fields[0]))
+                pair = int(fields[0]), int(fields[1])
                 row = [float(v) for v in fields[2:]]
             except ValueError as exc:
                 raise UsageError(f"{path} line {lineno}: {exc}") from exc
+            if not 0 <= pair[1] < k:
+                raise UsageError(f"{path} line {lineno}: sample_index {pair[1]} outside 0..{k - 1}")
+            if pair in seen:
+                raise UsageError(f"{path} line {lineno}: (y_index, sample_index) = {pair} appears twice")
+            seen.add(pair)
+            y_idx.append(pair[0])
             if not all(map(math.isfinite, row)):
                 raise UsageError(f"{path} line {lineno}: non-finite sample value")
             values.append(row)
@@ -216,10 +223,13 @@ def _read_samples_csv(path):
 
 
 def cmd_eval(args) -> int:
+    if args.k < 1:
+        raise UsageError(f"k must be >= 1, got {args.k}")
     all_meta = None
     y_parts, v_parts = [], []
+    seen: set = set()
     for p in args.samples:
-        meta, y_idx, values = _read_samples_csv(p)
+        meta, y_idx, values = _read_samples_csv(p, args.k, seen)
         if all_meta is None:
             all_meta = meta
         y_parts.append(y_idx)
@@ -347,14 +357,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:
+            raise UsageError(f"seed must be >= 0, got {args.seed}")
         return args.fn(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except TrainingDiverged as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, ValueError, TypeError) as exc:
+    except (UsageError, OSError, ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

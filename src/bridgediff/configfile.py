@@ -7,16 +7,11 @@ feeds ``--set key=value`` command-line overrides, applied after the file.
 
 from __future__ import annotations
 
+from dataclasses import MISSING, fields
 from pathlib import Path
+from typing import get_type_hints
 
-from .data import (
-    PairedDataset,
-    gen_binary_patterns,
-    gen_joint_gaussian,
-    gen_two_moons_paired,
-    load as load_dataset,
-)
-from .oracle import JointGaussianSpec
+from .data import GENERATORS, PairedDataset, load as load_dataset
 from .training import TrainConfig
 
 
@@ -40,67 +35,57 @@ def _parse_int_tuple(raw: str) -> tuple[int, ...]:
         raise UsageError(f"expected a comma-separated integer list, got {raw!r}") from exc
 
 
-_SCHEMA = {
-    "T": int,
-    "s": float,
-    "seed": int,
-    "batch_size": int,
-    "max_steps": int,
-    "hidden": _parse_int_tuple,
-    "embed_dim": int,
-    "lr": float,
-    "min_lr": float,
-    "adam_beta1": float,
-    "adam_beta2": float,
-    "adam_eps": float,
-    "ema_decay": float,
-    "ema_update_interval": int,
-    "ema_start_step": int,
-    "plateau_factor": float,
-    "plateau_patience": int,
-    "plateau_cooldown": int,
-    "plateau_threshold": float,
-    "checkpoint_interval": int,
-    "validation_interval": int,
-    "val_fraction": float,
-    "weighted_loss": _parse_bool,
-    "normalize_inputs": _parse_bool,
-    "dataset": str,
-    "generator": str,
-}
-
-_GEN_SCHEMA = {
-    "gen_n": int,
-    "gen_dim": int,
-    "gen_mean0": float,
-    "gen_meany": float,
-    "gen_var0": float,
-    "gen_vary": float,
-    "gen_corr": float,
-    "gen_noise_sd": float,
-    "gen_side": int,
-    "gen_flip_prob": float,
+# One parser per field type a config key can have. An empty optional
+# string is its default, None.
+_PARSERS = {
+    int: int,
+    float: float,
+    bool: _parse_bool,
+    tuple[int, ...]: _parse_int_tuple,
+    str | None: lambda raw: raw or None,
 }
 
 
-def parse_kv_text(text: str, origin: str = "<config>") -> dict[str, str]:
-    out: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+def _key_parsers(cls) -> dict:
+    """Config key -> parser for every field of the dataclass ``cls``
+    except ``gen_params``, which collects the ``gen_<param>`` keys. A field
+    type with no parser is an error here, at import, rather than a key
+    that silently vanishes."""
+    hints = get_type_hints(cls)
+    parsers = {}
+    for f in fields(cls):
+        if f.name == "gen_params":
             continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise UsageError(f"{origin}:{lineno}: expected 'key = value', got {raw!r}")
-        out[key.strip()] = value.strip()
-    return out
+        if hints[f.name] not in _PARSERS:
+            raise TypeError(f"no config parser for {cls.__name__}.{f.name}: {hints[f.name]}")
+        parsers[f.name] = _PARSERS[hints[f.name]]
+    return parsers
+
+
+_KEYS = _key_parsers(TrainConfig)
+_REQUIRED = [f.name for f in fields(TrainConfig)
+             if f.default is MISSING and f.default_factory is MISSING]
+_GEN_KEYS = {
+    f"gen_{name}": _PARSERS[type(default)]
+    for defaults, _ in GENERATORS.values()
+    for name, default in defaults.items()
+}
 
 
 def parse_kv_file(path) -> dict[str, str]:
     path = Path(path)
     if not path.exists():
         raise UsageError(f"config file not found: {path}")
-    return parse_kv_text(path.read_text(encoding="utf-8"), origin=str(path))
+    out: dict[str, str] = {}
+    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise UsageError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+        out[key.strip()] = value.strip()
+    return out
 
 
 def apply_overrides(raw: dict[str, str], overrides: list[str]) -> dict[str, str]:
@@ -118,23 +103,21 @@ def build_train_config(raw: dict[str, str]) -> TrainConfig:
     values: dict = {}
     gen_params: dict = {}
     for key, value in raw.items():
-        if key in _SCHEMA:
-            try:
-                values[key] = _SCHEMA[key](value)
-            except (ValueError, TypeError) as exc:
-                raise UsageError(f"bad value for {key!r}: {value!r}") from exc
-        elif key in _GEN_SCHEMA:
-            try:
-                gen_params[key[4:]] = _GEN_SCHEMA[key](value)
-            except (ValueError, TypeError) as exc:
-                raise UsageError(f"bad value for {key!r}: {value!r}") from exc
+        if key in _KEYS:
+            parse, into, name = _KEYS[key], values, key
+        elif key in _GEN_KEYS:
+            parse, into, name = _GEN_KEYS[key], gen_params, key[4:]
         else:
             raise UsageError(f"unknown config key {key!r}")
-    if "seed" not in values:
-        raise UsageError("config must set 'seed'")
-    values["gen_params"] = gen_params
+        try:
+            into[name] = parse(value)
+        except (ValueError, TypeError) as exc:
+            raise UsageError(f"bad value for {key!r}: {value!r}") from exc
+    for key in _REQUIRED:
+        if key not in values:
+            raise UsageError(f"config must set {key!r}")
     try:
-        return TrainConfig(**values)
+        return TrainConfig(**values, gen_params=gen_params)
     except (ValueError, TypeError) as exc:
         raise UsageError(str(exc)) from exc
 
@@ -144,6 +127,10 @@ def resolve_dataset(config: TrainConfig) -> PairedDataset:
     if config.dataset and config.generator:
         raise UsageError("set either 'dataset' or 'generator', not both")
     if config.dataset:
+        if config.gen_params:
+            raise UsageError(
+                f"gen_{sorted(config.gen_params)[0]} needs 'generator'; this config sets 'dataset'"
+            )
         path = Path(config.dataset)
         if not path.exists():
             raise UsageError(f"'dataset' points to a missing file: {path}")
@@ -153,40 +140,17 @@ def resolve_dataset(config: TrainConfig) -> PairedDataset:
             raise UsageError(f"could not load dataset {path}: {exc}") from exc
     if not config.generator:
         raise UsageError("config must set either 'dataset' or 'generator'")
-    allowed = {
-        "joint_gaussian": {"n", "dim", "mean0", "meany", "var0", "vary", "corr"},
-        "two_moons": {"n", "noise_sd"},
-        "binary_patterns": {"n", "side", "flip_prob"},
-    }
-    if config.generator not in allowed:
+    if config.generator not in GENERATORS:
         raise UsageError(
-            f"unknown generator {config.generator!r}; known: {sorted(allowed)}"
+            f"unknown generator {config.generator!r}; known: {sorted(GENERATORS)}"
         )
-    p = dict(config.gen_params)
-    extra = set(p) - allowed[config.generator]
+    defaults, build = GENERATORS[config.generator]
+    extra = set(config.gen_params) - set(defaults)
     if extra:
         raise UsageError(
             f"generator {config.generator!r} does not take gen_{sorted(extra)[0]}"
         )
     try:
-        if config.generator == "joint_gaussian":
-            spec = JointGaussianSpec(
-                mean0=p.get("mean0", 0.0),
-                meany=p.get("meany", 0.0),
-                var0=p.get("var0", 1.0),
-                vary=p.get("vary", 1.0),
-                corr=p.get("corr", 0.0),
-            )
-            return gen_joint_gaussian(
-                spec, dim=p.get("dim", 1), n=p.get("n", 10000), seed=config.seed
-            )
-        if config.generator == "two_moons":
-            return gen_two_moons_paired(
-                n=p.get("n", 10000), noise_sd=p.get("noise_sd", 0.05), seed=config.seed
-            )
-        return gen_binary_patterns(
-            n=p.get("n", 10000), side=p.get("side", 4),
-            flip_prob=p.get("flip_prob", 0.0), seed=config.seed,
-        )
+        return build(seed=config.seed, **{**defaults, **config.gen_params})
     except ValueError as exc:
         raise UsageError(f"generator {config.generator!r}: {exc}") from exc

@@ -136,6 +136,19 @@ def gen_binary_patterns(n: int, side: int, flip_prob: float, seed: int) -> Paire
     )
 
 
+# The generators a run config can name: name -> (parameter defaults, function).
+# The function takes ``seed`` and every parameter as keywords. A default's
+# type is the type a configured value for that parameter is parsed to.
+GENERATORS = {
+    "joint_gaussian": (
+        {"n": 10000, "dim": 1, "mean0": 0.0, "meany": 0.0, "var0": 1.0, "vary": 1.0, "corr": 0.0},
+        lambda n, dim, seed, **spec: gen_joint_gaussian(JointGaussianSpec(**spec), dim, n, seed),
+    ),
+    "two_moons": ({"n": 10000, "noise_sd": 0.05}, gen_two_moons_paired),
+    "binary_patterns": ({"n": 10000, "side": 4, "flip_prob": 0.0}, gen_binary_patterns),
+}
+
+
 def _format_value(v) -> str:
     if isinstance(v, (bool, int, np.integer)):
         return str(int(v))

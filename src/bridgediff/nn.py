@@ -294,14 +294,16 @@ class NoisePredictor:
         if tgt.shape != xb.shape:
             raise ValueError(f"target shape {tgt.shape} does not match input {xb.shape}")
         out, inputs, acts = self._layers(xb, tb, T, keep=True)
-        diff = out - tgt
-        sq = diff * diff
-        if sample_weight is not None:
-            w = np.asarray(sample_weight, dtype=np.float64)
-            if np.broadcast_shapes(w.shape, sq.shape) != sq.shape:
-                raise ValueError(f"sample_weight shape {w.shape} does not broadcast to {sq.shape}")
-            sq *= w
-        loss = np.mean(sq)
+        # Overflow here is reported as a non-finite loss just below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            diff = out - tgt
+            sq = diff * diff
+            if sample_weight is not None:
+                w = np.asarray(sample_weight, dtype=np.float64)
+                if np.broadcast_shapes(w.shape, sq.shape) != sq.shape:
+                    raise ValueError(f"sample_weight shape {w.shape} does not broadcast to {sq.shape}")
+                sq *= w
+            loss = np.mean(sq)
         if not np.isfinite(loss):
             raise FloatingPointError("non-finite training loss")
 

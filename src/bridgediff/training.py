@@ -72,19 +72,28 @@ class TrainConfig:
                      "validation_interval", "ema_update_interval"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.max_steps < 0:
-            raise ValueError(f"max_steps must be >= 0, got {self.max_steps}")
+        for name in ("seed", "max_steps"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ValueError(f"val_fraction must lie in [0, 1), got {self.val_fraction}")
         for name in ("s", "lr", "min_lr", "adam_eps"):
             v = getattr(self, name)
             if not math.isfinite(v) or v <= 0.0:
                 raise ValueError(f"{name} must be finite and positive, got {v}")
-        for name in ("adam_beta1", "adam_beta2"):
+        if self.min_lr > self.lr:
+            raise ValueError(f"min_lr must not exceed lr, got min_lr={self.min_lr}, lr={self.lr}")
+        for name in ("adam_beta1", "adam_beta2", "ema_decay"):
             v = getattr(self, name)
             if not 0.0 <= v < 1.0:
                 raise ValueError(f"{name} must lie in [0, 1), got {v}")
+        if not 0.0 < self.plateau_factor < 1.0:
+            raise ValueError(f"plateau_factor must lie in (0, 1), got {self.plateau_factor}")
+        if self.embed_dim % 2 != 0:
+            raise ValueError(f"embed_dim must be even, got {self.embed_dim}")
         self.hidden = tuple(int(h) for h in self.hidden)
+        if not self.hidden or min(self.hidden) < 1:
+            raise ValueError(f"hidden must list one or more widths, each >= 1, got {self.hidden}")
 
 
 @dataclass
@@ -209,7 +218,8 @@ def run_training(
             # A spread that overflows is capped at the largest float: the
             # scale stays finite, as ``create`` requires, and such data
             # fails as a diverged first step.
-            data_var = 0.5 * float(np.mean(dataset.x0.var(axis=0) + dataset.y.var(axis=0)))
+            with np.errstate(over="ignore", invalid="ignore"):
+                data_var = 0.5 * float(np.mean(dataset.x0.var(axis=0) + dataset.y.var(axis=0)))
             data_var = min(max(data_var, 1e-12), sys.float_info.max)
             state_scale = np.sqrt(data_var + schedule.marginal_var)
         model = NoisePredictor.create(

@@ -45,6 +45,19 @@ def write_config(tmp_path, data_path, **overrides):
     return path
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify"],
+    ["sample", "--checkpoint", "ckpt.bin", "--data", "pairs.csv", "--out", "samples"],
+])
+def test_negative_seed_exits_two(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    code = cli.main([*argv, "--seed", "-1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "error: seed must be >= 0, got -1\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestVerifyCommand:
     def test_clean_build_exits_zero(self, capsys, tmp_path):
         code = cli.main(["verify", "--report", str(tmp_path / "report.txt")])
@@ -110,7 +123,6 @@ class TestTrainCommand:
             tmp_path / "b" / "ckpt_final.bin"
         ).read_bytes()
 
-    @pytest.mark.filterwarnings("ignore:overflow")
     def test_incomplete_marker_survives_failure(self, tmp_path, monkeypatch, capsys):
         from bridgediff.data import PairedDataset, save as save_ds
 
@@ -122,14 +134,19 @@ class TestTrainCommand:
         save_ds(huge, data_path)
         config = write_config(tmp_path, data_path, max_steps=3)
         out_dir = tmp_path / "broken"
-        code = cli.main(["train", "--config", str(config), "--out", str(out_dir)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["train", "--config", str(config), "--out", str(out_dir)])
+        err = capsys.readouterr().err
         assert code == 1
-        assert "step 1" in capsys.readouterr().err
+        assert "step 1" in err and err.count("\n") == 1
         assert (out_dir / "train.incomplete").exists()
 
     @pytest.mark.parametrize("key,value", [
         ("adam_beta1", "2"), ("adam_beta1", "-0.1"), ("adam_beta2", "1.0"),
         ("adam_eps", "0"), ("adam_eps", "inf"),
+        ("ema_decay", "2"), ("plateau_factor", "1"), ("min_lr", "1"), ("embed_dim", "7"),
+        ("hidden", ""), ("hidden", "0"), ("seed", "-1"),
     ])
     def test_adam_hyperparameters_out_of_range_exit_two(self, tmp_path, moons_file, capsys, key, value):
         config = write_config(tmp_path, moons_file, **{key: value})
@@ -138,7 +155,16 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert code == 2
         assert key in err and err.startswith("error: ") and err.count("\n") == 1
-        assert not (out_dir / "ckpt_final.bin").exists()
+        assert not out_dir.exists()
+
+    def test_generator_key_without_generator_exits_two(self, tmp_path, moons_file, capsys):
+        config = write_config(tmp_path, moons_file, gen_n="5")
+        out_dir = tmp_path / "run"
+        code = cli.main(["train", "--config", str(config), "--out", str(out_dir)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "gen_n" in err and err.startswith("error: ") and err.count("\n") == 1
+        assert not out_dir.exists()
 
 
 def _edit_header(path, edit):
@@ -503,16 +529,18 @@ class TestEvalCommand:
         assert list(report_dir.iterdir()) == [report]
 
 
-    def _eval_rows(self, tmp_path, moons_file, capsys, rows):
-        sample_file = tmp_path / "bad_samples.csv"
+    def _eval_rows(self, tmp_path, moons_file, capsys, *row_sets, k=1):
         header = "# format=samples-csv\n# version=1\n# seed=0\ny_index,sample_index,dim_0,dim_1\n"
-        sample_file.write_text(header + "".join(r + "\n" for r in rows), encoding="utf-8")
+        sample_files = []
+        for i, rows in enumerate(row_sets):
+            sample_files.append(tmp_path / ("bad_samples.csv" if i == 0 else f"bad_samples_{i}.csv"))
+            sample_files[-1].write_text(header + "".join(r + "\n" for r in rows), encoding="utf-8")
         report = tmp_path / "r.csv"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code = cli.main([
-                "eval", "--samples", str(sample_file), "--reference", str(moons_file),
-                "--k", "1", "--out", str(report),
+                "eval", "--samples", *map(str, sample_files), "--reference", str(moons_file),
+                "--k", str(k), "--out", str(report),
             ])
         err = capsys.readouterr().err
         assert not report.exists()
@@ -532,6 +560,25 @@ class TestEvalCommand:
         assert code == 2
         assert err.count("\n") == 1 and "inhomogeneous" not in err
         assert "bad_samples.csv line 7" in err and "3 fields" in err
+
+
+    @pytest.mark.parametrize("row_sets,message", [
+        ((["0,abc,0.5,0.25", "0,1,0.5,0.25"],), "bad_samples.csv line 5: invalid literal"),
+        ((["0,0,0.5,0.25", "0,0,0.5,0.25"],), "bad_samples.csv line 6: (y_index, sample_index) = (0, 0) appears twice"),
+        ((["1,0,0.5,0.25", "1,7,0.5,0.25"],), "bad_samples.csv line 6: sample_index 7 outside 0..1"),
+        ((["1,-1,0.5,0.25"],), "bad_samples.csv line 5: sample_index -1 outside 0..1"),
+        ((["0,0,0.5,0.25", "0,1,0.5,0.25"], ["1,0,0.5,0.25", "0,1,0.5,0.25"]),
+         "bad_samples_1.csv line 6: (y_index, sample_index) = (0, 1) appears twice"),
+    ])
+    def test_bad_sample_index_names_the_line(self, tmp_path, moons_file, capsys, row_sets, message):
+        code, err = self._eval_rows(tmp_path, moons_file, capsys, *row_sets, k=2)
+        assert code == 2
+        assert err.count("\n") == 1 and message in err
+
+    def test_k_below_one_exits_two(self, tmp_path, moons_file, capsys):
+        code, err = self._eval_rows(tmp_path, moons_file, capsys, ["0,0,0.5,0.25"], k=0)
+        assert code == 2
+        assert err == "error: k must be >= 1, got 0\n"
 
 
 class TestAtomicReports:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -202,7 +204,6 @@ class TestRunTraining:
 
 
 class TestDivergence:
-    @pytest.mark.filterwarnings("ignore:overflow")
     def test_nonfinite_loss_aborts_with_diagnostics(self, tmp_path):
         # Finite but enormous values overflow the squared loss on step 1.
         from bridgediff.data import PairedDataset
@@ -212,8 +213,10 @@ class TestDivergence:
             x0=np.full((50, 1), 1e200), y=np.full((50, 1), -1e200),
             generator="handmade", seed=0,
         )
-        with pytest.raises(TrainingDiverged, match="step 1"):
-            run_training(smoke_config(max_steps=3), huge, tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingDiverged, match="step 1"):
+                run_training(smoke_config(max_steps=3), huge, tmp_path)
 
 
 class TestTrainConfigValidation:
@@ -228,6 +231,15 @@ class TestTrainConfigValidation:
             TrainConfig(seed=1, lr=0.0)
         with pytest.raises(ValueError):
             TrainConfig(seed=1, max_steps=-1)
+
+    @pytest.mark.parametrize("key,value", [
+        ("seed", -1), ("ema_decay", 1.0), ("ema_decay", -0.1), ("plateau_factor", 0.0),
+        ("plateau_factor", 1.0), ("min_lr", 2e-4), ("embed_dim", 7), ("hidden", ()),
+        ("hidden", (16, 0)),
+    ])
+    def test_out_of_range_value_names_its_key(self, key, value):
+        with pytest.raises(ValueError, match=f"^{key} must"):
+            TrainConfig(**{"seed": 1, key: value})
 
     def test_seed_mandatory(self):
         with pytest.raises(TypeError):
