@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -202,6 +203,12 @@ def read_header(path) -> dict:
     return meta
 
 
+# Rows parsed per block in load(). Each block is joined, split and converted
+# at once, which is fast; small blocks keep those temporaries small, where
+# one pass over the whole file would raise the peak memory of every load.
+_PARSE_ROWS = 256
+
+
 def load(path) -> PairedDataset:
     """Read a dataset, verifying the CRC32 of the data section."""
     meta = read_header(path)
@@ -213,21 +220,27 @@ def load(path) -> PairedDataset:
     offset = 0
     while offset < len(blob) and blob[offset : offset + 1] == b"#":
         offset = blob.index(b"\n", offset) + 1
-    data_bytes = blob[offset:]
+    data_bytes = memoryview(blob)[offset:]  # the data section, not copied
     if zlib.crc32(data_bytes) != int(meta["crc32"]):
         raise ValueError(f"checksum mismatch in {path} (truncated or corrupted file)")
 
-    lines = data_bytes.decode("utf-8").splitlines()
+    lines = str(data_bytes, "utf-8").splitlines()
     n = int(meta["n"])
     dim = int(meta["dim"])
     if len(lines) != n + 1:
         raise ValueError(f"expected {n} rows in {path}, found {len(lines) - 1}")
-    values = np.empty((n, 2 * dim))
-    for i, line in enumerate(lines[1:]):
-        fields = line.split(",")
-        if len(fields) != 2 * dim:
-            raise ValueError(f"row {i} of {path} has {len(fields)} fields, expected {2 * dim}")
-        values[i] = [float(v) for v in fields]
+    width = 2 * dim
+    values = np.empty((n, width))
+    flat = values.reshape(-1)
+    for start in range(0, n, _PARSE_ROWS):
+        block = lines[1 + start : 1 + start + _PARSE_ROWS]
+        if set(map(str.count, block, repeat(","))) != {width - 1}:
+            for i, line in enumerate(block, start):
+                count = line.count(",") + 1
+                if count != width:
+                    raise ValueError(f"row {i} of {path} has {count} fields, expected {width}")
+        fields = ",".join(block).split(",")
+        flat[start * width : start * width + len(fields)] = list(map(float, fields))
 
     params: dict = {}
     for key, value in meta.items():

@@ -1,12 +1,18 @@
 """Sample-quality metrics: per-input diversity, energy distance, moments.
 
 The energy distance sums pair distances in fixed-size tiles, so its memory
-does not depend on the set sizes and a full 40k-row reference works.
+does not depend on the set sizes and a full 40k-row reference works. The
+tiles run on one worker per CPU in the process's affinity mask (``taskset``
+limits them), at most four, each worker holding 1 MiB of tile buffers. The
+tile sums are combined exactly, so the result is the same float for any
+worker count.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,45 +43,132 @@ def diversity(sets: list[np.ndarray], k: int = 5, sample_sd: bool = False) -> fl
     return float(np.mean(per_input))
 
 
-# Side of the square tiles the pair sums run in: two (tile, tile) float64
-# buffers, 1 MiB together, bound the memory whatever the set sizes.
+# Side of the square tiles the pair sums run in: each worker's two
+# (tile, tile) float64 buffers, 1 MiB together, bound its memory whatever the
+# set sizes.
 _TILE = 256
+
+# At most this many workers, whatever the CPU count: it bounds the tile
+# buffers at 4 MiB and the threads one call starts, and the affinity mask
+# does not show a container's CPU quota.
+_MAX_WORKERS = 4
+
+
+def _worker_count() -> int:
+    """One worker per CPU this process may run on (``taskset`` limits it)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _add_exact(partials: list[float], x: float) -> None:
+    """Add ``x`` to ``partials`` without rounding (Shewchuk's msum).
+
+    ``partials`` holds non-overlapping floats whose exact sum is the exact
+    sum of everything added so far, so ``math.fsum`` of any number of such
+    lists rounds the exact total once, as ``math.fsum`` of all the values
+    would. Only finite values may be added.
+    """
+    i = 0
+    for y in partials:
+        if abs(x) < abs(y):
+            x, y = y, x
+        hi = x + y
+        lo = y - (hi - x)
+        if lo:
+            partials[i] = lo
+            i += 1
+        x = hi
+    partials[i:] = [x]
 
 
 def _pair_distance_sum(a: np.ndarray, b: np.ndarray) -> float:
     """Sum of |a_i - b_j| over all pairs (i, j), diagonal included.
 
-    Works tile by tile and coordinate by coordinate in two reused buffers,
-    so no (n, m, d) difference array is built. When ``a is b`` only tiles
-    on or above the diagonal are visited and each one above it counts
-    twice: |a_i - a_j| and |a_j - a_i| are the same float. Tile sums are
-    added with ``math.fsum``, so the total stays accurate over billions
-    of pairs.
+    Works tile by tile and coordinate by coordinate in two reused buffers
+    per worker, so no (n, m, d) difference array is built. When ``a is b``
+    only tiles on or above the diagonal are visited and each one above it
+    counts twice: |a_i - a_j| and |a_j - a_i| are the same float.
+
+    The tiles are spread over one worker per CPU, at most ``_MAX_WORKERS``,
+    the calling thread among them; each worker claims the next tile from one
+    shared generator and runs under the caller's ``np.errstate`` settings.
+    Each keeps its tile sums as exact partials and the total is
+    ``math.fsum`` of them all, which is the correctly rounded sum of the
+    tile sums: the result does not depend on the worker count or on which
+    worker summed which tile. The first exception a worker raises,
+    ``MemoryError`` included, stops the others claiming tiles and is raised
+    here once every worker has finished.
     """
     if a.shape[1] == 0:
         return 0.0  # no coordinates: every distance is zero
     same = a is b
-    acc = np.empty((min(a.shape[0], _TILE), min(b.shape[0], _TILE)))
-    tmp = np.empty_like(acc)
+    row_starts = range(0, a.shape[0], _TILE)
+    tiles = ((i, j) for i in row_starts for j in range(i if same else 0, b.shape[0], _TILE))
+    r = len(row_starts)
+    n_tiles = r * (r + 1) // 2 if same else r * len(range(0, b.shape[0], _TILE))
+    # numpy 1 keeps the floating-point error settings per thread.
+    errstate = dict(np.geterr(), call=np.geterrcall())
+    lock = threading.Lock()
+    partials: list[float] = []  # every worker's exact partials and non-finite tile sums
+    failures: list[BaseException] = []
 
-    def tile_sums():
-        for i in range(0, a.shape[0], _TILE):
+    def work() -> None:
+        mine: list[float] = []
+        try:
+            with np.errstate(**errstate):
+                sum_tiles(mine)
+        except BaseException as exc:  # re-raised by the caller after the join
+            with lock:
+                failures.append(exc)
+            return
+        with lock:
+            partials.extend(mine)
+
+    def sum_tiles(mine: list[float]) -> None:
+        acc = np.empty((min(a.shape[0], _TILE), min(b.shape[0], _TILE)))
+        tmp = np.empty_like(acc)
+        while True:
+            with lock:
+                tile = None if failures else next(tiles, None)
+            if tile is None:
+                break
+            i, j = tile
             rows = a[i : i + _TILE]
-            for j in range(i if same else 0, b.shape[0], _TILE):
-                cols = b[j : j + _TILE]
-                dist = acc[: rows.shape[0], : cols.shape[0]]
-                sq = tmp[: rows.shape[0], : cols.shape[0]]
-                np.subtract(rows[:, 0, None], cols[None, :, 0], out=dist)
-                np.multiply(dist, dist, out=dist)
-                for k in range(1, a.shape[1]):
-                    np.subtract(rows[:, k, None], cols[None, :, k], out=sq)
-                    np.multiply(sq, sq, out=sq)
-                    np.add(dist, sq, out=dist)
-                np.sqrt(dist, out=dist)
-                total = float(dist.sum())
-                yield 2.0 * total if same and j > i else total
+            cols = b[j : j + _TILE]
+            dist = acc[: rows.shape[0], : cols.shape[0]]
+            sq = tmp[: rows.shape[0], : cols.shape[0]]
+            np.subtract(rows[:, 0, None], cols[None, :, 0], out=dist)
+            np.multiply(dist, dist, out=dist)
+            for k in range(1, a.shape[1]):
+                np.subtract(rows[:, k, None], cols[None, :, k], out=sq)
+                np.multiply(sq, sq, out=sq)
+                np.add(dist, sq, out=dist)
+            np.sqrt(dist, out=dist)
+            total = float(dist.sum())
+            if same and j > i:
+                total *= 2.0
+            if math.isfinite(total):
+                _add_exact(mine, total)
+            else:  # inf or nan, kept as it is: math.fsum treats it as in a serial sum
+                with lock:
+                    partials.append(total)
 
-    return math.fsum(tile_sums())
+    helpers = [threading.Thread(target=work)
+               for _ in range(min(_worker_count(), _MAX_WORKERS, n_tiles) - 1)]
+    started = []
+    try:
+        for thread in helpers:
+            thread.start()
+            started.append(thread)
+        work()
+    finally:
+        for thread in started:
+            thread.join()
+    if failures:
+        raise failures[0]
+    return math.fsum(partials)
 
 
 def energy_distance(a, b) -> float:

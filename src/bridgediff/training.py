@@ -89,6 +89,8 @@ class TrainConfig:
                 raise ValueError(f"{name} must lie in [0, 1), got {v}")
         if not 0.0 < self.plateau_factor < 1.0:
             raise ValueError(f"plateau_factor must lie in (0, 1), got {self.plateau_factor}")
+        if not (math.isfinite(self.plateau_threshold) and self.plateau_threshold >= 0.0):
+            raise ValueError(f"plateau_threshold must be finite and >= 0, got {self.plateau_threshold}")
         if self.embed_dim % 2 != 0:
             raise ValueError(f"embed_dim must be even, got {self.embed_dim}")
         self.hidden = tuple(int(h) for h in self.hidden)

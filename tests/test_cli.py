@@ -147,6 +147,7 @@ class TestTrainCommand:
         ("adam_eps", "0"), ("adam_eps", "inf"),
         ("ema_decay", "2"), ("plateau_factor", "1"), ("min_lr", "1"), ("embed_dim", "7"),
         ("hidden", ""), ("hidden", "0"), ("seed", "-1"),
+        ("plateau_threshold", "nan"), ("plateau_threshold", "inf"), ("plateau_threshold", "-1"),
     ])
     def test_adam_hyperparameters_out_of_range_exit_two(self, tmp_path, moons_file, capsys, key, value):
         config = write_config(tmp_path, moons_file, **{key: value})

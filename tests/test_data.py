@@ -1,6 +1,9 @@
+import zlib
+
 import numpy as np
 import pytest
 
+from bridgediff import data
 from bridgediff.data import (
     PairedDataset,
     gen_binary_patterns,
@@ -103,6 +106,7 @@ class TestPersistence:
         lambda: gen_joint_gaussian(JointGaussianSpec(corr=0.3), dim=2, n=57, seed=11),
         lambda: gen_two_moons_paired(n=33, noise_sd=0.07, seed=12),
         lambda: gen_binary_patterns(n=21, side=3, flip_prob=0.2, seed=13),
+        lambda: gen_two_moons_paired(n=2 * data._PARSE_ROWS + 1, noise_sd=0.05, seed=17),
     ])
     def test_round_trip_bit_exact(self, make, tmp_path):
         ds = make()
@@ -161,6 +165,24 @@ class TestPersistence:
         lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
         path.write_text("".join(l for l in lines if not l.startswith(f"# {key}=")), encoding="utf-8")
         with pytest.raises(ValueError, match=key):
+            load(path)
+
+    @pytest.mark.parametrize("row", [0, 1030])
+    def test_ragged_rows_name_the_first(self, tmp_path, row):
+        # Rows of 3 and 5 fields side by side keep the block's field total;
+        # the first of them is still named, with the checksum made valid.
+        ds = gen_two_moons_paired(n=1100, noise_sd=0.05, seed=18)
+        path = tmp_path / "pairs.csv"
+        save(ds, path)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        first = next(i for i, line in enumerate(lines) if not line.startswith("#")) + 1
+        lines[first + row] = "1.0,2.0,3.0\n"
+        lines[first + row + 1] = "1.0,2.0,3.0,4.0,5.0\n"
+        data_bytes = "".join(lines[first - 1 :]).encode("utf-8")
+        meta = [f"# crc32={zlib.crc32(data_bytes)}\n" if l.startswith("# crc32=") else l
+                for l in lines[: first - 1]]
+        path.write_bytes("".join(meta).encode("utf-8") + data_bytes)
+        with pytest.raises(ValueError, match=rf"^row {row} of .* has 3 fields, expected 4$"):
             load(path)
 
     def test_save_is_deterministic(self, tmp_path):

@@ -1,11 +1,14 @@
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from bridgediff import metrics
+from bridgediff import cli, metrics
+from bridgediff.data import gen_two_moons_paired, save
 from bridgediff.metrics import diversity, energy_distance, moments
 from bridgediff.seeding import rng_for
 
@@ -147,6 +150,170 @@ class TestTiledPairSums:
                 tracemalloc.stop()
         assert peaks[0] < 8e6
         assert peaks[1] <= peaks[0] + 65536
+
+
+def _serial_pair_sum(a, b):
+    # One thread, the tiles in row order in two reused buffers, ``math.fsum``
+    # over the tile sums: the sum the workers must reproduce bit for bit.
+    same = a is b
+    acc = np.empty((min(a.shape[0], 256), min(b.shape[0], 256)))
+    tmp = np.empty_like(acc)
+    sums = []
+    for i in range(0, a.shape[0], 256):
+        rows = a[i : i + 256]
+        for j in range(i if same else 0, b.shape[0], 256):
+            cols = b[j : j + 256]
+            dist = acc[: rows.shape[0], : cols.shape[0]]
+            sq = tmp[: rows.shape[0], : cols.shape[0]]
+            np.subtract(rows[:, 0, None], cols[None, :, 0], out=dist)
+            np.multiply(dist, dist, out=dist)
+            for k in range(1, a.shape[1]):
+                np.subtract(rows[:, k, None], cols[None, :, k], out=sq)
+                np.multiply(sq, sq, out=sq)
+                np.add(dist, sq, out=dist)
+            np.sqrt(dist, out=dist)
+            total = float(dist.sum())
+            sums.append(2.0 * total if same and j > i else total)
+    return math.fsum(sums)
+
+
+class TestParallelPairSums:
+    """The tiles spread over workers: the same float for any worker count,
+    failures raised in the caller, no thread left behind."""
+
+    SIZES = (1, 255, 256, 257, 600)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 5])
+    def test_bitwise_equal_for_any_worker_count(self, monkeypatch, workers):
+        monkeypatch.setattr(metrics, "_worker_count", lambda: workers)
+        for n in self.SIZES:
+            rng = rng_for(60, "workers", n)
+            a = rng.normal(size=(n, 2))
+            assert metrics._pair_distance_sum(a, a) == _serial_pair_sum(a, a)
+            for m in self.SIZES:
+                b = rng.normal(size=(m, 2)) * 1e3 + 0.3
+                assert metrics._pair_distance_sum(a, b) == _serial_pair_sum(a, b)
+                expected = (2.0 * _serial_pair_sum(a, b) / (n * m)
+                            - _serial_pair_sum(a, a) / (n * n)
+                            - _serial_pair_sum(b, b) / (m * m))
+                assert energy_distance(a, b) == expected
+
+    def test_many_workers_with_fast_switching(self, monkeypatch):
+        # More workers than cores, switching threads every microsecond: a
+        # tile claimed twice or a lost partial would change the float.
+        monkeypatch.setattr(metrics, "_worker_count", lambda: 7)
+        rng = rng_for(65, "workers")
+        a, b = rng.normal(size=(600, 2)), rng.normal(size=(3000, 2))
+        expected = _serial_pair_sum(a, b), _serial_pair_sum(b, b)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                got = metrics._pair_distance_sum(a, b), metrics._pair_distance_sum(b, b)
+                assert got == expected
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_exact_partials_match_fsum(self):
+        # Values whose naive running sum loses every small term.
+        values = [1e16, 1.0, -1e16, 3.0, 1e-300, 2.0**60, 0.1, -(2.0**60)] * 50
+        partials = []
+        for x in values:
+            metrics._add_exact(partials, x)
+        assert math.fsum(partials) == math.fsum(values)
+
+    def test_nonfinite_tile_sum_as_serial(self, monkeypatch):
+        monkeypatch.setattr(metrics, "_worker_count", lambda: 2)
+        a = np.zeros((600, 1))
+        a[300, 0] = 1e200  # its squared differences overflow to inf
+        with np.errstate(over="ignore"):
+            assert metrics._pair_distance_sum(a, a) == _serial_pair_sum(a, a) == math.inf
+
+    @pytest.mark.parametrize("over", ["ignore", "raise"])
+    def test_workers_use_callers_errstate(self, monkeypatch, over):
+        # Every tile overflows, so the helper's tiles do too: under "ignore"
+        # a helper on numpy's default settings would warn, and the warning
+        # is an error in this suite.
+        monkeypatch.setattr(metrics, "_worker_count", lambda: 2)
+        a = np.zeros((3000, 1))
+        a[::2, 0] = 1e200
+        with np.errstate(over=over):
+            if over == "ignore":
+                assert metrics._pair_distance_sum(a, a) == math.inf
+            else:
+                with pytest.raises(FloatingPointError, match="overflow"):
+                    metrics._pair_distance_sum(a, a)
+
+    def test_worker_count_capped(self, monkeypatch):
+        # However many CPUs the mask shows, at most ``_MAX_WORKERS`` threads
+        # sum tiles and the memory check holds as on a small machine.
+        monkeypatch.setattr(metrics, "_worker_count", lambda: 64)
+        TestTiledPairSums().test_memory_does_not_grow_with_set_size()
+        add_exact = metrics._add_exact
+        threads = set()
+
+        def add_and_record(partials, x):
+            threads.add(threading.get_ident())
+            add_exact(partials, x)
+
+        monkeypatch.setattr(metrics, "_add_exact", add_and_record)
+        a = rng_for(66, "workers").normal(size=(3000, 2))
+        metrics._pair_distance_sum(a, a[::-1])
+        assert len(threads) <= metrics._MAX_WORKERS == 4
+
+    def _fail_on_third_tile(self, monkeypatch, workers=2):
+        monkeypatch.setattr(metrics, "_worker_count", lambda: workers)
+        add_exact = metrics._add_exact
+        lock = threading.Lock()
+        calls = []
+
+        def add_or_fail(partials, x):
+            with lock:
+                calls.append(x)
+                third = len(calls) == 3
+            if third:
+                raise MemoryError("Unable to allocate 1.00 MiB")
+            add_exact(partials, x)
+
+        monkeypatch.setattr(metrics, "_add_exact", add_or_fail)
+        return calls
+
+    def test_worker_failure_raised_in_caller(self, monkeypatch):
+        calls = self._fail_on_third_tile(monkeypatch)
+        rng = rng_for(61, "workers")
+        a, b = rng.normal(size=(600, 2)), rng.normal(size=(3000, 2))
+        before = threading.active_count()
+        with pytest.raises(MemoryError, match="1.00 MiB"):
+            metrics._pair_distance_sum(a, b)
+        assert threading.active_count() == before
+        # 36 tiles; the others stop claiming once the third one failed.
+        assert len(calls) < 10
+
+    def test_worker_out_of_memory_exits_two(self, tmp_path, monkeypatch, capsys):
+        reference = tmp_path / "ref.csv"
+        save(gen_two_moons_paired(n=600, noise_sd=0.05, seed=62), reference)
+        samples = tmp_path / "samples.csv"
+        points = gen_two_moons_paired(n=300, noise_sd=0.1, seed=63).x0
+        with open(samples, "w", encoding="utf-8") as f:
+            f.write("# format=samples-csv\n# version=1\n# seed=0\n")
+            f.write("y_index,sample_index,dim_0,dim_1\n")
+            for i, row in enumerate(points):
+                f.write(f"{i},0,{float(row[0])!r},{float(row[1])!r}\n")
+        self._fail_on_third_tile(monkeypatch)
+        report = tmp_path / "report.csv"
+        code = cli.main(["eval", "--samples", str(samples), "--reference", str(reference),
+                         "--k", "1", "--out", str(report)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: out of memory: Unable to allocate 1.00 MiB\n"
+        assert sorted(tmp_path.iterdir()) == [reference, samples]
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_no_thread_outlives_the_call(self, monkeypatch, workers):
+        monkeypatch.setattr(metrics, "_worker_count", lambda: workers)
+        a = rng_for(64, "workers").normal(size=(700, 2))
+        before = threading.active_count()
+        energy_distance(a, a[::-1])
+        assert threading.active_count() == before
 
 
 class TestMoments:

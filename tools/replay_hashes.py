@@ -15,7 +15,9 @@ In a temporary directory it
 - runs ``bridgediff sample --n 8 --k 5 --steps 200 --seed 7`` on
   ``w0/ckpt_final.bin``;
 - runs ``--n 200`` of the same command on ``w1/ckpt_final.bin`` at eta 1
-  and 0.5, each with and without ``--trajectories``.
+  and 0.5, each with and without ``--trajectories``;
+- runs ``bridgediff eval --k 5`` on the eta 1 samples against ``pairs.csv``
+  and writes the report to ``eval_w1_n200_eta1.csv``.
 
 Each output line is ``<sha256>  <path>``, sorted by path, for every file
 those steps write. Run it at two commits and diff the outputs: a change
@@ -51,13 +53,16 @@ MOONS = dict(
 )
 
 
-def _sample(root: Path, ckpt: str, out: str, *extra: str) -> None:
-    argv = ["sample", "--checkpoint", str(root / ckpt), "--data", str(root / "pairs.csv"),
-            "--k", "5", "--steps", "200", "--seed", "7", "--out", str(root / out), *extra]
+def _run(argv: list[str]) -> None:
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv)
     if code != 0:
         raise SystemExit(f"bridgediff {' '.join(argv)} exited with code {code}")
+
+
+def _sample(root: Path, ckpt: str, out: str, *extra: str) -> None:
+    _run(["sample", "--checkpoint", str(root / ckpt), "--data", str(root / "pairs.csv"),
+          "--k", "5", "--steps", "200", "--seed", "7", "--out", str(root / out), *extra])
 
 
 def replay(root: Path) -> None:
@@ -72,6 +77,9 @@ def replay(root: Path) -> None:
         _sample(root, "w1/ckpt_final.bin", f"w1_n200_eta{eta}", "--n", "200", "--eta", eta)
         _sample(root, "w1/ckpt_final.bin", f"w1_n200_eta{eta}_traj", "--n", "200", "--eta", eta,
                 "--trajectories")
+    _run(["eval", "--samples", str(root / "w1_n200_eta1" / "samples.csv"),
+          "--reference", str(root / "pairs.csv"), "--k", "5",
+          "--out", str(root / "eval_w1_n200_eta1.csv")])
 
 
 def main() -> int:
