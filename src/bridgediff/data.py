@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -208,39 +208,60 @@ def read_header(path) -> dict:
 # one pass over the whole file would raise the peak memory of every load.
 _PARSE_ROWS = 256
 
+# Bytes read at a time while load() checks the data section's CRC32.
+_READ_BYTES = 1 << 16
+
 
 def load(path) -> PairedDataset:
-    """Read a dataset, verifying the CRC32 of the data section."""
+    """Read a dataset, verifying the CRC32 of the data section.
+
+    The file is read twice, in pieces, and never held whole: once for the
+    checksum, the row count and whether it is all ASCII, then once to parse
+    the rows a block at a time.
+    """
     meta = read_header(path)
     missing = [k for k in ("generator", "seed", "n", "dim", "crc32") if k not in meta]
     if missing:
         raise ValueError(f"{path} lacks metadata line(s): {', '.join(missing)}")
     with open(path, "rb") as f:
-        blob = f.read()
-    offset = 0
-    while offset < len(blob) and blob[offset : offset + 1] == b"#":
-        offset = blob.index(b"\n", offset) + 1
-    data_bytes = memoryview(blob)[offset:]  # the data section, not copied
-    if zlib.crc32(data_bytes) != int(meta["crc32"]):
-        raise ValueError(f"checksum mismatch in {path} (truncated or corrupted file)")
-
-    lines = str(data_bytes, "utf-8").splitlines()
-    n = int(meta["n"])
-    dim = int(meta["dim"])
-    if len(lines) != n + 1:
-        raise ValueError(f"expected {n} rows in {path}, found {len(lines) - 1}")
-    width = 2 * dim
-    values = np.empty((n, width))
-    flat = values.reshape(-1)
-    for start in range(0, n, _PARSE_ROWS):
-        block = lines[1 + start : 1 + start + _PARSE_ROWS]
-        if set(map(str.count, block, repeat(","))) != {width - 1}:
-            for i, line in enumerate(block, start):
-                count = line.count(",") + 1
-                if count != width:
-                    raise ValueError(f"row {i} of {path} has {count} fields, expected {width}")
-        fields = ",".join(block).split(",")
-        flat[start * width : start * width + len(fields)] = list(map(float, fields))
+        line = f.readline()
+        while line.startswith(b"#"):
+            line = f.readline()
+        data_start = f.tell() - len(line)
+        f.seek(data_start)
+        crc, newlines, last, ascii_only = 0, 0, b"\n", True
+        while piece := f.read(_READ_BYTES):
+            crc = zlib.crc32(piece, crc)
+            newlines += piece.count(b"\n")
+            last = piece[-1:]
+            ascii_only = ascii_only and piece.isascii()
+        if crc != int(meta["crc32"]):
+            raise ValueError(f"checksum mismatch in {path} (truncated or corrupted file)")
+        f.seek(data_start)
+        if not ascii_only:
+            # Raises the whole section's UnicodeDecodeError, with its offset,
+            # for bytes that are not UTF-8; blocks end at newlines, so valid
+            # UTF-8 decodes block by block too.
+            str(f.read(), "utf-8")
+            f.seek(data_start)
+        n = int(meta["n"])
+        dim = int(meta["dim"])
+        rows = newlines - (last == b"\n")  # lines, less the column header
+        if rows != n:
+            raise ValueError(f"expected {n} rows in {path}, found {rows}")
+        width = 2 * dim
+        values = np.empty((n, width))
+        flat = values.reshape(-1)
+        f.readline()  # the column header
+        for start in range(0, n, _PARSE_ROWS):
+            block = b"".join(islice(f, _PARSE_ROWS)).decode("utf-8").splitlines()
+            if set(map(str.count, block, repeat(","))) != {width - 1}:
+                for i, text in enumerate(block, start):
+                    count = text.count(",") + 1
+                    if count != width:
+                        raise ValueError(f"row {i} of {path} has {count} fields, expected {width}")
+            fields = ",".join(block).split(",")
+            flat[start * width : start * width + len(fields)] = list(map(float, fields))
 
     params: dict = {}
     for key, value in meta.items():

@@ -11,11 +11,13 @@ worker count.
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import parallel
+from .parallel import MAX_WORKERS as _MAX_WORKERS
+from .parallel import worker_count as _worker_count
 
 
 def diversity(sets: list[np.ndarray], k: int = 5, sample_sd: bool = False) -> float:
@@ -48,19 +50,6 @@ def diversity(sets: list[np.ndarray], k: int = 5, sample_sd: bool = False) -> fl
 # set sizes.
 _TILE = 256
 
-# At most this many workers, whatever the CPU count: it bounds the tile
-# buffers at 4 MiB and the threads one call starts, and the affinity mask
-# does not show a container's CPU quota.
-_MAX_WORKERS = 4
-
-
-def _worker_count() -> int:
-    """One worker per CPU this process may run on (``taskset`` limits it)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
 
 def _add_exact(partials: list[float], x: float) -> None:
     """Add ``x`` to ``partials`` without rounding (Shewchuk's msum).
@@ -92,9 +81,9 @@ def _pair_distance_sum(a: np.ndarray, b: np.ndarray) -> float:
     counts twice: |a_i - a_j| and |a_j - a_i| are the same float.
 
     The tiles are spread over one worker per CPU, at most ``_MAX_WORKERS``,
-    the calling thread among them; each worker claims the next tile from one
-    shared generator and runs under the caller's ``np.errstate`` settings.
-    Each keeps its tile sums as exact partials and the total is
+    with ``parallel.run``: the calling thread is among them, each worker
+    claims the next tile from one shared generator and runs under the
+    caller's ``np.errstate`` settings. Each keeps its tile sums as exact partials and the total is
     ``math.fsum`` of them all, which is the correctly rounded sum of the
     tile sums: the result does not depend on the worker count or on which
     worker summed which tile. The first exception a worker raises,
@@ -108,32 +97,13 @@ def _pair_distance_sum(a: np.ndarray, b: np.ndarray) -> float:
     tiles = ((i, j) for i in row_starts for j in range(i if same else 0, b.shape[0], _TILE))
     r = len(row_starts)
     n_tiles = r * (r + 1) // 2 if same else r * len(range(0, b.shape[0], _TILE))
-    # numpy 1 keeps the floating-point error settings per thread.
-    errstate = dict(np.geterr(), call=np.geterrcall())
-    lock = threading.Lock()
-    partials: list[float] = []  # every worker's exact partials and non-finite tile sums
-    failures: list[BaseException] = []
 
-    def work() -> None:
-        mine: list[float] = []
-        try:
-            with np.errstate(**errstate):
-                sum_tiles(mine)
-        except BaseException as exc:  # re-raised by the caller after the join
-            with lock:
-                failures.append(exc)
-            return
-        with lock:
-            partials.extend(mine)
-
-    def sum_tiles(mine: list[float]) -> None:
+    def sum_tiles(claim) -> list[float]:
+        mine: list[float] = []  # exact partials of the finite tile sums
+        nonfinite: list[float] = []  # inf or nan tile sums, kept as they are
         acc = np.empty((min(a.shape[0], _TILE), min(b.shape[0], _TILE)))
         tmp = np.empty_like(acc)
-        while True:
-            with lock:
-                tile = None if failures else next(tiles, None)
-            if tile is None:
-                break
+        while (tile := claim()) is not None:
             i, j = tile
             rows = a[i : i + _TILE]
             cols = b[j : j + _TILE]
@@ -151,24 +121,12 @@ def _pair_distance_sum(a: np.ndarray, b: np.ndarray) -> float:
                 total *= 2.0
             if math.isfinite(total):
                 _add_exact(mine, total)
-            else:  # inf or nan, kept as it is: math.fsum treats it as in a serial sum
-                with lock:
-                    partials.append(total)
+            else:  # math.fsum treats it as in a serial sum
+                nonfinite.append(total)
+        return mine + nonfinite
 
-    helpers = [threading.Thread(target=work)
-               for _ in range(min(_worker_count(), _MAX_WORKERS, n_tiles) - 1)]
-    started = []
-    try:
-        for thread in helpers:
-            thread.start()
-            started.append(thread)
-        work()
-    finally:
-        for thread in started:
-            thread.join()
-    if failures:
-        raise failures[0]
-    return math.fsum(partials)
+    parts = parallel.run(sum_tiles, tiles, min(_worker_count(), _MAX_WORKERS, n_tiles))
+    return math.fsum(x for part in parts for x in part)
 
 
 def energy_distance(a, b) -> float:

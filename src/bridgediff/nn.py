@@ -23,8 +23,18 @@ calls. The forward and backward work in place where they own a buffer;
 each in-place step is the float operation the plain expression would
 perform, in the same order, so results are bitwise those of the plain
 expressions. Do not regroup them (for example ``2 * g`` for ``g + g`` or
-``g * (sig * d)`` for ``g * sig * d``), and do not split matmuls into row
-blocks: either changes the rounding and with it every training output.
+``g * (sig * d)`` for ``g * sig * d``): that changes the rounding and with
+it every training output.
+
+Row blocks follow a measured rule. A plain forward over more than 2048
+rows runs the input build and the hidden layers in fixed blocks of 1024
+rows (the last block takes the remainder) on up to four workers
+(``parallel``); the hidden matmuls give the same bits on these blocks as
+on the whole batch, and the blocks do not depend on the worker count, so
+neither do the outputs. The output layer stays one matmul over the whole
+batch: split into row blocks, its (rows, width) @ (width, d) product
+rounds differently. Smaller batches, such as the sampler's and a training
+step's, run whole on the calling thread.
 """
 
 from __future__ import annotations
@@ -35,12 +45,24 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import parallel
+from .parallel import MAX_WORKERS as _MAX_WORKERS
+from .parallel import worker_count as _worker_count
+
 
 # Rows per block of a hidden layer's elementwise ops. On a large batch
-# (the 18,000-row validation forward) a block of pre-activations and its
+# (or one of the row blocks below) a block of pre-activations and its
 # sigmoids stays in cache across the five passes; elementwise results do
-# not depend on the blocking. The matmuls always run on the whole batch.
+# not depend on the blocking.
 _ELEMENTWISE_ROWS = 256
+
+# Rows per block of a plain forward over more than twice this many rows:
+# each block's input build and hidden layers run on one worker, and the
+# last block takes the remainder, so no block has fewer rows. The hidden
+# matmuls give the whole batch's bits at this block size; the output
+# layer's (rows, width) @ (width, d) matmul does not, so it runs once over
+# the stitched last hidden layer.
+_BLOCK_ROWS = 1024
 
 
 def _embed_freqs(half: int) -> np.ndarray:
@@ -208,55 +230,83 @@ class NoisePredictor:
         """Output rows and, when ``keep``, every layer's input and every
         hidden layer's (pre-activation, sigmoid) for the backward pass. A
         plain forward keeps none and works in place, so large batches hold
-        one layer at a time."""
+        one layer at a time; on more than ``2 * _BLOCK_ROWS`` rows it runs
+        the input build and hidden layers in blocks on several workers."""
         # On extreme inputs exp overflows (the sigmoid saturates at 0 as it
         # should) or a product turns NaN; callers check outputs for
         # finiteness, so numpy's warnings would only be noise on stderr.
         with np.errstate(over="ignore", invalid="ignore"):
-            # The (B, d + e) input: scaled state, then the step's embedding
-            # row(s). One step gives a view of one row and (1,) scales, an
-            # array of steps (B, e) rows and (B, 1) scales; either broadcasts
-            # over the batch. The gathered rows are made before the buffer
-            # and dropped right after the copy; in the other order the peak
-            # resident set of a training run (18,000-row validation
-            # forwards) is about 5 MB higher, as glibc reuses the freed
-            # blocks differently.
-            d = self.data_dim
-            emb = _embed_table(T, self.embed_dim)[tb]
-            h = np.empty((xb.shape[0], d + self.embed_dim))
-            if self.state_scale is None:
-                h[:, :d] = xb
+            n = xb.shape[0]
+            if keep or n <= 2 * _BLOCK_ROWS:
+                h, inputs, acts = self._hidden(xb, tb, T, keep)
             else:
-                np.divide(xb, self.state_scale[tb, None], out=h[:, :d])
-            h[:, d:] = emb
-            del emb
-            inputs, acts = [], []
-            for w, b in zip(self.weights[:-1], self.biases[:-1]):
-                z = h @ w
-                rows = z.shape[0]
-                sig = np.empty(z.shape if keep else (min(rows, _ELEMENTWISE_ROWS), z.shape[1]))
-                # z += b and sig = 1 / (1 + exp(-z)), op for op, then (plain
-                # forward) z *= sig, a block of rows at a time.
-                for r in range(0, rows, _ELEMENTWISE_ROWS):
-                    zb = z[r : r + _ELEMENTWISE_ROWS]
-                    sb = sig[r : r + _ELEMENTWISE_ROWS] if keep else sig[: zb.shape[0]]
-                    zb += b
-                    np.negative(zb, out=sb)
-                    np.exp(sb, out=sb)
-                    sb += 1.0
-                    np.divide(1.0, sb, out=sb)
-                    if not keep:
-                        zb *= sb
-                if keep:
-                    inputs.append(h)
-                    acts.append((z, sig))
-                    h = z * sig
-                else:
-                    h = z
+                # Blocks of _BLOCK_ROWS rows, the last one taking the
+                # remainder, each writing its rows of the last hidden layer.
+                h = np.empty((n, self.hidden[-1]))
+                starts = range(0, n - _BLOCK_ROWS + 1, _BLOCK_ROWS)
+                blocks = zip(starts, [*starts[1:], n])
+
+                def work(claim) -> None:
+                    while (block := claim()) is not None:
+                        a, b = block
+                        self._hidden(xb[a:b], tb if isinstance(tb, int) else tb[a:b], T, False,
+                                     out=h[a:b])
+
+                parallel.run(work, blocks, min(_worker_count(), _MAX_WORKERS, len(starts)))
+                inputs, acts = [], []
             inputs.append(h)
             out = h @ self.weights[-1]
             out += self.biases[-1]
             return out, inputs, acts
+
+    def _hidden(self, xb: np.ndarray, tb: int | np.ndarray, T: int, keep: bool,
+                out: np.ndarray | None = None):
+        """The last hidden layer's activations over the rows ``xb`` and, when
+        ``keep``, the inputs and (pre-activation, sigmoid) of every hidden
+        layer before it. A plain forward writes the last layer into ``out``
+        when given."""
+        # The (B, d + e) input: scaled state, then the step's embedding
+        # row(s). One step gives a view of one row and (1,) scales, an
+        # array of steps (B, e) rows and (B, 1) scales; either broadcasts
+        # over the batch. The gathered rows are made before the buffer and
+        # dropped right after the copy; in the other order the peak
+        # resident set of a training run was about 5 MB higher (measured
+        # with whole 18,000-row validation forwards), as glibc reuses the
+        # freed blocks differently.
+        d = self.data_dim
+        emb = _embed_table(T, self.embed_dim)[tb]
+        h = np.empty((xb.shape[0], d + self.embed_dim))
+        if self.state_scale is None:
+            h[:, :d] = xb
+        else:
+            np.divide(xb, self.state_scale[tb, None], out=h[:, :d])
+        h[:, d:] = emb
+        del emb
+        inputs, acts = [], []
+        last = len(self.hidden) - 1
+        for layer, (w, b) in enumerate(zip(self.weights[:-1], self.biases[:-1])):
+            z = h @ w if out is None or layer < last else np.matmul(h, w, out=out)
+            rows = z.shape[0]
+            sig = np.empty(z.shape if keep else (min(rows, _ELEMENTWISE_ROWS), z.shape[1]))
+            # z += b and sig = 1 / (1 + exp(-z)), op for op, then (plain
+            # forward) z *= sig, a block of rows at a time.
+            for r in range(0, rows, _ELEMENTWISE_ROWS):
+                zb = z[r : r + _ELEMENTWISE_ROWS]
+                sb = sig[r : r + _ELEMENTWISE_ROWS] if keep else sig[: zb.shape[0]]
+                zb += b
+                np.negative(zb, out=sb)
+                np.exp(sb, out=sb)
+                sb += 1.0
+                np.divide(1.0, sb, out=sb)
+                if not keep:
+                    zb *= sb
+            if keep:
+                inputs.append(h)
+                acts.append((z, sig))
+                h = z * sig
+            else:
+                h = z
+        return h, inputs, acts
 
     def forward(self, x, t, T: int) -> np.ndarray:
         """Predict eps for one state (1-D) or a batch (2-D); deterministic."""

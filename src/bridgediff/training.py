@@ -2,13 +2,15 @@
 
 Per-step randomness is keyed by (seed, "step", step index) rather than by a
 sequential stream, so a run resumed from any checkpoint replays exactly the
-continuation of the uninterrupted run. The loss trace is a pure function of
-(config, dataset bytes, seed).
+continuation of the uninterrupted run, and the loop can prepare the
+batches of many steps in one pass with the same bits. The loss trace is a
+pure function of (config, dataset bytes, seed).
 """
 
 from __future__ import annotations
 
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -31,6 +33,13 @@ from .schedule import BridgeSchedule, build_schedule
 from .seeding import rng_for
 
 METRICS_HEADER = "step,loss,lr,val_loss"
+
+# run_training draws, noises and targets the batches of up to this many
+# steps in one pass, then runs their updates one by one; fewer steps when
+# those arrays would pass about _CHUNK_BYTES, so a large batch x dim keeps
+# the chunk's memory bounded.
+_CHUNK_STEPS = 64
+_CHUNK_BYTES = 1 << 20
 
 
 @dataclass
@@ -126,17 +135,43 @@ def train_step(
     state and its target, and applies one Adam update on the batch-mean
     squared error. In weighted mode the per-pair error is scaled by
     coef_noise at the drawn step, which is then drawn from 1..T-1 (the
-    weight is singular at t = T).
+    weight is singular at t = T). ``run_training`` runs the same two
+    halves, ``_draw`` and ``_noised`` for many steps at once, then
+    ``_update`` step by step.
     """
     if x0.ndim != 2 or x0.shape != y.shape or x0.shape[0] < 1:
         raise ValueError(f"batch arrays must share an (n, dim) shape, got {x0.shape} and {y.shape}")
+    t_idx, eps = _draw(rng, schedule, x0.shape, weighted)
+    x_t, target, weights = _noised(schedule, x0, y, t_idx, eps, weighted)
+    return _update(model, schedule.T, x_t, t_idx, target, weights, adam, lr)
+
+
+def _draw(rng: np.random.Generator, schedule: BridgeSchedule, shape: tuple[int, int],
+          weighted: bool) -> tuple[np.ndarray, np.ndarray]:
+    """A step index per pair, then unit noise of ``shape``, from ``rng``."""
     high = schedule.T if not weighted else schedule.T - 1
-    t_idx = rng.integers(1, high + 1, size=x0.shape[0])
-    eps = rng.standard_normal(x0.shape)
-    x_t = forward_sample(schedule, x0, y, t_idx, eps)
-    target = x_t - x0
+    t_idx = rng.integers(1, high + 1, size=shape[0])
+    return t_idx, rng.standard_normal(shape)
+
+
+def _noised(schedule: BridgeSchedule, x0: np.ndarray, y: np.ndarray, t_idx: np.ndarray,
+            eps: np.ndarray, weighted: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Noisy states, their targets and (weighted mode) per-pair loss weights.
+
+    Row by row, so any stack of batches gives each batch's own rows bit for
+    bit. An overflow here shows as its step's non-finite loss.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        x_t = forward_sample(schedule, x0, y, t_idx, eps)
+        target = x_t - x0
     weights = schedule.coef_noise[t_idx][:, None] if weighted else None
-    loss, grad = model._loss_and_grad(x_t, t_idx, target, schedule.T, sample_weight=weights)
+    return x_t, target, weights
+
+
+def _update(model: NoisePredictor, T: int, x_t: np.ndarray, t_idx: np.ndarray,
+            target: np.ndarray, weights: np.ndarray | None, adam: AdamState, lr: float) -> float:
+    """Loss and gradient on one batch, then one Adam update; returns the loss."""
+    loss, grad = model._loss_and_grad(x_t, t_idx, target, T, sample_weight=weights)
     adam_step(model.flat, grad, adam, lr)
     return loss
 
@@ -251,40 +286,89 @@ def run_training(
     final_path = out_dir / "ckpt_final.bin"
     final_val: float | None = None
 
-    with open(metrics_path, "w", encoding="utf-8", newline="\n") as log:
-        log.write(METRICS_HEADER + "\n")
+    # A resume into the directory of an earlier run keeps that run's rows
+    # up to the checkpoint's step and replaces the rest.
+    if resume_from is not None and metrics_path.exists():
+        os.truncate(metrics_path, _history_bytes(metrics_path, start_step))
+        mode = "a"
+    else:
+        mode = "w"
+    with open(metrics_path, mode, encoding="utf-8", newline="\n") as log:
+        if mode == "w":
+            log.write(METRICS_HEADER + "\n")
         if config.max_steps == 0:
             save_checkpoint(final_path, checkpoint_at(start_step))
             return TrainResult(final_path, metrics_path, start_step, None)
 
-        for step in range(start_step + 1, config.max_steps + 1):
-            rng = rng_for(config.seed, "step", step)
-            rows = rng.integers(0, x0_train.shape[0], size=config.batch_size)
-            try:
-                loss = train_step(
-                    model, schedule, x0_train[rows], y_train[rows], adam,
-                    plateau.current_lr, rng, config.weighted_loss,
-                )
-            except FloatingPointError as exc:
-                raise TrainingDiverged(
-                    f"step {step}: {exc}; lr={plateau.current_lr}, "
-                    f"batch rows={rows[:8].tolist()}..."
-                ) from exc
-            ema_update(ema, model.flat, step)
-
-            val_field = ""
-            if validator is not None and (
-                step % config.validation_interval == 0 or step == config.max_steps
-            ):
-                final_val = validator.loss(model)
-                plateau_lr_step(plateau, final_val)
-                val_field = _format_float(final_val)
-            log.write(
-                f"{step},{_format_float(loss)},{_format_float(plateau.current_lr)},{val_field}\n"
+        batch = config.batch_size
+        # A step's rows, step indices and loss weights, and its noise, pairs,
+        # states and targets: 8 * batch * (3 + 5 * dim) bytes.
+        step_bytes = 8 * batch * (3 + 5 * dataset.dim)
+        chunk_steps = max(1, min(_CHUNK_STEPS, _CHUNK_BYTES // step_bytes))
+        for first in range(start_step + 1, config.max_steps + 1, chunk_steps):
+            # Every step's draws come from its own generator, in the order
+            # train_step makes them, so the chunking does not change them.
+            steps = range(first, min(first + chunk_steps, config.max_steps + 1))
+            rows = np.empty((len(steps), batch), dtype=np.intp)
+            t_idx = np.empty((len(steps), batch), dtype=np.intp)
+            eps = np.empty((len(steps), batch, dataset.dim))
+            for i, step in enumerate(steps):
+                rng = rng_for(config.seed, "step", step)
+                rows[i] = rng.integers(0, x0_train.shape[0], size=batch)
+                t_idx[i], eps[i] = _draw(rng, schedule, (batch, dataset.dim), config.weighted_loss)
+            flat_rows = rows.reshape(-1)
+            x_t, target, weights = _noised(
+                schedule, x0_train[flat_rows], y_train[flat_rows], t_idx.reshape(-1),
+                eps.reshape(-1, dataset.dim), config.weighted_loss,
             )
+            for i, step in enumerate(steps):
+                part = slice(i * batch, (i + 1) * batch)
+                try:
+                    loss = _update(
+                        model, config.T, x_t[part], t_idx[i], target[part],
+                        None if weights is None else weights[part], adam,
+                        plateau.current_lr,
+                    )
+                except FloatingPointError as exc:
+                    raise TrainingDiverged(
+                        f"step {step}: {exc}; lr={plateau.current_lr}, "
+                        f"batch rows={rows[i, :8].tolist()}..."
+                    ) from exc
+                ema_update(ema, model.flat, step)
 
-            if step % config.checkpoint_interval == 0 and step != config.max_steps:
-                save_checkpoint(out_dir / f"ckpt_{step:08d}.bin", checkpoint_at(step))
+                val_field = ""
+                if validator is not None and (
+                    step % config.validation_interval == 0 or step == config.max_steps
+                ):
+                    final_val = validator.loss(model)
+                    plateau_lr_step(plateau, final_val)
+                    val_field = _format_float(final_val)
+                log.write(
+                    f"{step},{_format_float(loss)},{_format_float(plateau.current_lr)},{val_field}\n"
+                )
+
+                if step % config.checkpoint_interval == 0 and step != config.max_steps:
+                    save_checkpoint(out_dir / f"ckpt_{step:08d}.bin", checkpoint_at(step))
 
     save_checkpoint(final_path, checkpoint_at(config.max_steps))
     return TrainResult(final_path, metrics_path, config.max_steps, final_val)
+
+
+def _history_bytes(path: Path, step: int) -> int:
+    """Length of the header and the rows for steps 1..``step`` of an
+    earlier run's metrics log; a log that does not begin with them is a
+    ``ValueError`` naming the file."""
+    with open(path, "rb") as f:
+        lines = f.readlines()
+    kept = lines[: step + 1]
+    if (
+        len(kept) != step + 1
+        or kept[0] != (METRICS_HEADER + "\n").encode()
+        or any(not line.startswith(b"%d," % i) or not line.endswith(b"\n")
+               for i, line in enumerate(kept[1:], start=1))
+    ):
+        raise ValueError(
+            f"cannot resume into {path}: its rows are not steps 1..{step} under the "
+            f"{METRICS_HEADER!r} header"
+        )
+    return sum(map(len, kept))

@@ -1,3 +1,4 @@
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -184,6 +185,70 @@ class TestPersistence:
         path.write_bytes("".join(meta).encode("utf-8") + data_bytes)
         with pytest.raises(ValueError, match=rf"^row {row} of .* has 3 fields, expected 4$"):
             load(path)
+
+    @staticmethod
+    def _with_data(path, edit):
+        # Replace the data section by ``edit`` of it and make the checksum
+        # valid again.
+        blob = path.read_bytes()
+        start = blob.index(b"\nx_0") + 1
+        meta, data_bytes = blob[:start].decode("utf-8"), edit(blob[start:])
+        meta = "".join(f"# crc32={zlib.crc32(data_bytes)}\n" if l.startswith("# crc32=") else l
+                       for l in meta.splitlines(keepends=True))
+        path.write_bytes(meta.encode("utf-8") + data_bytes)
+        return data_bytes
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda b: b + b"1.0,2.0,3.0,4.0\n", "expected 300 rows in {path}, found 301"),
+        (lambda b: b[: b.rindex(b"\n", 0, -1) + 1], "expected 300 rows in {path}, found 299"),
+        (lambda b: b"", "expected 300 rows in {path}, found -1"),
+        (lambda b: b.replace(b"\n", b"\n1.0,", 1), "row 0 of {path} has 5 fields, expected 4"),
+        (lambda b: b.replace(b"\n", b"\nabc", 1), "could not convert string to float: 'abc"),
+    ])
+    def test_messages_with_a_valid_checksum(self, tmp_path, edit, message):
+        path = tmp_path / "pairs.csv"
+        save(gen_two_moons_paired(n=300, noise_sd=0.05, seed=19), path)
+        self._with_data(path, edit)
+        with pytest.raises(ValueError) as info:
+            load(path)
+        assert str(info.value).startswith(message.format(path=path))
+
+    def test_missing_final_newline_loads(self, tmp_path):
+        ds = gen_two_moons_paired(n=300, noise_sd=0.05, seed=19)
+        path = tmp_path / "pairs.csv"
+        save(ds, path)
+        self._with_data(path, lambda b: b[:-1])
+        np.testing.assert_array_equal(load(path).y, ds.y)
+
+    @pytest.mark.parametrize("bad", [b"\xff", "\u00e9".encode("utf-8")])
+    def test_non_ascii_bytes_fail_as_when_decoded_whole(self, tmp_path, bad):
+        # Invalid UTF-8 raises the error of decoding the whole data section,
+        # offset included; valid non-ASCII text fails as an unparsable value.
+        path = tmp_path / "pairs.csv"
+        save(gen_two_moons_paired(n=600, noise_sd=0.05, seed=20), path)
+        data_bytes = self._with_data(path, lambda b: b"\n".join(
+            bad + line if i == 401 else line for i, line in enumerate(b.split(b"\n"))))
+        try:
+            expected = float(data_bytes.decode("utf-8").splitlines()[401].split(",")[0])
+        except (UnicodeDecodeError, ValueError) as exc:
+            expected = exc
+        with pytest.raises(type(expected)) as info:
+            load(path)
+        assert str(info.value) == str(expected)
+
+    def test_load_does_not_hold_the_file(self, tmp_path):
+        # Streaming in blocks: the peak is the arrays plus a block, well
+        # under the file's size (3.7 times the size when the file, its text
+        # and its lines were all held).
+        path = tmp_path / "pairs.csv"
+        save(gen_two_moons_paired(n=20000, noise_sd=0.05, seed=21), path)
+        tracemalloc.start()
+        try:
+            ds = load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < ds.x0.nbytes * 2 + 512 * 1024 < path.stat().st_size
 
     def test_save_is_deterministic(self, tmp_path):
         ds = gen_two_moons_paired(n=20, noise_sd=0.05, seed=16)

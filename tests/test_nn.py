@@ -1,7 +1,15 @@
+import sys
+import threading
+import warnings
+
 import numpy as np
 import pytest
 
+from bridgediff import cli, nn
+from bridgediff.checkpoint import Checkpoint, save_checkpoint
+from bridgediff.data import gen_two_moons_paired, save
 from bridgediff.nn import NoisePredictor, _embed_table, _time_embed_rows, time_embed
+from bridgediff.optim import AdamState, EmaState, PlateauLrState
 from bridgediff.seeding import rng_for
 
 
@@ -332,3 +340,130 @@ class TestStateScale:
         model = NoisePredictor.create(2, (8,), 4, rng_for(22, "i"), state_scale=scale)
         clone = model.copy_with(model.flat)
         np.testing.assert_array_equal(clone.state_scale, scale)
+
+
+def _whole_batch_forward(net, x, t, T):
+    # The plain forward on the whole batch in one pass, each hidden layer's
+    # elementwise ops as plain expressions: the bits the row blocks must give.
+    emb = _embed_table(T, net.embed_dim)[t]
+    state = x if net.state_scale is None else x / net.state_scale[t, None]
+    h = np.empty((x.shape[0], net.data_dim + net.embed_dim))
+    h[:, : net.data_dim] = state
+    h[:, net.data_dim :] = emb
+    for w, b in zip(net.weights[:-1], net.biases[:-1]):
+        z = h @ w + b
+        h = z * (1.0 / (1.0 + np.exp(-z)))
+    return h @ net.weights[-1] + net.biases[-1]
+
+
+class TestBlockedForward:
+    """Forwards over more than 2048 rows run the hidden layers in 1024-row
+    blocks on several workers: the whole batch's bits for any worker count,
+    warnings and failures handled as on one thread."""
+
+    T = 1000
+
+    def net(self, scaled):
+        rng = rng_for(70, "blocked")
+        scale = np.linspace(0.3, 1.4, self.T + 1) if scaled else None
+        net = NoisePredictor.create(2, (96, 96), 48, rng, state_scale=scale)
+        for arr in net.params():
+            arr += 0.1 * rng.standard_normal(arr.shape)
+        return net
+
+    @pytest.mark.parametrize("scaled", [False, True])
+    @pytest.mark.parametrize("rows", [2047, 2048, 2049, 3073, 18000])
+    def test_bitwise_equal_to_whole_batch_for_any_worker_count(self, monkeypatch, rows, scaled):
+        net = self.net(scaled)
+        rng = rng_for(71, "blocked", rows)
+        x = rng.normal(size=(rows, 2))
+        per_row = rng.integers(0, self.T + 1, size=rows)
+        expected = {"scalar": _whole_batch_forward(net, x, 500, self.T),
+                    "per_row": _whole_batch_forward(net, x, per_row, self.T)}
+        for workers in (1, 2, 3, 5):
+            monkeypatch.setattr(nn, "_worker_count", lambda: workers)
+            np.testing.assert_array_equal(net.forward(x, 500, self.T), expected["scalar"])
+            np.testing.assert_array_equal(net.forward(x, per_row, self.T), expected["per_row"])
+
+    @pytest.mark.parametrize("rows,threads", [(2048, 1), (2049, 2), (18000, 4)])
+    def test_blocks_and_workers(self, monkeypatch, rows, threads):
+        # Whole up to 2048 rows; above, blocks of at least 1024 rows, at most
+        # four workers whatever the CPU count.
+        monkeypatch.setattr(nn, "_worker_count", lambda: 64)
+        hidden, seen = NoisePredictor._hidden, []
+
+        def record(self, xb, *args, **kwargs):
+            seen.append((threading.get_ident(), xb.shape[0]))
+            return hidden(self, xb, *args, **kwargs)
+
+        monkeypatch.setattr(NoisePredictor, "_hidden", record)
+        self.net(False).forward(np.zeros((rows, 2)), 1, self.T)
+        sizes = sorted(n for _, n in seen)
+        if rows <= 2048:
+            assert sizes == [rows]
+        else:
+            assert sum(sizes) == rows and len(sizes) == rows // 1024
+            assert sizes[0] == 1024 and sizes[-1] < 2048
+        assert len({ident for ident, _ in seen}) <= min(threads, nn._MAX_WORKERS)
+
+    def test_overflow_in_workers_warns_nowhere(self, monkeypatch):
+        # Every block overflows; the workers run under the caller's silenced
+        # settings, so the only report is the caller's one error.
+        monkeypatch.setattr(nn, "_worker_count", lambda: 3)
+        net = self.net(False)
+        net.weights[0][:2] = 10.0  # the first layer overflows to +-inf
+        x = np.full((5000, 2), 1.7e308)
+        x[::2] *= -1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError, match="from finite parameters"):
+                net.forward(x, 7, self.T)
+
+    def _fail_on_second_block(self, monkeypatch, workers=2):
+        monkeypatch.setattr(nn, "_worker_count", lambda: workers)
+        hidden, lock, calls = NoisePredictor._hidden, threading.Lock(), []
+
+        def fail_second(self, xb, *args, **kwargs):
+            with lock:
+                calls.append(xb.shape[0])
+                second = len(calls) == 2
+            if second:
+                raise MemoryError("Unable to allocate 768. KiB")
+            return hidden(self, xb, *args, **kwargs)
+
+        monkeypatch.setattr(NoisePredictor, "_hidden", fail_second)
+        return calls
+
+    def test_worker_failure_raised_in_caller(self, monkeypatch):
+        calls = self._fail_on_second_block(monkeypatch)
+        before = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with pytest.raises(MemoryError, match="768"):
+                self.net(True).forward(np.zeros((18000, 2)), 3, self.T)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == before
+        assert len(calls) < 17  # the others stop claiming blocks
+
+    def test_worker_out_of_memory_in_sample_exits_two(self, tmp_path, monkeypatch, capsys):
+        # 2,500 chains in one block of the CLI give 2,500-row forwards.
+        pairs = tmp_path / "pairs.csv"
+        save(gen_two_moons_paired(n=500, noise_sd=0.05, seed=72), pairs)
+        net = self.net(True)
+        ckpt = tmp_path / "ckpt.bin"
+        save_checkpoint(ckpt, Checkpoint(
+            T=self.T, s=1.0, step=0, model=net, ema=EmaState.from_params(net.flat),
+            adam=AdamState.for_params(net.flat), plateau=PlateauLrState.create(1e-3),
+        ))
+        monkeypatch.setattr(cli, "SAMPLE_BLOCK", 4096)
+        self._fail_on_second_block(monkeypatch)
+        before = threading.active_count()
+        out = tmp_path / "out"
+        code = cli.main(["sample", "--checkpoint", str(ckpt), "--data", str(pairs), "--n", "500",
+                         "--k", "5", "--steps", "3", "--seed", "1", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: out of memory: Unable to allocate 768. KiB\n"
+        assert list(out.iterdir()) == []
+        assert threading.active_count() == before

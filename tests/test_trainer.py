@@ -1,12 +1,14 @@
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 
-from bridgediff.checkpoint import load_checkpoint
-from bridgediff.data import gen_joint_gaussian
+from bridgediff import training
+from bridgediff.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
+from bridgediff.data import gen_binary_patterns, gen_joint_gaussian
 from bridgediff.nn import NoisePredictor
-from bridgediff.optim import AdamState
+from bridgediff.optim import AdamState, ema_update, plateau_lr_step
 from bridgediff.oracle import JointGaussianSpec
 from bridgediff.sampling import ancestral_sample
 from bridgediff.schedule import build_schedule
@@ -201,6 +203,150 @@ class TestRunTraining:
         violations = sum(1 for a, b in zip(means, means[1:]) if b > a * (1 + 1e-4))
         assert violations <= 1
         assert means[-1] <= means[0]
+
+
+def reference_training(config, dataset, out_dir, resume_from=None):
+    """The training loop one step at a time on the public ``train_step``:
+    the bytes the chunked loop in ``run_training`` must write. The initial
+    state comes from a zero-step run."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    if resume_from is None:
+        init = run_training(dataclasses.replace(config, max_steps=0), dataset,
+                            out_dir.parent / f"{out_dir.name}_init")
+        resume_from = init.checkpoint_path
+    ckpt = load_checkpoint(resume_from)
+    model, ema, adam, plateau = ckpt.model, ckpt.ema, ckpt.adam, ckpt.plateau
+    sch = build_schedule(config.T, config.s)
+    n_val = max(1, int(round(config.val_fraction * dataset.n)))
+    perm = rng_for(config.seed, "split").permutation(dataset.n)
+    x0_train, y_train = dataset.x0[perm[n_val:]], dataset.y[perm[n_val:]]
+    validator = training._Validator(sch, dataset.x0[perm[:n_val]], dataset.y[perm[:n_val]],
+                                    config.seed)
+
+    def checkpoint_at(step):
+        return Checkpoint(T=config.T, s=config.s, step=step, model=model, ema=ema, adam=adam,
+                          plateau=plateau)
+
+    lines = ["step,loss,lr,val_loss"]
+    for step in range(ckpt.step + 1, config.max_steps + 1):
+        rng = rng_for(config.seed, "step", step)
+        rows = rng.integers(0, x0_train.shape[0], size=config.batch_size)
+        loss = train_step(model, sch, x0_train[rows], y_train[rows], adam, plateau.current_lr,
+                          rng, config.weighted_loss)
+        ema_update(ema, model.flat, step)
+        val = ""
+        if step % config.validation_interval == 0 or step == config.max_steps:
+            v = validator.loss(model)
+            plateau_lr_step(plateau, v)
+            val = repr(v)
+        lines.append(f"{step},{loss!r},{plateau.current_lr!r},{val}")
+        if step % config.checkpoint_interval == 0 and step != config.max_steps:
+            save_checkpoint(out_dir / f"ckpt_{step:08d}.bin", checkpoint_at(step))
+    save_checkpoint(out_dir / "ckpt_final.bin", checkpoint_at(config.max_steps))
+    (out_dir / "metrics.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def files_of(directory):
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+class TestChunkedLoop:
+    """``run_training`` prepares the batches of several steps at once; every
+    file it writes must match the one-step-at-a-time reference byte for
+    byte."""
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("chunk", [1, 8, 64])
+    def test_matches_reference_loop(self, gauss_dataset, tmp_path, monkeypatch, weighted, chunk):
+        # 45 steps: not a multiple of the chunk; validation every 5 and a
+        # checkpoint every 7 steps fall inside chunks.
+        monkeypatch.setattr(training, "_CHUNK_STEPS", chunk)
+        config = smoke_config(max_steps=45, validation_interval=5, checkpoint_interval=7,
+                              weighted_loss=weighted)
+        run_training(config, gauss_dataset, tmp_path / "chunked")
+        reference_training(config, gauss_dataset, tmp_path / "reference")
+        assert files_of(tmp_path / "chunked") == files_of(tmp_path / "reference")
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_resume_from_mid_chunk(self, gauss_dataset, tmp_path, monkeypatch, weighted):
+        # Steps 1..8 are one chunk of the first run; the resumed run's
+        # chunks start at step 8.
+        monkeypatch.setattr(training, "_CHUNK_STEPS", 8)
+        config = smoke_config(max_steps=30, validation_interval=4, checkpoint_interval=7,
+                              weighted_loss=weighted)
+        run_training(config, gauss_dataset, tmp_path / "first")
+        start = tmp_path / "first" / "ckpt_00000007.bin"
+        run_training(config, gauss_dataset, tmp_path / "resumed", resume_from=start)
+        reference_training(config, gauss_dataset, tmp_path / "reference", resume_from=start)
+        assert files_of(tmp_path / "resumed") == files_of(tmp_path / "reference")
+        full = files_of(tmp_path / "first")
+        for name, content in files_of(tmp_path / "resumed").items():
+            if name != "metrics.csv":
+                assert content == full[name], name
+
+    @pytest.mark.parametrize("side,batch,steps_per_chunk", [
+        (8, 600, 1),   # one step's arrays pass the byte budget alone
+        (1, 2000, 8),  # the budget, not _CHUNK_STEPS, sets the chunk
+        (1, 20, 64),   # small steps fill a chunk of _CHUNK_STEPS
+    ])
+    def test_chunk_arrays_bounded(self, gauss_dataset, tmp_path, monkeypatch, side, batch,
+                                  steps_per_chunk):
+        ds = (gen_binary_patterns(n=2000, side=side, flip_prob=0.1, seed=73) if side > 1
+              else gauss_dataset)
+        config = smoke_config(max_steps=70, batch_size=batch, validation_interval=30,
+                              checkpoint_interval=40)
+        noised, rows = training._noised, []
+
+        def record(schedule, x0, *args):
+            rows.append(x0.shape[0])
+            return noised(schedule, x0, *args)
+
+        monkeypatch.setattr(training, "_noised", record)
+        run_training(config, ds, tmp_path / "chunked")
+        monkeypatch.undo()
+        assert rows[0] == steps_per_chunk * batch and sum(rows) == 70 * batch
+        # rows, steps and loss weights, and noise, pairs, states and targets
+        assert steps_per_chunk == 1 or rows[0] * 8 * (3 + 5 * ds.dim) <= training._CHUNK_BYTES
+        reference_training(config, ds, tmp_path / "reference")
+        assert files_of(tmp_path / "chunked") == files_of(tmp_path / "reference")
+
+
+class TestResumeInPlace:
+    """A resume into the directory of an earlier run keeps that run's
+    metrics rows up to the checkpoint and replaces the later ones."""
+
+    def test_same_directory_resume_reproduces_uninterrupted_run(self, gauss_dataset, tmp_path):
+        full = run_training(smoke_config(), gauss_dataset, tmp_path / "full")
+        # From the end of a shorter run, and from a checkpoint with later
+        # rows already written.
+        half = run_training(smoke_config(max_steps=20), gauss_dataset, tmp_path / "half")
+        run_training(smoke_config(), gauss_dataset, tmp_path / "half",
+                     resume_from=half.checkpoint_path)
+        again = run_training(smoke_config(), gauss_dataset, tmp_path / "full",
+                             resume_from=tmp_path / "full" / "ckpt_00000020.bin")
+        expected = full.metrics_path.read_bytes()
+        assert (tmp_path / "half" / "metrics.csv").read_bytes() == expected
+        assert again.metrics_path.read_bytes() == expected
+        # The 20-step run wrote its step-20 state as ckpt_final.bin only.
+        full_files = files_of(tmp_path / "full")
+        del full_files["ckpt_00000020.bin"]
+        assert files_of(tmp_path / "half") == full_files
+
+    @pytest.mark.parametrize("edit", [
+        lambda lines: lines[:15],                     # ends before the checkpoint
+        lambda lines: lines[:5] + lines[6:],          # a row missing
+        lambda lines: ["step,loss,lr\n"] + lines[1:],  # another header
+        lambda lines: lines[:20] + [lines[20].rstrip("\n")],  # row 20 cut short
+        lambda lines: [],
+    ])
+    def test_history_not_matching_the_checkpoint_rejected(self, gauss_dataset, tmp_path, edit):
+        half = run_training(smoke_config(max_steps=20), gauss_dataset, tmp_path)
+        lines = half.metrics_path.read_text(encoding="utf-8").splitlines(keepends=True)
+        half.metrics_path.write_text("".join(edit(lines)), encoding="utf-8")
+        before = files_of(tmp_path)
+        with pytest.raises(ValueError, match=f"^cannot resume into {half.metrics_path}: "):
+            run_training(smoke_config(), gauss_dataset, tmp_path, resume_from=half.checkpoint_path)
+        assert files_of(tmp_path) == before
 
 
 class TestDivergence:

@@ -17,7 +17,12 @@ In a temporary directory it
 - runs ``--n 200`` of the same command on ``w1/ckpt_final.bin`` at eta 1
   and 0.5, each with and without ``--trajectories``;
 - runs ``bridgediff eval --k 5`` on the eta 1 samples against ``pairs.csv``
-  and writes the report to ``eval_w1_n200_eta1.csv``.
+  and writes the report to ``eval_w1_n200_eta1.csv``;
+- runs ``--n 500`` of the sample command on ``w1/ckpt_final.bin`` (2,500
+  chains, which the CLI runs 256 at a time);
+- copies ``w0`` to ``w0_resume`` and resumes that copy in place from its
+  ``ckpt_00000200.bin``, so every ``w0_resume`` file should hash as the
+  ``w0`` file of the same name.
 
 Each output line is ``<sha256>  <path>``, sorted by path, for every file
 those steps write. Run it at two commits and diff the outputs: a change
@@ -36,6 +41,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import contextlib
 import hashlib
 import io
+import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -68,9 +74,12 @@ def _sample(root: Path, ckpt: str, out: str, *extra: str) -> None:
 def replay(root: Path) -> None:
     pairs = data.gen_two_moons_paired(40000, 0.05, 880)
     data.save(pairs, root / "pairs.csv")
-    for name, weighted in (("w0", False), ("w1", True)):
-        config = TrainConfig(seed=900, max_steps=500, checkpoint_interval=100,
-                             validation_interval=500, weighted_loss=weighted, **MOONS)
+    configs = {
+        name: TrainConfig(seed=900, max_steps=500, checkpoint_interval=100,
+                          validation_interval=500, weighted_loss=weighted, **MOONS)
+        for name, weighted in (("w0", False), ("w1", True))
+    }
+    for name, config in configs.items():
         run_training(config, pairs, root / name)
     _sample(root, "w0/ckpt_final.bin", "w0_n8", "--n", "8")
     for eta in ("1", "0.5"):
@@ -80,6 +89,10 @@ def replay(root: Path) -> None:
     _run(["eval", "--samples", str(root / "w1_n200_eta1" / "samples.csv"),
           "--reference", str(root / "pairs.csv"), "--k", "5",
           "--out", str(root / "eval_w1_n200_eta1.csv")])
+    _sample(root, "w1/ckpt_final.bin", "w1_n500", "--n", "500")
+    shutil.copytree(root / "w0", root / "w0_resume")
+    run_training(configs["w0"], pairs, root / "w0_resume",
+                 resume_from=root / "w0_resume" / "ckpt_00000200.bin")
 
 
 def main() -> int:
