@@ -1,16 +1,12 @@
 """Pinned-endpoint diffusion for paired translation at desk scale."""
 
-from .schedule import BridgeSchedule, ScheduleEntry, build_schedule, coarse_posterior_var, query
+from .schedule import BridgeSchedule, build_schedule, coarse_posterior_var
 from .process import (
     GaussianParams,
-    forward_marginal,
     forward_sample,
-    forward_transition,
     loss_target,
     posterior,
-    predict_x0,
     reverse_mean,
-    training_loss,
 )
 from .oracle import (
     JointGaussianSpec,
@@ -19,7 +15,7 @@ from .oracle import (
     optimal_eps,
     posterior_grid_bounds,
 )
-from .nn import NoisePredictor, time_embed
+from .nn import NoisePredictor
 from .optim import (
     AdamState,
     EmaState,
@@ -64,7 +60,6 @@ __all__ = [
     "PairedDataset",
     "PlateauLrState",
     "SamplerPlan",
-    "ScheduleEntry",
     "TrainConfig",
     "TrainResult",
     "accelerated_sample",
@@ -76,9 +71,7 @@ __all__ = [
     "ema_update",
     "energy_distance",
     "exact_reverse_chain",
-    "forward_marginal",
     "forward_sample",
-    "forward_transition",
     "gen_binary_patterns",
     "gen_joint_gaussian",
     "gen_two_moons_paired",
@@ -93,16 +86,12 @@ __all__ = [
     "plateau_lr_step",
     "posterior",
     "posterior_grid_bounds",
-    "predict_x0",
-    "query",
     "read_header",
     "reverse_mean",
     "rng_for",
     "run_training",
     "save",
     "save_checkpoint",
-    "time_embed",
     "train_step",
-    "training_loss",
     "write_trajectory_csv",
 ]

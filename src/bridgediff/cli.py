@@ -35,7 +35,7 @@ from .sampling import (
     make_grid,
     write_trajectory_csv,
 )
-from .schedule import build_schedule, query
+from .schedule import build_schedule
 from .training import TrainingDiverged, run_training
 from .seeding import rng_for
 
@@ -281,18 +281,12 @@ def cmd_eval(args) -> int:
 
 def cmd_info(args) -> int:
     schedule = build_schedule(args.T, args.s)
-    lines = ["t,mix,marginal_var,transition_var,posterior_var,coef_state,coef_cond,coef_noise"]
-    for t in range(schedule.T + 1):
-        entry = query(schedule, t)
-        fields = [
-            str(t), _fmt(entry.mix), _fmt(entry.marginal_var),
-            "" if entry.transition_var is None else _fmt(entry.transition_var),
-            "" if entry.posterior_var is None else _fmt(entry.posterior_var),
-            "" if entry.coef_state is None else _fmt(entry.coef_state),
-            "" if entry.coef_cond is None else _fmt(entry.coef_cond),
-            "" if entry.coef_noise is None else _fmt(entry.coef_noise),
-        ]
-        lines.append(",".join(fields))
+    columns = ("mix", "marginal_var", "transition_var", "posterior_var",
+               "coef_state", "coef_cond", "coef_noise")
+    lines = [",".join(("t", *columns))]
+    # A degenerate slot holds NaN in the schedule and prints as an empty field.
+    for t, row in enumerate(zip(*(getattr(schedule, c) for c in columns))):
+        lines.append(",".join((str(t), *("" if math.isnan(v) else _fmt(v) for v in row))))
     table = "\n".join(lines) + "\n"
     if args.out:
         write_text_atomic(Path(args.out), table)

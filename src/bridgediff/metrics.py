@@ -2,10 +2,9 @@
 
 The energy distance sums pair distances in fixed-size tiles, so its memory
 does not depend on the set sizes and a full 40k-row reference works. The
-tiles run on one worker per CPU in the process's affinity mask (``taskset``
-limits them), at most four, each worker holding 1 MiB of tile buffers. The
-tile sums are combined exactly, so the result is the same float for any
-worker count.
+tiles run on the workers ``parallel.run`` picks, each worker holding 1 MiB
+of tile buffers. The tile sums are combined exactly, so the result is the
+same float for any worker count.
 """
 
 from __future__ import annotations
@@ -16,8 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import parallel
-from .parallel import MAX_WORKERS as _MAX_WORKERS
-from .parallel import worker_count as _worker_count
 
 
 def diversity(sets: list[np.ndarray], k: int = 5, sample_sd: bool = False) -> float:
@@ -80,15 +77,12 @@ def _pair_distance_sum(a: np.ndarray, b: np.ndarray) -> float:
     only tiles on or above the diagonal are visited and each one above it
     counts twice: |a_i - a_j| and |a_j - a_i| are the same float.
 
-    The tiles are spread over one worker per CPU, at most ``_MAX_WORKERS``,
-    with ``parallel.run``: the calling thread is among them, each worker
-    claims the next tile from one shared generator and runs under the
-    caller's ``np.errstate`` settings. Each keeps its tile sums as exact partials and the total is
-    ``math.fsum`` of them all, which is the correctly rounded sum of the
-    tile sums: the result does not depend on the worker count or on which
-    worker summed which tile. The first exception a worker raises,
-    ``MemoryError`` included, stops the others claiming tiles and is raised
-    here once every worker has finished.
+    The tiles are spread over workers with ``parallel.run``: each worker
+    claims the next tile from one shared generator. Each keeps its tile
+    sums as exact partials and the total is ``math.fsum`` of them all,
+    which is the correctly rounded sum of the tile sums: the result does
+    not depend on the worker count or on which worker summed which tile.
+    A worker's failure is raised here, as ``parallel.run`` raises it.
     """
     if a.shape[1] == 0:
         return 0.0  # no coordinates: every distance is zero
@@ -125,7 +119,7 @@ def _pair_distance_sum(a: np.ndarray, b: np.ndarray) -> float:
                 nonfinite.append(total)
         return mine + nonfinite
 
-    parts = parallel.run(sum_tiles, tiles, min(_worker_count(), _MAX_WORKERS, n_tiles))
+    parts = parallel.run(sum_tiles, tiles, n_tiles)
     return math.fsum(x for part in parts for x in part)
 
 

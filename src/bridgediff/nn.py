@@ -28,10 +28,10 @@ it every training output.
 
 Row blocks follow a measured rule. A plain forward over more than 2048
 rows runs the input build and the hidden layers in fixed blocks of 1024
-rows (the last block takes the remainder) on up to four workers
-(``parallel``); the hidden matmuls give the same bits on these blocks as
-on the whole batch, and the blocks do not depend on the worker count, so
-neither do the outputs. The output layer stays one matmul over the whole
+rows (the last block takes the remainder) on the workers ``parallel.run``
+picks; the hidden matmuls give the same bits on these blocks as on the
+whole batch, and the blocks do not depend on the worker count, so neither
+do the outputs. The output layer stays one matmul over the whole
 batch: split into row blocks, its (rows, width) @ (width, d) product
 rounds differently. Smaller batches, such as the sampler's and a training
 step's, run whole on the calling thread.
@@ -46,8 +46,6 @@ from functools import lru_cache
 import numpy as np
 
 from . import parallel
-from .parallel import MAX_WORKERS as _MAX_WORKERS
-from .parallel import worker_count as _worker_count
 
 
 # Rows per block of a hidden layer's elementwise ops. On a large batch
@@ -65,33 +63,18 @@ _ELEMENTWISE_ROWS = 256
 _BLOCK_ROWS = 1024
 
 
-def _embed_freqs(half: int) -> np.ndarray:
+@lru_cache(maxsize=16)
+def _embed_table(T: int, dim: int) -> np.ndarray:
+    """Sinusoidal features of every step 0..T, one read-only row per step,
+    sines then cosines; every entry lies in [-1, 1]. Row t is shared by all
+    callers, so nothing may write to it."""
     # Geometric frequency ladder; the slowest component completes less than
     # one revolution over step indices up to ~2*pi*10000^((half-1)/half),
     # which keeps embeddings of distinct steps distinct.
-    return np.exp(-math.log(10000.0) * np.arange(half) / half)
-
-
-def time_embed(t: int, T: int, dim: int) -> np.ndarray:
-    """Sinusoidal features of the step index; every entry lies in [-1, 1]."""
-    if dim % 2 != 0 or dim <= 0:
-        raise ValueError(f"embedding dimension must be positive and even, got {dim}")
-    if not 0 <= t <= T:
-        raise ValueError(f"step index {t} outside 0..{T}")
-    angles = float(t) * _embed_freqs(dim // 2)
-    return np.concatenate([np.sin(angles), np.cos(angles)])
-
-
-def _time_embed_rows(ts: np.ndarray, dim: int) -> np.ndarray:
-    angles = np.asarray(ts, dtype=np.float64)[:, None] * _embed_freqs(dim // 2)[None, :]
-    return np.concatenate([np.sin(angles), np.cos(angles)], axis=1)
-
-
-@lru_cache(maxsize=16)
-def _embed_table(T: int, dim: int) -> np.ndarray:
-    """Read-only embedding rows for every step 0..T; row t is shared by all
-    callers, so nothing may write to it."""
-    table = _time_embed_rows(np.arange(T + 1), dim)
+    half = dim // 2
+    freqs = np.exp(-math.log(10000.0) * np.arange(half) / half)
+    angles = np.arange(T + 1, dtype=np.float64)[:, None] * freqs[None, :]
+    table = np.concatenate([np.sin(angles), np.cos(angles)], axis=1)
     table.flags.writeable = False
     return table
 
@@ -176,10 +159,6 @@ class NoisePredictor:
         model.weights[-1][...] = 0.0
         return model
 
-    @property
-    def n_params(self) -> int:
-        return self.flat.size
-
     def params(self) -> list[np.ndarray]:
         """Trainable arrays [W0, b0, W1, b1, ...], as views into ``flat``."""
         return list(self._params)
@@ -252,7 +231,7 @@ class NoisePredictor:
                         self._hidden(xb[a:b], tb if isinstance(tb, int) else tb[a:b], T, False,
                                      out=h[a:b])
 
-                parallel.run(work, blocks, min(_worker_count(), _MAX_WORKERS, len(starts)))
+                parallel.run(work, blocks, len(starts))
                 inputs, acts = [], []
             inputs.append(h)
             out = h @ self.weights[-1]

@@ -2,8 +2,10 @@
 
 numpy releases the interpreter lock inside its loops and BLAS calls, so
 threads that each run numpy work on their own part of the data use more
-than one core. The calling thread is one of the workers, so a call given
-one worker starts no thread.
+than one core. This module owns the worker policy for the whole package:
+``run`` uses one worker per CPU this process may run on, at most
+``MAX_WORKERS`` and at most one per task. The calling thread is one of the
+workers, so a call with one task, or on one CPU, starts no thread.
 """
 
 from __future__ import annotations
@@ -28,9 +30,11 @@ def worker_count() -> int:
         return os.cpu_count() or 1
 
 
-def run(work: Callable[[Callable[[], Any]], Any], tasks: Iterator, workers: int) -> list:
-    """Call ``work(claim)`` on ``workers`` threads, the calling thread among
-    them, and return what the calls returned, in no fixed order.
+def run(work: Callable[[Callable[[], Any]], Any], tasks: Iterator, n_tasks: int) -> list:
+    """Call ``work(claim)`` on ``min(worker_count(), MAX_WORKERS, n_tasks)``
+    threads, the calling thread among them, and return what the calls
+    returned, in no fixed order. ``n_tasks`` is the number of items
+    ``tasks`` yields.
 
     ``claim()`` hands out the next item of ``tasks``, one worker at a time,
     and None once ``tasks`` is exhausted or a worker has failed. Each worker
@@ -60,6 +64,7 @@ def run(work: Callable[[Callable[[], Any]], Any], tasks: Iterator, workers: int)
         with lock:
             results.append(result)
 
+    workers = min(worker_count(), MAX_WORKERS, n_tasks)
     helpers = [threading.Thread(target=worker) for _ in range(workers - 1)]
     started = []
     try:

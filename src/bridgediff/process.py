@@ -56,21 +56,6 @@ def _check_t(schedule: BridgeSchedule, t: int, lo: int, hi: int) -> int:
     return t
 
 
-def forward_marginal(schedule: BridgeSchedule, x0, y, t: int) -> GaussianParams:
-    """Distribution of the state at step t given both endpoints.
-
-    mean = (1 - mix_t) x0 + mix_t y, var = marginal_var_t. Degenerates to a
-    point mass at x0 for t = 0 and at y for t = T.
-    """
-    s = _check_same_dim(x0=x0, y=y)
-    t = _check_t(schedule, t, 0, schedule.T)
-    m = schedule.mix[t]
-    return GaussianParams(
-        mean=(1.0 - m) * s["x0"] + m * s["y"],
-        var=schedule.marginal_var[t],
-    )
-
-
 def _check_rows(schedule: BridgeSchedule, t, **states) -> tuple[dict[str, np.ndarray], np.ndarray]:
     t = np.asarray(t)
     if not np.issubdtype(t.dtype, np.integer):
@@ -105,20 +90,6 @@ def forward_sample(schedule: BridgeSchedule, x0, y, t, eps) -> np.ndarray:
         m = schedule.mix[t][:, None]
         sd = np.sqrt(schedule.marginal_var[t])[:, None]
     return (1.0 - m) * s["x0"] + m * s["y"] + sd * s["eps"]
-
-
-def forward_transition(schedule: BridgeSchedule, x_prev, y, t: int) -> GaussianParams:
-    """One-step forward kernel: distribution of the state at t given state t-1.
-
-    mean = ratio_t x_prev + (mix_t - ratio_t mix_{t-1}) y with
-    ratio_t = (1 - mix_t)/(1 - mix_{t-1}); var = transition_var_t. At t = T
-    the kernel collapses onto y.
-    """
-    s = _check_same_dim(x_prev=x_prev, y=y)
-    t = _check_t(schedule, t, 1, schedule.T)
-    r = (1.0 - schedule.mix[t]) / (1.0 - schedule.mix[t - 1])
-    mean = r * s["x_prev"] + (schedule.mix[t] - r * schedule.mix[t - 1]) * s["y"]
-    return GaussianParams(mean=mean, var=schedule.transition_var[t])
 
 
 def posterior(schedule: BridgeSchedule, x_t, x0, y, t: int) -> GaussianParams:
@@ -160,12 +131,6 @@ def loss_target(schedule: BridgeSchedule, x0, y, t: int, eps) -> np.ndarray:
     return forward_sample(schedule, x0_arr, y, t, eps) - x0_arr
 
 
-def predict_x0(x_t, eps_pred) -> np.ndarray:
-    """Invert the target identity: reconstruct the data endpoint as x_t - eps."""
-    s = _check_same_dim(x_t=x_t, eps_pred=eps_pred)
-    return s["x_t"] - s["eps_pred"]
-
-
 def reverse_mean(schedule: BridgeSchedule, x_t, y, eps_pred, t: int) -> GaussianParams:
     """Reverse-step distribution parameterized by the predicted noise.
 
@@ -182,17 +147,3 @@ def reverse_mean(schedule: BridgeSchedule, x_t, y, eps_pred, t: int) -> Gaussian
         - schedule.coef_noise[t] * s["eps_pred"]
     )
     return GaussianParams(mean=mean, var=schedule.posterior_var[t])
-
-
-def training_loss(eps_pred, target, weight: float = 1.0) -> float:
-    """Mean squared error over dimensions, optionally scaled by a step weight.
-
-    The default weight 1.0 is the plain simplified objective; callers
-    wanting the variational per-step weighting pass coef_noise_t.
-    """
-    s = _check_same_dim(eps_pred=eps_pred, target=target)
-    weight = float(weight)
-    if not math.isfinite(weight) or weight < 0.0:
-        raise ValueError(f"loss weight must be finite and non-negative, got {weight}")
-    diff = s["eps_pred"] - s["target"]
-    return weight * float(np.mean(diff * diff))

@@ -22,9 +22,11 @@ with
     coef_noise[t] = (1 - mix[t-1]) * transition_var[t]/marginal_var[t]
 
 ``marginal_var[T] = 0`` makes ``posterior_var[T]`` and the ``t = T``
-coefficients singular; those slots hold NaN and are reported as degenerate.
-The sampler leaves ``t = T`` through a special-cased move and never reads
-them.
+coefficients singular. Those slots, and slot 0 of every transition-level
+array (no transition enters ``t = 0``), hold NaN: that is the one way a
+degenerate slot is represented, and ``bridgediff info`` prints it as an
+empty field. The sampler leaves ``t = T`` through a special-cased move and
+never reads them.
 """
 
 from __future__ import annotations
@@ -57,31 +59,12 @@ class BridgeSchedule:
     coef_noise: np.ndarray
 
 
-@dataclass(frozen=True)
-class ScheduleEntry:
-    """One row of the schedule as returned by :func:`query`.
-
-    Transition-level fields are ``None`` when not defined at ``t`` and the
-    ``degenerate`` flag marks both endpoints (t = 0 has no incoming
-    transition; t = T has a deterministic one whose reverse coefficients
-    are singular).
-    """
-
-    t: int
-    mix: float
-    marginal_var: float
-    transition_var: float | None
-    posterior_var: float | None
-    coef_state: float | None
-    coef_cond: float | None
-    coef_noise: float | None
-    degenerate: bool
-
-
 def build_schedule(T: int, s: float) -> BridgeSchedule:
     """Precompute the full schedule for ``T`` steps at variance scale ``s``.
 
-    Requires ``T >= 2`` and finite ``s > 0``.
+    Requires ``T >= 2`` and finite ``s > 0``. An ``s`` so large that a
+    schedule quantity overflows, or so small that the interior variances
+    underflow to 0 and their ratios are 0/0, is a ``ValueError`` naming ``s``.
     """
     if isinstance(T, bool) or not isinstance(T, (int, np.integer)):
         raise TypeError(f"step count must be an integer, got {T!r}")
@@ -92,34 +75,39 @@ def build_schedule(T: int, s: float) -> BridgeSchedule:
     if not math.isfinite(s) or s <= 0.0:
         raise ValueError(f"variance scale must be finite and positive, got s={s}")
 
-    steps = np.arange(T + 1, dtype=np.float64)
-    mix = steps / T
-    marginal_var = 2.0 * s * (mix - mix * mix)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            steps = np.arange(T + 1, dtype=np.float64)
+            mix = steps / T
+            # 2 s as a numpy scalar, so that an overflow there raises too.
+            marginal_var = np.multiply(2.0, s) * (mix - mix * mix)
 
-    # ratio[t-1] corresponds to step t = 1..T; the denominator 1 - mix[t-1]
-    # is positive for every t <= T.
-    ratio = (1.0 - mix[1:]) / (1.0 - mix[:-1])
+            # ratio[t-1] corresponds to step t = 1..T; the denominator 1 - mix[t-1]
+            # is positive for every t <= T.
+            ratio = (1.0 - mix[1:]) / (1.0 - mix[:-1])
 
-    transition_var = np.full(T + 1, np.nan)
-    transition_var[1:] = marginal_var[1:] - marginal_var[:-1] * ratio * ratio
+            transition_var = np.full(T + 1, np.nan)
+            transition_var[1:] = marginal_var[1:] - marginal_var[:-1] * ratio * ratio
 
-    posterior_var = np.full(T + 1, np.nan)
-    coef_state = np.full(T + 1, np.nan)
-    coef_cond = np.full(T + 1, np.nan)
-    coef_noise = np.full(T + 1, np.nan)
+            posterior_var = np.full(T + 1, np.nan)
+            coef_state = np.full(T + 1, np.nan)
+            coef_cond = np.full(T + 1, np.nan)
+            coef_noise = np.full(T + 1, np.nan)
 
-    # Slots 1..T-1 only: marginal_var[T] = 0 is singular in each formula.
-    mv = marginal_var[1:T]
-    mv_prev = marginal_var[0 : T - 1]
-    tv = transition_var[1:T]
-    r = ratio[0 : T - 1]
-    mx = mix[1:T]
-    mx_prev = mix[0 : T - 1]
+            # Slots 1..T-1 only: marginal_var[T] = 0 is singular in each formula.
+            mv = marginal_var[1:T]
+            mv_prev = marginal_var[0 : T - 1]
+            tv = transition_var[1:T]
+            r = ratio[0 : T - 1]
+            mx = mix[1:T]
+            mx_prev = mix[0 : T - 1]
 
-    posterior_var[1:T] = tv * mv_prev / mv
-    coef_state[1:T] = (mv_prev / mv) * r + (tv / mv) * (1.0 - mx_prev)
-    coef_cond[1:T] = mx_prev - mx * r * mv_prev / mv
-    coef_noise[1:T] = (1.0 - mx_prev) * tv / mv
+            posterior_var[1:T] = tv * mv_prev / mv
+            coef_state[1:T] = (mv_prev / mv) * r + (tv / mv) * (1.0 - mx_prev)
+            coef_cond[1:T] = mx_prev - mx * r * mv_prev / mv
+            coef_noise[1:T] = (1.0 - mx_prev) * tv / mv
+    except FloatingPointError:
+        raise ValueError(f"variance scale s={s} gives a non-finite schedule at T={T}") from None
 
     for arr in (mix, marginal_var, transition_var, posterior_var,
                 coef_state, coef_cond, coef_noise):
@@ -135,39 +123,6 @@ def build_schedule(T: int, s: float) -> BridgeSchedule:
         coef_state=coef_state,
         coef_cond=coef_cond,
         coef_noise=coef_noise,
-    )
-
-
-def query(schedule: BridgeSchedule, t: int) -> ScheduleEntry:
-    """Return the precomputed quantities at step ``t`` with degeneracy markers."""
-    if isinstance(t, bool) or not isinstance(t, (int, np.integer)):
-        raise TypeError(f"step index must be an integer, got {t!r}")
-    t = int(t)
-    if not 0 <= t <= schedule.T:
-        raise ValueError(f"step index {t} outside 0..{schedule.T}")
-    if t == 0:
-        return ScheduleEntry(
-            t=0,
-            mix=0.0,
-            marginal_var=0.0,
-            transition_var=None,
-            posterior_var=None,
-            coef_state=None,
-            coef_cond=None,
-            coef_noise=None,
-            degenerate=True,
-        )
-    degenerate = t == schedule.T
-    return ScheduleEntry(
-        t=t,
-        mix=float(schedule.mix[t]),
-        marginal_var=float(schedule.marginal_var[t]),
-        transition_var=float(schedule.transition_var[t]),
-        posterior_var=None if degenerate else float(schedule.posterior_var[t]),
-        coef_state=None if degenerate else float(schedule.coef_state[t]),
-        coef_cond=None if degenerate else float(schedule.coef_cond[t]),
-        coef_noise=None if degenerate else float(schedule.coef_noise[t]),
-        degenerate=degenerate,
     )
 
 

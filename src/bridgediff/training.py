@@ -90,6 +90,7 @@ class TrainConfig:
             v = getattr(self, name)
             if not math.isfinite(v) or v <= 0.0:
                 raise ValueError(f"{name} must be finite and positive, got {v}")
+        build_schedule(self.T, self.s)  # an s that gives a non-finite schedule is a ValueError
         if self.min_lr > self.lr:
             raise ValueError(f"min_lr must not exceed lr, got min_lr={self.min_lr}, lr={self.lr}")
         for name in ("adam_beta1", "adam_beta2", "ema_decay"):
@@ -211,7 +212,9 @@ def run_training(
 
     ``max_steps = 0`` emits the initial checkpoint and an empty metrics log.
     ``resume_from`` restores model/optimizer/EMA/scheduler state and
-    continues the exact step sequence of an uninterrupted run.
+    continues the exact step sequence of an uninterrupted run; a checkpoint
+    past ``max_steps`` is a ``ValueError``, raised before any file is
+    written.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -243,6 +246,11 @@ def run_training(
         if ckpt.model.data_dim != dataset.dim:
             raise ValueError(
                 f"checkpoint dimension {ckpt.model.data_dim} does not match dataset {dataset.dim}"
+            )
+        if config.max_steps < ckpt.step:
+            raise ValueError(
+                f"cannot resume a step-{ckpt.step} checkpoint with max_steps={config.max_steps}: "
+                "the run would end before the checkpoint"
             )
         model, ema, adam, plateau = ckpt.model, ckpt.ema, ckpt.adam, ckpt.plateau
         start_step = ckpt.step

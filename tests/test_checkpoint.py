@@ -77,7 +77,7 @@ class TestStorage:
         vectors = [loaded.model.flat, loaded.ema.shadow, loaded.adam.m, loaded.adam.v]
         for i, a in enumerate(vectors):
             assert a.dtype == np.float64 and a.flags.writeable and a.flags.c_contiguous
-            assert a.shape == (loaded.model.n_params,)
+            assert a.shape == (loaded.model.flat.size,)
             for b in vectors[i + 1 :]:
                 assert not np.shares_memory(a, b)
             for b in (ckpt.model.flat, ckpt.ema.shadow, ckpt.adam.m, ckpt.adam.v):

@@ -158,6 +158,16 @@ class TestTrainCommand:
         assert key in err and err.startswith("error: ") and err.count("\n") == 1
         assert not out_dir.exists()
 
+    def test_overflowing_schedule_exits_two(self, tmp_path, moons_file, capsys):
+        config = write_config(tmp_path, moons_file)
+        out_dir = tmp_path / "run"
+        code = cli.main(["train", "--config", str(config), "--set", "s=1e300",
+                         "--out", str(out_dir)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "error: variance scale s=1e+300 gives a non-finite schedule at T=60\n"
+        assert not out_dir.exists()
+
     def test_generator_key_without_generator_exits_two(self, tmp_path, moons_file, capsys):
         config = write_config(tmp_path, moons_file, gen_n="5")
         out_dir = tmp_path / "run"
@@ -624,6 +634,17 @@ class TestInfoCommand:
         row2 = out[3].split(",")
         assert float(row2[1]) == 0.5
         assert float(row2[2]) == 0.5
-        # degenerate slots print empty at t = T
+        # Degenerate (NaN) slots print empty: fields 3-7 at t = 0, and
+        # fields 4-7 at t = T, whose transition variance prints.
+        first = out[1].split(",")
+        assert first[:3] == ["0", "0.0", "0.0"] and first[3:] == [""] * 5
         last = out[5].split(",")
-        assert last[4] == "" and last[5] == ""
+        assert last[:4] == ["4", "1.0", "0.0", "0.0"] and last[4:] == [""] * 4
+        assert all(field for row in out[2:5] for field in row.split(","))
+
+    def test_overflowing_schedule_exits_two(self, capsys):
+        code = cli.main(["info", "--T", "4", "--s", "1e300"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: variance scale s=1e+300 gives a non-finite schedule at T=4\n"

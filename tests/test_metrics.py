@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from bridgediff import cli, metrics
+from bridgediff import cli, metrics, parallel
 from bridgediff.data import gen_two_moons_paired, save
 from bridgediff.metrics import diversity, energy_distance, moments
 from bridgediff.seeding import rng_for
@@ -142,6 +142,11 @@ class TestTiledPairSums:
         peaks = []
         for m in (3000, 12000):
             b = rng.normal(size=(m, 2))
+            # An untraced call first: whatever a first call leaves allocated
+            # for later ones (which earlier tests may or may not have done)
+            # stays out of the traced peak, so the bounds do not depend on
+            # the test order.
+            energy_distance(a, b)
             tracemalloc.start()
             try:
                 energy_distance(a, b)
@@ -185,7 +190,7 @@ class TestParallelPairSums:
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 5])
     def test_bitwise_equal_for_any_worker_count(self, monkeypatch, workers):
-        monkeypatch.setattr(metrics, "_worker_count", lambda: workers)
+        monkeypatch.setattr(parallel, "worker_count", lambda: workers)
         for n in self.SIZES:
             rng = rng_for(60, "workers", n)
             a = rng.normal(size=(n, 2))
@@ -201,7 +206,7 @@ class TestParallelPairSums:
     def test_many_workers_with_fast_switching(self, monkeypatch):
         # More workers than cores, switching threads every microsecond: a
         # tile claimed twice or a lost partial would change the float.
-        monkeypatch.setattr(metrics, "_worker_count", lambda: 7)
+        monkeypatch.setattr(parallel, "worker_count", lambda: 7)
         rng = rng_for(65, "workers")
         a, b = rng.normal(size=(600, 2)), rng.normal(size=(3000, 2))
         expected = _serial_pair_sum(a, b), _serial_pair_sum(b, b)
@@ -223,7 +228,7 @@ class TestParallelPairSums:
         assert math.fsum(partials) == math.fsum(values)
 
     def test_nonfinite_tile_sum_as_serial(self, monkeypatch):
-        monkeypatch.setattr(metrics, "_worker_count", lambda: 2)
+        monkeypatch.setattr(parallel, "worker_count", lambda: 2)
         a = np.zeros((600, 1))
         a[300, 0] = 1e200  # its squared differences overflow to inf
         with np.errstate(over="ignore"):
@@ -234,7 +239,7 @@ class TestParallelPairSums:
         # Every tile overflows, so the helper's tiles do too: under "ignore"
         # a helper on numpy's default settings would warn, and the warning
         # is an error in this suite.
-        monkeypatch.setattr(metrics, "_worker_count", lambda: 2)
+        monkeypatch.setattr(parallel, "worker_count", lambda: 2)
         a = np.zeros((3000, 1))
         a[::2, 0] = 1e200
         with np.errstate(over=over):
@@ -245,9 +250,9 @@ class TestParallelPairSums:
                     metrics._pair_distance_sum(a, a)
 
     def test_worker_count_capped(self, monkeypatch):
-        # However many CPUs the mask shows, at most ``_MAX_WORKERS`` threads
-        # sum tiles and the memory check holds as on a small machine.
-        monkeypatch.setattr(metrics, "_worker_count", lambda: 64)
+        # However many CPUs the mask shows, at most ``parallel.MAX_WORKERS``
+        # threads sum tiles and the memory check holds as on a small machine.
+        monkeypatch.setattr(parallel, "worker_count", lambda: 64)
         TestTiledPairSums().test_memory_does_not_grow_with_set_size()
         add_exact = metrics._add_exact
         threads = set()
@@ -259,10 +264,10 @@ class TestParallelPairSums:
         monkeypatch.setattr(metrics, "_add_exact", add_and_record)
         a = rng_for(66, "workers").normal(size=(3000, 2))
         metrics._pair_distance_sum(a, a[::-1])
-        assert len(threads) <= metrics._MAX_WORKERS == 4
+        assert len(threads) <= parallel.MAX_WORKERS == 4
 
     def _fail_on_third_tile(self, monkeypatch, workers=2):
-        monkeypatch.setattr(metrics, "_worker_count", lambda: workers)
+        monkeypatch.setattr(parallel, "worker_count", lambda: workers)
         add_exact = metrics._add_exact
         lock = threading.Lock()
         calls = []
@@ -309,7 +314,7 @@ class TestParallelPairSums:
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_no_thread_outlives_the_call(self, monkeypatch, workers):
-        monkeypatch.setattr(metrics, "_worker_count", lambda: workers)
+        monkeypatch.setattr(parallel, "worker_count", lambda: workers)
         a = rng_for(64, "workers").normal(size=(700, 2))
         before = threading.active_count()
         energy_distance(a, a[::-1])

@@ -1,3 +1,4 @@
+import math
 import sys
 import threading
 import warnings
@@ -5,25 +6,33 @@ import warnings
 import numpy as np
 import pytest
 
-from bridgediff import cli, nn
+from bridgediff import cli, parallel
 from bridgediff.checkpoint import Checkpoint, save_checkpoint
 from bridgediff.data import gen_two_moons_paired, save
-from bridgediff.nn import NoisePredictor, _embed_table, _time_embed_rows, time_embed
+from bridgediff.nn import NoisePredictor, _embed_table
 from bridgediff.optim import AdamState, EmaState, PlateauLrState
 from bridgediff.seeding import rng_for
 
 
+def _embed_row(t, dim):
+    """Reference embedding of step t: sines, then cosines, of t times a
+    geometric frequency ladder."""
+    half = dim // 2
+    angles = float(t) * np.exp(-math.log(10000.0) * np.arange(half) / half)
+    return np.concatenate([np.sin(angles), np.cos(angles)])
+
+
 class TestTimeEmbed:
     def test_step_zero(self):
-        emb = time_embed(0, 100, 16)
+        emb = _embed_table(100, 16)[0]
         np.testing.assert_array_equal(emb[:8], np.zeros(8))
         np.testing.assert_array_equal(emb[8:], np.ones(8))
 
     def test_length_and_range(self):
         for dim in (2, 16, 64):
-            emb = time_embed(123, 1000, dim)
-            assert emb.shape == (dim,)
-            assert np.all(np.abs(emb) <= 1.0)
+            table = _embed_table(1000, dim)
+            assert table.shape == (1001, dim)
+            assert np.all(np.abs(table) <= 1.0)
 
     def test_distinct_steps_distinct_embeddings(self):
         # The slowest frequency pair stays within one revolution over
@@ -31,19 +40,11 @@ class TestTimeEmbed:
         # bound the separation of all pairs.
         dim, T = 16, 10**4
         ts = np.arange(T + 1)
-        rows = _time_embed_rows(ts, dim)
+        rows = _embed_table(T, dim)
         angles = ts * np.exp(-np.log(10000.0) * (dim // 2 - 1) / (dim // 2))
         assert angles[-1] < 2 * np.pi
         adjacent_gap = np.max(np.abs(np.diff(rows, axis=0)), axis=1)
         assert np.all(adjacent_gap > 1e-6)
-
-    def test_odd_dim_rejected(self):
-        with pytest.raises(ValueError):
-            time_embed(1, 10, 15)
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            time_embed(11, 10, 8)
 
 
 class TestEmbedTable:
@@ -53,7 +54,7 @@ class TestEmbedTable:
         table = _embed_table(T, dim)
         assert table.shape == (T + 1, dim)
         for t in range(T + 1):
-            np.testing.assert_array_equal(table[t], _time_embed_rows(np.array([float(t)]), dim)[0])
+            np.testing.assert_array_equal(table[t], _embed_row(t, dim))
 
     def test_read_only_and_cached(self):
         table = _embed_table(40, 8)
@@ -88,7 +89,7 @@ class TestNoisePredictor:
 
     def test_param_count(self, model):
         sizes = [(11, 16), (16,), (16, 12), (12,), (12, 3), (3,)]
-        assert model.n_params == sum(int(np.prod(s)) for s in sizes)
+        assert model.flat.size == sum(int(np.prod(s)) for s in sizes)
 
     def test_step_outside_range_rejected(self, model):
         x = np.ones((2, 3))
@@ -220,7 +221,8 @@ class TestFlatStorage:
     def test_views_tile_the_vector_in_storage_order(self, model):
         shapes = [(11, 16), (16,), (16, 12), (12,), (12, 3), (3,)]
         assert [p.shape for p in model.params()] == shapes
-        assert model.flat.shape == (model.n_params,) and model.flat.flags.c_contiguous
+        assert model.flat.shape == (sum(int(np.prod(s)) for s in shapes),)
+        assert model.flat.flags.c_contiguous
         np.testing.assert_array_equal(np.concatenate([p.ravel() for p in model.params()]), model.flat)
         for p in model.params():
             assert np.shares_memory(p, model.flat)
@@ -270,7 +272,7 @@ class TestFlatStorage:
 
     def test_copy_with_rejects_wrong_length(self, model):
         with pytest.raises(ValueError, match="shape"):
-            model.copy_with(np.zeros(model.n_params + 1))
+            model.copy_with(np.zeros(model.flat.size + 1))
 
     def test_constructor_rejects_a_vector_of_the_wrong_size(self):
         with pytest.raises(ValueError, match="contiguous float64 vector"):
@@ -381,7 +383,7 @@ class TestBlockedForward:
         expected = {"scalar": _whole_batch_forward(net, x, 500, self.T),
                     "per_row": _whole_batch_forward(net, x, per_row, self.T)}
         for workers in (1, 2, 3, 5):
-            monkeypatch.setattr(nn, "_worker_count", lambda: workers)
+            monkeypatch.setattr(parallel, "worker_count", lambda: workers)
             np.testing.assert_array_equal(net.forward(x, 500, self.T), expected["scalar"])
             np.testing.assert_array_equal(net.forward(x, per_row, self.T), expected["per_row"])
 
@@ -389,7 +391,7 @@ class TestBlockedForward:
     def test_blocks_and_workers(self, monkeypatch, rows, threads):
         # Whole up to 2048 rows; above, blocks of at least 1024 rows, at most
         # four workers whatever the CPU count.
-        monkeypatch.setattr(nn, "_worker_count", lambda: 64)
+        monkeypatch.setattr(parallel, "worker_count", lambda: 64)
         hidden, seen = NoisePredictor._hidden, []
 
         def record(self, xb, *args, **kwargs):
@@ -404,12 +406,12 @@ class TestBlockedForward:
         else:
             assert sum(sizes) == rows and len(sizes) == rows // 1024
             assert sizes[0] == 1024 and sizes[-1] < 2048
-        assert len({ident for ident, _ in seen}) <= min(threads, nn._MAX_WORKERS)
+        assert len({ident for ident, _ in seen}) <= min(threads, parallel.MAX_WORKERS)
 
     def test_overflow_in_workers_warns_nowhere(self, monkeypatch):
         # Every block overflows; the workers run under the caller's silenced
         # settings, so the only report is the caller's one error.
-        monkeypatch.setattr(nn, "_worker_count", lambda: 3)
+        monkeypatch.setattr(parallel, "worker_count", lambda: 3)
         net = self.net(False)
         net.weights[0][:2] = 10.0  # the first layer overflows to +-inf
         x = np.full((5000, 2), 1.7e308)
@@ -420,7 +422,7 @@ class TestBlockedForward:
                 net.forward(x, 7, self.T)
 
     def _fail_on_second_block(self, monkeypatch, workers=2):
-        monkeypatch.setattr(nn, "_worker_count", lambda: workers)
+        monkeypatch.setattr(parallel, "worker_count", lambda: workers)
         hidden, lock, calls = NoisePredictor._hidden, threading.Lock(), []
 
         def fail_second(self, xb, *args, **kwargs):

@@ -5,16 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bridgediff.nn import NoisePredictor
 from bridgediff.process import (
     GaussianParams,
-    forward_marginal,
     forward_sample,
-    forward_transition,
     loss_target,
     posterior,
-    predict_x0,
     reverse_mean,
-    training_loss,
 )
 from bridgediff.schedule import build_schedule
 from bridgediff.seeding import rng_for
@@ -27,23 +24,39 @@ def t4():
     return build_schedule(4, 1.0)
 
 
+def _marginal(sch, x0, y, t):
+    """Reference mean and variance of the step-t state given both endpoints,
+    read off the schedule arrays."""
+    m = sch.mix[t]
+    return (1.0 - m) * np.asarray(x0) + m * np.asarray(y), sch.marginal_var[t]
+
+
+def _transition(sch, x_prev, y, t):
+    """Reference mean and variance of the one-step kernel t-1 -> t, read off
+    the schedule arrays."""
+    r = (1.0 - sch.mix[t]) / (1.0 - sch.mix[t - 1])
+    return r * x_prev + (sch.mix[t] - r * sch.mix[t - 1]) * y, sch.transition_var[t]
+
+
 class TestForwardMarginal:
+    """The step-t marginal given both endpoints, and forward_sample's draws from it."""
+
     def test_start_is_data(self, t4):
-        g = forward_marginal(t4, 1.25, -3.0, 0)
-        assert g.mean == 1.25 and g.var == 0.0
+        assert _marginal(t4, 1.25, -3.0, 0) == (1.25, 0.0)
+        assert forward_sample(t4, 1.25, -3.0, 0, 0.0) == 1.25
 
     def test_end_is_conditioning(self, t4):
-        g = forward_marginal(t4, 1.25, -3.0, 4)
-        assert g.mean == -3.0 and g.var == 0.0
+        assert _marginal(t4, 1.25, -3.0, 4) == (-3.0, 0.0)
+        assert forward_sample(t4, 1.25, -3.0, 4, 0.0) == -3.0
 
     def test_hand_value(self, t4):
-        g = forward_marginal(t4, 0.0, 2.0, 2)
-        assert g.mean == pytest.approx(1.0, abs=1e-15)
-        assert g.var == pytest.approx(0.5, abs=1e-15)
+        mean, var = _marginal(t4, 0.0, 2.0, 2)
+        assert mean == pytest.approx(1.0, abs=1e-15)
+        assert var == pytest.approx(0.5, abs=1e-15)
 
     def test_dim_mismatch(self, t4):
         with pytest.raises(ValueError):
-            forward_marginal(t4, np.zeros(3), np.zeros(2), 1)
+            forward_sample(t4, np.zeros(3), np.zeros(2), 1, np.zeros(3))
 
 
 class TestForwardSample:
@@ -59,7 +72,7 @@ class TestForwardSample:
         x0, y = np.array([0.3, -1.0]), np.array([2.0, 0.5])
         for t in range(5):
             out = forward_sample(t4, x0, y, t, np.zeros(2))
-            np.testing.assert_array_equal(out, forward_marginal(t4, x0, y, t).mean)
+            np.testing.assert_array_equal(out, _marginal(t4, x0, y, t)[0])
 
     def test_hand_value(self, t4):
         out = forward_sample(t4, 0.0, 2.0, 2, 1.0)
@@ -84,15 +97,17 @@ class TestForwardSample:
 
 
 class TestForwardTransition:
+    """The one-step forward kernel, whose chain must reproduce the marginals."""
+
     def test_end_collapses_to_conditioning(self, t4):
-        g = forward_transition(t4, 0.77, 1.5, 4)
-        assert g.mean == pytest.approx(1.5, abs=1e-15)
-        assert g.var == 0.0
+        mean, var = _transition(t4, 0.77, 1.5, 4)
+        assert mean == pytest.approx(1.5, abs=1e-15)
+        assert var == 0.0
 
     def test_hand_value(self, t4):
-        g = forward_transition(t4, 0.75, 1.0, 2)
-        assert g.mean == pytest.approx(5.0 / 6.0, abs=1e-15)
-        assert g.var == pytest.approx(1.0 / 3.0, abs=1e-15)
+        mean, var = _transition(t4, 0.75, 1.0, 2)
+        assert mean == pytest.approx(5.0 / 6.0, abs=1e-15)
+        assert var == pytest.approx(1.0 / 3.0, abs=1e-15)
 
     @pytest.mark.parametrize("T,s", [(4, 1.0), (10, 0.5), (37, 2.0), (100, 4.0)])
     def test_composition_matches_marginal(self, T, s):
@@ -102,17 +117,12 @@ class TestForwardTransition:
         x0, y = 0.8, -1.3
         mean, var = x0, 0.0
         for t in range(1, T + 1):
-            g = forward_transition(sch, mean, y, t)
+            mean, step_var = _transition(sch, mean, y, t)
             r = (1.0 - sch.mix[t]) / (1.0 - sch.mix[t - 1])
-            mean = float(g.mean)
-            var = r * r * var + g.var
-            ref = forward_marginal(sch, x0, y, t)
-            assert mean == pytest.approx(float(ref.mean), abs=1e-9)
-            assert var == pytest.approx(ref.var, abs=1e-9)
-
-    def test_t_out_of_range(self, t4):
-        with pytest.raises(ValueError):
-            forward_transition(t4, 0.0, 0.0, 0)
+            var = r * r * var + step_var
+            ref_mean, ref_var = _marginal(sch, x0, y, t)
+            assert mean == pytest.approx(float(ref_mean), abs=1e-9)
+            assert var == pytest.approx(ref_var, abs=1e-9)
 
 
 class TestPosterior:
@@ -178,19 +188,17 @@ class TestLossTarget:
 
 
 class TestPredictX0:
+    """The data endpoint is predicted as x_t - eps: the true target inverts to x0."""
+
     def test_true_target_recovers_data(self, t4):
+        # The target inverts to the data endpoint: x0 = x_t - target.
         rng = rng_for(13, "test")
         x0 = rng.normal(size=6)
         y = rng.normal(size=6)
         eps = rng.normal(size=6)
         x_t = forward_sample(t4, x0, y, 2, eps)
         target = loss_target(t4, x0, y, 2, eps)
-        np.testing.assert_array_equal(predict_x0(x_t, target), x_t - target)
-        np.testing.assert_allclose(predict_x0(x_t, target), x0, atol=1e-12)
-
-    def test_zero_prediction_passthrough(self):
-        x = np.array([1.0, 2.0])
-        np.testing.assert_array_equal(predict_x0(x, np.zeros(2)), x)
+        np.testing.assert_allclose(x_t - target, x0, atol=1e-12)
 
 
 class TestReverseMean:
@@ -231,32 +239,49 @@ class TestReverseMean:
 
 
 class TestTrainingLoss:
+    """The simplified objective, mean squared error over the batch with an
+    optional per-row weight, as the one loss training runs computes it."""
+
+    T = 40
+
+    def model(self, dim):
+        net = NoisePredictor.create(dim, (8,), 4, rng_for(15, "init", dim))
+        net.weights[-1][...] = rng_for(15, "out", dim).normal(size=net.weights[-1].shape)
+        return net
+
     def test_perfect_prediction(self):
-        v = np.array([0.1, -0.2, 0.3])
-        assert training_loss(v, v) == 0.0
+        net = self.model(3)
+        x, t = rng_for(16, "x").normal(size=(4, 3)), np.arange(4)
+        loss, _ = net.loss_and_grads(x, t, net.forward(x, t, self.T), self.T)
+        assert loss == 0.0
 
     def test_scalar_case(self):
-        assert training_loss(2.0, 1.0) == 1.0
+        net = self.model(1)
+        pred = net.forward(np.array([0.5]), 3, self.T)
+        loss, _ = net.loss_and_grads(np.array([0.5]), 3, pred + 1.0, self.T)
+        assert loss == pytest.approx(1.0, abs=1e-15)
 
     def test_matches_naive_sum(self):
+        net = self.model(1)
         rng = rng_for(15, "test")
-        a = rng.normal(size=257)
-        b = rng.normal(size=257)
-        naive = math.fsum((float(x) - float(y)) ** 2 for x, y in zip(a, b)) / 257
-        assert training_loss(a, b) == pytest.approx(naive, abs=1e-12)
+        x, t = rng.normal(size=(257, 1)), rng.integers(0, self.T + 1, size=257)
+        target = rng.normal(size=(257, 1))
+        pred = net.forward(x, t, self.T)
+        naive = math.fsum((float(p) - float(q)) ** 2 for p, q in zip(pred[:, 0], target[:, 0])) / 257
+        loss, _ = net.loss_and_grads(x, t, target, self.T)
+        assert loss == pytest.approx(naive, abs=1e-12)
 
     def test_weight_scales(self):
-        a = np.array([2.0, 0.0])
-        b = np.array([0.0, 0.0])
-        assert training_loss(a, b, weight=0.5) == pytest.approx(1.0)
-
-    def test_bad_weight(self):
-        with pytest.raises(ValueError):
-            training_loss(np.zeros(2), np.zeros(2), weight=-1.0)
+        net = self.model(2)
+        x, t = np.zeros((1, 2)), np.array([5])
+        target = net.forward(x, t, self.T) + np.array([[2.0, 0.0]])
+        loss, _ = net.loss_and_grads(x, t, target, self.T, sample_weight=np.array([[0.5]]))
+        assert loss == pytest.approx(1.0)
 
     def test_dim_mismatch(self):
+        net = self.model(2)
         with pytest.raises(ValueError):
-            training_loss(np.zeros(2), np.zeros(3))
+            net.loss_and_grads(np.zeros((1, 2)), np.array([1]), np.zeros((1, 3)), self.T)
 
 
 class TestGaussianParams:

@@ -1,11 +1,13 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bridgediff.schedule import build_schedule, coarse_posterior_var, query
+from bridgediff.schedule import build_schedule, coarse_posterior_var
 
 
 @pytest.fixture(scope="module")
@@ -76,39 +78,21 @@ def test_invariants_random(T, s):
 
 class TestDegenerate:
     def test_nan_slots(self, t4):
+        # t = 0 has no incoming transition: every transition-level slot is
+        # NaN. t = T has a deterministic one: its variance is 0 and only the
+        # reverse-step slots are NaN. No other slot is NaN.
+        assert t4.mix[0] == 0.0 and t4.marginal_var[0] == 0.0
+        for arr in (t4.transition_var, t4.posterior_var, t4.coef_state, t4.coef_cond,
+                    t4.coef_noise):
+            assert np.isnan(arr[0])
+        assert t4.mix[4] == 1.0 and t4.marginal_var[4] == 0.0 and t4.transition_var[4] == 0.0
         assert np.isnan(t4.posterior_var[4])
         assert np.isnan(t4.coef_state[4])
         assert np.isnan(t4.coef_cond[4])
         assert np.isnan(t4.coef_noise[4])
-        assert np.isnan(t4.transition_var[0])
-
-    def test_query_start(self, t4):
-        entry = query(t4, 0)
-        assert entry.mix == 0.0 and entry.marginal_var == 0.0
-        assert entry.transition_var is None and entry.coef_state is None
-        assert entry.degenerate
-
-    def test_query_end(self, t4):
-        entry = query(t4, 4)
-        assert entry.mix == 1.0 and entry.marginal_var == 0.0
-        assert entry.transition_var == 0.0
-        assert entry.posterior_var is None and entry.coef_noise is None
-        assert entry.degenerate
-
-    def test_query_interior(self, t4):
-        entry = query(t4, 2)
-        assert not entry.degenerate
-        assert entry.coef_state == pytest.approx(1.0)
-        assert entry.coef_cond == pytest.approx(0.0)
-        assert entry.coef_noise == pytest.approx(0.5)
-
-    def test_query_out_of_range(self, t4):
-        with pytest.raises(ValueError):
-            query(t4, 5)
-        with pytest.raises(ValueError):
-            query(t4, -1)
-        with pytest.raises(TypeError):
-            query(t4, 1.5)
+        for arr in (t4.mix, t4.marginal_var, t4.transition_var[1:], t4.posterior_var[1:4],
+                    t4.coef_state[1:4], t4.coef_cond[1:4], t4.coef_noise[1:4]):
+            assert not np.isnan(arr).any()
 
 
 class TestBuildValidation:
@@ -125,6 +109,21 @@ class TestBuildValidation:
     def test_bad_s(self, s):
         with pytest.raises(ValueError):
             build_schedule(10, s)
+
+    @pytest.mark.parametrize("s", [1e300, 1.7e308, 5e-324])
+    def test_s_giving_a_non_finite_schedule(self, s):
+        # Too large, a variance overflows; too small, the interior variances
+        # underflow to 0 and the reverse coefficients are 0/0.
+        with pytest.raises(ValueError, match=re.escape(f"s={s!r} gives a non-finite schedule")):
+            build_schedule(4, s)
+
+    def test_large_s_that_fits(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sch = build_schedule(4, 1e150)
+        for arr in (sch.marginal_var, sch.transition_var[1:], sch.posterior_var[1:4],
+                    sch.coef_state[1:4], sch.coef_cond[1:4], sch.coef_noise[1:4]):
+            assert np.isfinite(arr).all()
 
     def test_arrays_read_only(self, t4):
         with pytest.raises(ValueError):

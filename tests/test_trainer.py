@@ -332,6 +332,21 @@ class TestResumeInPlace:
         del full_files["ckpt_00000020.bin"]
         assert files_of(tmp_path / "half") == full_files
 
+    def test_checkpoint_past_max_steps_rejected(self, gauss_dataset, tmp_path):
+        half = run_training(smoke_config(max_steps=20), gauss_dataset, tmp_path)
+        before = files_of(tmp_path)
+        with pytest.raises(ValueError, match="step-20 checkpoint with max_steps=10"):
+            run_training(smoke_config(max_steps=10), gauss_dataset, tmp_path,
+                         resume_from=half.checkpoint_path)
+        assert files_of(tmp_path) == before
+
+    def test_resume_at_max_steps_rewrites_the_same_files(self, gauss_dataset, tmp_path):
+        half = run_training(smoke_config(max_steps=20), gauss_dataset, tmp_path)
+        before = files_of(tmp_path)
+        run_training(smoke_config(max_steps=20), gauss_dataset, tmp_path,
+                     resume_from=half.checkpoint_path)
+        assert files_of(tmp_path) == before
+
     @pytest.mark.parametrize("edit", [
         lambda lines: lines[:15],                     # ends before the checkpoint
         lambda lines: lines[:5] + lines[6:],          # a row missing
@@ -386,6 +401,10 @@ class TestTrainConfigValidation:
     def test_out_of_range_value_names_its_key(self, key, value):
         with pytest.raises(ValueError, match=f"^{key} must"):
             TrainConfig(**{"seed": 1, key: value})
+
+    def test_overflowing_schedule_rejected(self):
+        with pytest.raises(ValueError, match=r"s=1e\+300 gives a non-finite schedule"):
+            TrainConfig(seed=1, T=50, s=1e300)
 
     def test_seed_mandatory(self):
         with pytest.raises(TypeError):

@@ -22,7 +22,9 @@ In a temporary directory it
   chains, which the CLI runs 256 at a time);
 - copies ``w0`` to ``w0_resume`` and resumes that copy in place from its
   ``ckpt_00000200.bin``, so every ``w0_resume`` file should hash as the
-  ``w0`` file of the same name.
+  ``w0`` file of the same name;
+- writes the schedule tables of ``bridgediff info`` at (T, s) = (1000, 1)
+  and (37, 4), and the report of ``bridgediff verify``.
 
 Each output line is ``<sha256>  <path>``, sorted by path, for every file
 those steps write. Run it at two commits and diff the outputs: a change
@@ -93,6 +95,9 @@ def replay(root: Path) -> None:
     shutil.copytree(root / "w0", root / "w0_resume")
     run_training(configs["w0"], pairs, root / "w0_resume",
                  resume_from=root / "w0_resume" / "ckpt_00000200.bin")
+    _run(["info", "--T", "1000", "--s", "1.0", "--out", str(root / "info_T1000_s1.csv")])
+    _run(["info", "--T", "37", "--s", "4.0", "--out", str(root / "info_T37_s4.csv")])
+    _run(["verify", "--report", str(root / "verify_report.txt")])
 
 
 def main() -> int:
