@@ -8,9 +8,10 @@ Layout:
     then          raw array payload
 
 The header records the schedule (T, s), architecture sizes, training step,
-optimizer / EMA / LR-scheduler scalars, and an ordered list of array
-records ``{"name": ..., "shape": [...]}``; the payload is those arrays'
-float64 data, C-order, little-endian, concatenated in header order.
+one section of scalar fields per optimizer state (``adam``, ``ema``,
+``plateau``), and an ordered list of array records ``{"name": ...,
+"shape": [...]}``; the payload is those arrays' float64 data, C-order,
+little-endian, concatenated in header order.
 Writing the same state twice produces identical bytes, and a load/save
 round trip is lossless.
 
@@ -29,7 +30,8 @@ from __future__ import annotations
 import json
 import os
 import struct
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -59,18 +61,34 @@ class Checkpoint:
         return self.model.copy_with(self.ema.shadow)
 
 
-def _array_records(model, ema, adam):
-    records = []
-    vectors = {"param": model.flat, "ema": ema.shadow, "adam_m": adam.m, "adam_v": adam.v}
-    for prefix, vec in vectors.items():
-        records += [(f"{prefix}.{i}", arr) for i, arr in enumerate(model.split(vec))]
-    if model.state_scale is not None:
-        records.append(("state_scale.0", model.state_scale))
+# The per-layer record groups of the payload, in order: record prefix ->
+# (Checkpoint attribute, vector field, whether its values must be finite).
+_GROUPS = {"param": ("model", "flat", True), "ema": ("ema", "shadow", True),
+           "adam_m": ("adam", "m", False), "adam_v": ("adam", "v", False)}
+
+
+def _scalar_fields(cls) -> dict[str, type]:
+    """Name and type of each field of ``cls`` that is not a vector."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls) if hints[f.name] is not np.ndarray}
+
+
+# Header section (and Checkpoint attribute) -> the optimizer state kept there
+# and the name and type of each of its scalar fields.
+_STATES = {key: (cls, _scalar_fields(cls))
+           for key, cls in (("adam", AdamState), ("ema", EmaState), ("plateau", PlateauLrState))}
+
+
+def _array_records(ckpt: Checkpoint):
+    records = [(f"{prefix}.{i}", arr) for prefix, (owner, vec, _) in _GROUPS.items()
+               for i, arr in enumerate(ckpt.model.split(getattr(getattr(ckpt, owner), vec)))]
+    if ckpt.model.state_scale is not None:
+        records.append(("state_scale.0", ckpt.model.state_scale))
     return records
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
-    records = _array_records(ckpt.model, ckpt.ema, ckpt.adam)
+    records = _array_records(ckpt)
     header = {
         "version": VERSION,
         "T": int(ckpt.T),
@@ -82,31 +100,10 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
             "hidden": list(ckpt.model.hidden),
             "activation": "silu",
         },
-        "adam": {
-            "beta1": ckpt.adam.beta1,
-            "beta2": ckpt.adam.beta2,
-            "eps": ckpt.adam.eps,
-            "step": ckpt.adam.step,
-        },
-        "ema": {
-            "decay": ckpt.ema.decay,
-            "start_step": ckpt.ema.start_step,
-            "update_interval": ckpt.ema.update_interval,
-        },
-        "plateau": {
-            "current_lr": ckpt.plateau.current_lr,
-            "max_lr": ckpt.plateau.max_lr,
-            "min_lr": ckpt.plateau.min_lr,
-            "factor": ckpt.plateau.factor,
-            "patience": ckpt.plateau.patience,
-            "cooldown": ckpt.plateau.cooldown,
-            "threshold": ckpt.plateau.threshold,
-            "best_metric": ckpt.plateau.best_metric,
-            "bad_count": ckpt.plateau.bad_count,
-            "cooldown_count": ckpt.plateau.cooldown_count,
-        },
         "arrays": [{"name": name, "shape": list(arr.shape)} for name, arr in records],
     }
+    for key, (_, scalars) in _STATES.items():
+        header[key] = {name: getattr(getattr(ckpt, key), name) for name in scalars}
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     path = Path(path)
     tmp = temp_beside(path)
@@ -140,13 +137,14 @@ def load_checkpoint(path) -> Checkpoint:
         return _from_header(header, blob, start + header_len, path)
     except KeyError as exc:
         raise ValueError(f"checkpoint header in {path} lacks key {exc}") from exc
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"bad checkpoint header in {path}: {exc}") from exc
 
 
 def _check_arrays(arrays: dict[str, np.ndarray], shapes: list[tuple[int, ...]], T: int, path) -> None:
     """The payload must be exactly the arrays of the declared architecture,
     with finite model and EMA weights and a finite, positive state scale."""
-    expected = {f"{prefix}.{i}": shape for prefix in ("param", "ema", "adam_m", "adam_v")
-                for i, shape in enumerate(shapes)}
+    expected = {f"{prefix}.{i}": shape for prefix in _GROUPS for i, shape in enumerate(shapes)}
     if "state_scale.0" in arrays:
         expected["state_scale.0"] = (T + 1,)
     if arrays.keys() != expected.keys():
@@ -162,7 +160,9 @@ def _check_arrays(arrays: dict[str, np.ndarray], shapes: list[tuple[int, ...]], 
                 f"checkpoint array {name} in {path} has shape {arrays[name].shape}, "
                 f"the declared architecture needs {shape}"
             )
-        if name.split(".")[0] in ("param", "ema", "state_scale") and not np.all(np.isfinite(arrays[name])):
+        prefix = name.split(".")[0]
+        finite = prefix == "state_scale" or _GROUPS[prefix][2]
+        if finite and not np.all(np.isfinite(arrays[name])):
             raise ValueError(f"checkpoint array {name} in {path} holds non-finite values")
     if "state_scale.0" in arrays and np.any(arrays["state_scale.0"] <= 0):
         raise ValueError(f"checkpoint array state_scale.0 in {path} holds non-positive scales")
@@ -198,55 +198,25 @@ def _from_header(header: dict, blob: bytes, offset: int, path) -> Checkpoint:
     shapes = layer_shapes(data_dim, embed_dim, hidden)
     _check_arrays(arrays, shapes, T, path)
 
-    def vector(prefix: str) -> np.ndarray:
-        """One new native float64 vector from the records in storage order."""
-        return np.concatenate(
+    # One new native float64 vector per group, keyed by owner and field.
+    vectors: dict[str, dict[str, np.ndarray]] = {}
+    for prefix, (owner, vec, _) in _GROUPS.items():
+        vectors.setdefault(owner, {})[vec] = np.concatenate(
             [arrays[f"{prefix}.{i}"].ravel() for i in range(len(shapes))], dtype=np.float64
         )
-
     scale = arrays.get("state_scale.0")
-    model = NoisePredictor(
-        data_dim=data_dim,
-        embed_dim=embed_dim,
-        hidden=hidden,
-        flat=vector("param"),
-        state_scale=None if scale is None else np.array(scale, dtype=np.float64),
-    )
-    eh = header["ema"]
-    ema = EmaState(
-        shadow=vector("ema"),
-        decay=float(eh["decay"]),
-        start_step=int(eh["start_step"]),
-        update_interval=int(eh["update_interval"]),
-    )
-    ah = header["adam"]
-    adam = AdamState(
-        m=vector("adam_m"),
-        v=vector("adam_v"),
-        step=int(ah["step"]),
-        beta1=float(ah["beta1"]),
-        beta2=float(ah["beta2"]),
-        eps=float(ah["eps"]),
-    )
-    ph = header["plateau"]
-    plateau = PlateauLrState(
-        current_lr=float(ph["current_lr"]),
-        max_lr=float(ph["max_lr"]),
-        min_lr=float(ph["min_lr"]),
-        factor=float(ph["factor"]),
-        patience=int(ph["patience"]),
-        cooldown=int(ph["cooldown"]),
-        threshold=float(ph["threshold"]),
-        best_metric=float(ph["best_metric"]),
-        bad_count=int(ph["bad_count"]),
-        cooldown_count=int(ph["cooldown_count"]),
-    )
-    return Checkpoint(
-        T=T,
-        s=float(header["s"]),
-        step=int(header["step"]),
-        model=model,
-        ema=ema,
-        adam=adam,
-        plateau=plateau,
-    )
+    model = NoisePredictor(data_dim, embed_dim, hidden, **vectors["model"],
+                           state_scale=None if scale is None else np.array(scale, dtype=np.float64))
+    states = {key: _restore(header, key, vectors.get(key, {}), path) for key in _STATES}
+    return Checkpoint(T=T, s=float(header["s"]), step=int(header["step"]), model=model, **states)
+
+
+def _restore(header: dict, key: str, vectors: dict[str, np.ndarray], path):
+    """The state of section ``key`` from its vectors and the section's
+    scalars, each converted to its field's type. A bad value is a
+    ``ValueError`` naming the file; a missing one is a ``KeyError``."""
+    (cls, scalars), section = _STATES[key], header[key]
+    try:
+        return cls(**vectors, **{name: kind(section[name]) for name, kind in scalars.items()})
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"bad {key} value in the checkpoint header of {path}: {exc}") from exc

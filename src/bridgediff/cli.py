@@ -251,14 +251,16 @@ def cmd_eval(args) -> int:
             f"dimension mismatch: samples {samples.shape[1]}, reference {reference.dim}"
         )
 
-    groups = []
-    for uid in np.unique(y_idx):
-        group = samples[y_idx == uid]
-        if group.shape[0] != args.k:
-            raise UsageError(
-                f"conditioning input {uid} has {group.shape[0]} samples, expected k={args.k}"
-            )
-        groups.append(group)
+    # Each input's rows in file order, inputs in ascending order: a stable
+    # sort by y_index, cut where the index changes.
+    order = np.argsort(y_idx, kind="stable")
+    uids, starts, counts = np.unique(y_idx[order], return_index=True, return_counts=True)
+    bad = np.flatnonzero(counts != args.k)
+    if bad.size:
+        raise UsageError(
+            f"conditioning input {uids[bad[0]]} has {counts[bad[0]]} samples, expected k={args.k}"
+        )
+    groups = np.split(samples[order], starts[1:])
     try:
         div = diversity(groups, k=args.k)
         ed = energy_distance(samples, reference.x0)

@@ -13,9 +13,11 @@ import math
 import zlib
 from dataclasses import dataclass, field
 from itertools import islice, repeat
+from pathlib import Path
 
 import numpy as np
 
+from .fileio import write_text_atomic
 from .oracle import JointGaussianSpec
 from .seeding import rng_for
 
@@ -157,14 +159,16 @@ def _format_value(v) -> str:
 
 
 def save(dataset: PairedDataset, path) -> None:
-    """Write the dataset; the round trip through load() is bit-exact."""
+    """Write the dataset; the round trip through load() is bit-exact. The
+    file is written beside ``path`` and moved into place once complete, so
+    a failed write leaves any earlier file at ``path`` as it was."""
     d = dataset.dim
     columns = [f"x_{i}" for i in range(d)] + [f"y_{i}" for i in range(d)]
     lines = [",".join(columns)]
     for i in range(dataset.n):
         row = [repr(float(v)) for v in dataset.x0[i]] + [repr(float(v)) for v in dataset.y[i]]
         lines.append(",".join(row))
-    data_bytes = ("\n".join(lines) + "\n").encode("utf-8")
+    data_text = "\n".join(lines) + "\n"
 
     meta = [
         f"# format={FORMAT_NAME}",
@@ -177,11 +181,9 @@ def save(dataset: PairedDataset, path) -> None:
         f"# seed={dataset.seed}",
         f"# n={dataset.n}",
         f"# dim={dataset.dim}",
-        f"# crc32={zlib.crc32(data_bytes)}",
+        f"# crc32={zlib.crc32(data_text.encode('utf-8'))}",
     ]
-    with open(path, "wb") as f:
-        f.write(("\n".join(meta) + "\n").encode("utf-8"))
-        f.write(data_bytes)
+    write_text_atomic(Path(path), "\n".join(meta) + "\n", data_text)
 
 
 def read_header(path) -> dict:

@@ -17,17 +17,15 @@ import numpy as np
 from . import parallel
 
 
-def diversity(sets: list[np.ndarray], k: int = 5, sample_sd: bool = False) -> float:
+def diversity(sets: list[np.ndarray], k: int = 5) -> float:
     """Average per-dimension spread across k samples of the same input.
 
     For each conditioning input: the standard deviation of its k samples,
     per dimension, averaged over dimensions; then averaged over inputs.
-    Population form (divisor k) by default; ``sample_sd`` switches to the
-    k-1 divisor. Reported in raw data units.
+    Population form (divisor k). Reported in raw data units.
     """
     if not sets:
         raise ValueError("need at least one sample set")
-    ddof = 1 if sample_sd else 0
     per_input = []
     dim = None
     for i, arr in enumerate(sets):
@@ -38,7 +36,7 @@ def diversity(sets: list[np.ndarray], k: int = 5, sample_sd: bool = False) -> fl
             dim = arr.shape[1]
         elif arr.shape[1] != dim:
             raise ValueError(f"set {i} has dimension {arr.shape[1]}, expected {dim}")
-        per_input.append(float(np.mean(np.std(arr, axis=0, ddof=ddof))))
+        per_input.append(float(np.mean(np.std(arr, axis=0))))
     return float(np.mean(per_input))
 
 
@@ -146,12 +144,11 @@ def energy_distance(a, b) -> float:
 
 @dataclass(frozen=True)
 class Moments:
-    """Per-dimension sample mean and unbiased variance; ``var_defined`` is
-    False for a single sample, where the variance is reported as zero."""
+    """Per-dimension sample mean and unbiased variance; a single sample
+    reports a variance of zero."""
 
     mean: np.ndarray
     var: np.ndarray
-    var_defined: bool
 
 
 def moments(samples) -> Moments:
@@ -160,5 +157,5 @@ def moments(samples) -> Moments:
         raise ValueError("need at least one sample")
     mean = arr.mean(axis=0)
     if arr.shape[0] == 1:
-        return Moments(mean=mean, var=np.zeros_like(mean), var_defined=False)
-    return Moments(mean=mean, var=arr.var(axis=0, ddof=1), var_defined=True)
+        return Moments(mean=mean, var=np.zeros_like(mean))
+    return Moments(mean=mean, var=arr.var(axis=0, ddof=1))

@@ -8,6 +8,9 @@ and shadow vectors of that length. Both are elementwise, so one pass over
 the vector gives the same bits as one pass per layer. Their in-place
 ufunc calls spell out a fixed sequence of float operations, which keeps
 training runs replayable byte for byte; regroup none of them.
+
+Each state dataclass checks its hyperparameters' ranges on construction,
+so a fresh run's factory and a checkpoint restore pass the same checks.
 """
 
 from __future__ import annotations
@@ -30,6 +33,11 @@ class AdamState:
     eps: float = 1e-8
 
     def __post_init__(self):
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"Adam {name} must lie in [0, 1), got {getattr(self, name)}")
+        if not (math.isfinite(self.eps) and self.eps > 0.0):
+            raise ValueError(f"Adam eps must be finite and positive, got {self.eps}")
         # Scratch for adam_step, so an update allocates nothing.
         self._a = np.empty_like(self.m)
         self._b = np.empty_like(self.m)
@@ -96,15 +104,17 @@ class EmaState:
     start_step: int = 0
     update_interval: int = 16
 
+    def __post_init__(self):
+        if not 0.0 <= self.decay < 1.0:
+            raise ValueError(f"EMA decay must lie in [0, 1), got {self.decay}")
+        if self.update_interval < 1:
+            raise ValueError(f"EMA update interval must be >= 1, got {self.update_interval}")
+
     @classmethod
     def from_params(
         cls, params: np.ndarray, decay: float = 0.995,
         start_step: int = 0, update_interval: int = 16,
     ) -> "EmaState":
-        if not 0.0 <= decay < 1.0:
-            raise ValueError(f"EMA decay must lie in [0, 1), got {decay}")
-        if update_interval < 1:
-            raise ValueError(f"EMA update interval must be >= 1, got {update_interval}")
         return cls(
             shadow=np.array(params, dtype=np.float64),
             decay=float(decay),
@@ -141,15 +151,22 @@ class PlateauLrState:
     bad_count: int = 0
     cooldown_count: int = 0
 
+    def __post_init__(self):
+        if not 0.0 < self.factor < 1.0:
+            raise ValueError(f"factor must lie in (0, 1), got {self.factor}")
+        if not 0.0 < self.min_lr <= self.current_lr <= self.max_lr < math.inf:
+            raise ValueError(
+                "plateau rates must satisfy 0 < min_lr <= current_lr <= max_lr < inf, got "
+                f"min_lr={self.min_lr}, current_lr={self.current_lr}, max_lr={self.max_lr}"
+            )
+        if not (math.isfinite(self.threshold) and self.threshold >= 0.0):
+            raise ValueError(f"plateau threshold must be finite and >= 0, got {self.threshold}")
+
     @classmethod
     def create(
         cls, max_lr: float, min_lr: float = 5.0e-7, factor: float = 0.5,
         patience: int = 3000, cooldown: int = 2000, threshold: float = 1.0e-4,
     ) -> "PlateauLrState":
-        if not 0.0 < factor < 1.0:
-            raise ValueError(f"factor must lie in (0, 1), got {factor}")
-        if min_lr > max_lr:
-            raise ValueError(f"min_lr {min_lr} exceeds max_lr {max_lr}")
         return cls(
             current_lr=float(max_lr),
             max_lr=float(max_lr),

@@ -63,8 +63,9 @@ def build_schedule(T: int, s: float) -> BridgeSchedule:
     """Precompute the full schedule for ``T`` steps at variance scale ``s``.
 
     Requires ``T >= 2`` and finite ``s > 0``. An ``s`` so large that a
-    schedule quantity overflows, or so small that the interior variances
-    underflow to 0 and their ratios are 0/0, is a ``ValueError`` naming ``s``.
+    schedule quantity overflows, or so small that one underflows (which
+    would, for one, zero ``posterior_var`` and leave the sampler without
+    noise), is a ``ValueError`` naming ``s``.
     """
     if isinstance(T, bool) or not isinstance(T, (int, np.integer)):
         raise TypeError(f"step count must be an integer, got {T!r}")
@@ -76,7 +77,7 @@ def build_schedule(T: int, s: float) -> BridgeSchedule:
         raise ValueError(f"variance scale must be finite and positive, got s={s}")
 
     try:
-        with np.errstate(over="raise", invalid="raise"):
+        with np.errstate(over="raise", under="raise", invalid="raise"):
             steps = np.arange(T + 1, dtype=np.float64)
             mix = steps / T
             # 2 s as a numpy scalar, so that an overflow there raises too.
@@ -107,7 +108,10 @@ def build_schedule(T: int, s: float) -> BridgeSchedule:
             coef_cond[1:T] = mx_prev - mx * r * mv_prev / mv
             coef_noise[1:T] = (1.0 - mx_prev) * tv / mv
     except FloatingPointError:
-        raise ValueError(f"variance scale s={s} gives a non-finite schedule at T={T}") from None
+        # Only a huge s overflows, and only a tiny one underflows.
+        raise ValueError(
+            f"variance scale s={s} makes the schedule at T={T} {'overflow' if s > 1.0 else 'underflow'}"
+        ) from None
 
     for arr in (mix, marginal_var, transition_var, posterior_var,
                 coef_state, coef_cond, coef_noise):

@@ -90,7 +90,7 @@ class TrainConfig:
             v = getattr(self, name)
             if not math.isfinite(v) or v <= 0.0:
                 raise ValueError(f"{name} must be finite and positive, got {v}")
-        build_schedule(self.T, self.s)  # an s that gives a non-finite schedule is a ValueError
+        build_schedule(self.T, self.s)  # an s that over- or underflows the schedule is a ValueError
         if self.min_lr > self.lr:
             raise ValueError(f"min_lr must not exceed lr, got min_lr={self.min_lr}, lr={self.lr}")
         for name in ("adam_beta1", "adam_beta2", "ema_decay"):

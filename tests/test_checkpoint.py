@@ -1,13 +1,18 @@
+import dataclasses
 import json
+import re
 import struct
 
 import numpy as np
 import pytest
 
+from bridgediff import cli
 from bridgediff.checkpoint import MAGIC, Checkpoint, load_checkpoint, save_checkpoint
+from bridgediff.data import gen_two_moons_paired, save
 from bridgediff.nn import NoisePredictor
 from bridgediff.optim import AdamState, EmaState, PlateauLrState
 from bridgediff.seeding import rng_for
+from bridgediff.training import TrainConfig, run_training
 
 
 @pytest.fixture
@@ -124,6 +129,12 @@ class TestStorage:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["model.bin"]
 
 
+def _read_header(path):
+    blob = path.read_bytes()
+    (n,) = struct.unpack("<I", blob[len(MAGIC) : len(MAGIC) + 4])
+    return json.loads(blob[len(MAGIC) + 4 : len(MAGIC) + 4 + n])
+
+
 def _rewrite_header(path, edit):
     """Apply ``edit`` to the parsed JSON header and write the file back."""
     blob = path.read_bytes()
@@ -143,12 +154,24 @@ class TestCorruption:
         with pytest.raises(ValueError, match="activation"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("key", ["model", "arrays", "adam", "ema", "plateau", "T", "step"])
+    @pytest.mark.parametrize(
+        "key", ["model", "arrays", "adam", "ema", "plateau", "T", "step", "plateau.cooldown"]
+    )
     def test_missing_header_key_rejected(self, ckpt, tmp_path, key):
         path = tmp_path / "model.bin"
         save_checkpoint(path, ckpt)
-        _rewrite_header(path, lambda h: h.pop(key))
-        with pytest.raises(ValueError, match=key):
+        *sections, name = key.split(".")
+        _rewrite_header(path, lambda h: (h[sections[0]] if sections else h).pop(name))
+        with pytest.raises(ValueError, match=f"lacks key '{name}'"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key,value", [("T", float("inf")), ("step", float("inf")),
+                                           ("arrays", 5)])
+    def test_mistyped_header_value_names_the_file(self, ckpt, tmp_path, key, value):
+        path = tmp_path / "model.bin"
+        save_checkpoint(path, ckpt)
+        _rewrite_header(path, lambda h: h.update({key: value}))
+        with pytest.raises(ValueError, match=re.escape(f"bad checkpoint header in {path}")):
             load_checkpoint(path)
 
     def test_missing_model_field_rejected(self, ckpt, tmp_path):
@@ -239,3 +262,66 @@ class TestArchitecture:
         save_checkpoint(path, ckpt)
         with pytest.raises(ValueError, match="non-finite"):
             load_checkpoint(path)
+
+
+class TestStateSections:
+    """The ``adam``, ``ema`` and ``plateau`` sections hold their state
+    dataclasses' scalar fields and pass the same range checks as a fresh
+    run."""
+
+    @pytest.mark.parametrize("key,cls", [("adam", AdamState), ("ema", EmaState),
+                                         ("plateau", PlateauLrState)])
+    def test_section_keys_are_the_scalar_fields(self, ckpt, tmp_path, key, cls):
+        path = tmp_path / "model.bin"
+        save_checkpoint(path, ckpt)
+        scalars = {f.name for f in dataclasses.fields(cls)} - {"m", "v", "shadow"}
+        assert set(_read_header(path)[key]) == scalars
+
+    @pytest.fixture
+    def bad(self, request, ckpt, tmp_path):
+        """A run directory holding a metrics log and a checkpoint with one
+        header value out of range."""
+        section, name, value = request.param
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        (run_dir / "metrics.csv").write_text("step,loss,lr,val_loss\n1,0.5,0.001,\n", encoding="utf-8")
+        path = run_dir / "ckpt.bin"
+        save_checkpoint(path, ckpt)
+        _rewrite_header(path, lambda h: h[section].update({name: value}))
+        return path
+
+    cases = pytest.mark.parametrize(
+        "bad", [("ema", "update_interval", 0), ("plateau", "factor", 2.0), ("adam", "beta1", 1.0),
+                ("plateau", "current_lr", float("nan"))],
+        ids=["ema.update_interval=0", "plateau.factor=2.0", "adam.beta1=1.0",
+             "plateau.current_lr=nan"],
+        indirect=True,
+    )
+
+    @cases
+    def test_load_names_the_file(self, bad):
+        with pytest.raises(ValueError, match="update interval|factor|beta1|current_lr") as info:
+            load_checkpoint(bad)
+        assert str(bad) in str(info.value)
+
+    @cases
+    def test_sample_exits_two(self, bad, tmp_path, capsys):
+        pairs = tmp_path / "pairs.csv"
+        save(gen_two_moons_paired(n=10, noise_sd=0.05, seed=3), pairs)
+        out_dir = tmp_path / "samples"
+        code = cli.main(["sample", "--checkpoint", str(bad), "--data", str(pairs),
+                         "--steps", "10", "--out", str(out_dir)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(bad) in err
+        assert not out_dir.exists()
+
+    @cases
+    def test_resume_writes_nothing(self, bad):
+        before = {p: p.read_bytes() for p in bad.parent.iterdir()}
+        config = TrainConfig(seed=4, T=50, s=1.5, hidden=(8, 6), embed_dim=4, max_steps=400,
+                             batch_size=8, ema_update_interval=2)
+        with pytest.raises(ValueError, match=re.escape(str(bad))):
+            run_training(config, gen_two_moons_paired(n=20, noise_sd=0.05, seed=3), bad.parent,
+                         resume_from=bad)
+        assert {p: p.read_bytes() for p in bad.parent.iterdir()} == before

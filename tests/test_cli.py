@@ -10,6 +10,7 @@ from bridgediff import cli
 from bridgediff.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from bridgediff.data import gen_two_moons_paired, save
 from bridgediff.data import load as load_dataset
+from bridgediff.metrics import diversity, energy_distance, moments
 from bridgediff.sampling import SamplerPlan, accelerated_sample, make_grid
 from bridgediff.schedule import build_schedule
 from bridgediff.seeding import rng_for
@@ -165,7 +166,17 @@ class TestTrainCommand:
                          "--out", str(out_dir)])
         err = capsys.readouterr().err
         assert code == 2
-        assert err == "error: variance scale s=1e+300 gives a non-finite schedule at T=60\n"
+        assert err == "error: variance scale s=1e+300 makes the schedule at T=60 overflow\n"
+        assert not out_dir.exists()
+
+    def test_underflowing_schedule_exits_two(self, tmp_path, moons_file, capsys):
+        config = write_config(tmp_path, moons_file)
+        out_dir = tmp_path / "run"
+        code = cli.main(["train", "--config", str(config), "--set", "s=1e-200",
+                         "--out", str(out_dir)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "error: variance scale s=1e-200 makes the schedule at T=60 underflow\n"
         assert not out_dir.exists()
 
     def test_generator_key_without_generator_exits_two(self, tmp_path, moons_file, capsys):
@@ -253,7 +264,8 @@ class TestSampleCommand:
     @pytest.mark.parametrize("edit", [
         lambda h: h["model"].update(activation="relu"),
         lambda h: h.pop("model"),
-    ], ids=["relu", "no-model"])
+        lambda h: h.update(T=float("inf")),
+    ], ids=["relu", "no-model", "infinite-T"])
     def test_bad_checkpoint_header_exits_two(self, tmp_path, moons_file, trained, capsys, edit):
         _edit_header(trained, edit)
         code = cli.main([
@@ -540,7 +552,7 @@ class TestEvalCommand:
         assert list(report_dir.iterdir()) == [report]
 
 
-    def _eval_rows(self, tmp_path, moons_file, capsys, *row_sets, k=1):
+    def _eval_rows(self, tmp_path, moons_file, capsys, *row_sets, k=1, keep=False):
         header = "# format=samples-csv\n# version=1\n# seed=0\ny_index,sample_index,dim_0,dim_1\n"
         sample_files = []
         for i, rows in enumerate(row_sets):
@@ -554,7 +566,7 @@ class TestEvalCommand:
                 "--k", str(k), "--out", str(report),
             ])
         err = capsys.readouterr().err
-        assert not report.exists()
+        assert report.exists() == keep
         return code, err
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -585,6 +597,31 @@ class TestEvalCommand:
         code, err = self._eval_rows(tmp_path, moons_file, capsys, *row_sets, k=2)
         assert code == 2
         assert err.count("\n") == 1 and message in err
+
+    def test_inputs_interleaved_across_files(self, tmp_path, moons_file, capsys):
+        # Each input's k = 3 rows lie out of order and split over two files.
+        # The report equals one built from each input's rows in file order,
+        # inputs ascending.
+        rng = rng_for(5, "interleave")
+        pairs = [(int(y), rep) for y, rep in rng.permutation([(y, r) for y in range(4) for r in range(3)])]
+        values = rng.normal(size=(len(pairs), 2))
+        rows = [f"{y},{rep},{a!r},{b!r}" for (y, rep), (a, b) in zip(pairs, values.tolist())]
+        code, _ = self._eval_rows(tmp_path, moons_file, capsys, rows[:5], rows[5:], k=3, keep=True)
+        assert code == 0
+        y_idx = np.array([y for y, _ in pairs])
+        groups = [values[y_idx == uid] for uid in np.unique(y_idx)]
+        mom = moments(values)
+        expected = ["metric,value,n,seed", f"diversity,{diversity(groups, k=3)!r},4,0",
+                    f"energy_distance,{energy_distance(values, load_dataset(moons_file).x0)!r},12,0"]
+        for i in range(2):
+            expected += [f"mean_{i},{float(mom.mean[i])!r},12,0", f"var_{i},{float(mom.var[i])!r},12,0"]
+        assert (tmp_path / "r.csv").read_text(encoding="utf-8") == "\n".join(expected) + "\n"
+
+    def test_wrong_group_size_names_the_first_input(self, tmp_path, moons_file, capsys):
+        rows = ["2,0,0.5,0.25", "0,0,0.5,0.25", "1,0,0.5,0.25", "2,1,0.5,0.25", "1,1,0.5,0.25"]
+        code, err = self._eval_rows(tmp_path, moons_file, capsys, rows, k=2)
+        assert code == 2
+        assert err == "error: conditioning input 0 has 1 samples, expected k=2\n"
 
     def test_k_below_one_exits_two(self, tmp_path, moons_file, capsys):
         code, err = self._eval_rows(tmp_path, moons_file, capsys, ["0,0,0.5,0.25"], k=0)
@@ -647,4 +684,11 @@ class TestInfoCommand:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert captured.err == "error: variance scale s=1e+300 gives a non-finite schedule at T=4\n"
+        assert captured.err == "error: variance scale s=1e+300 makes the schedule at T=4 overflow\n"
+
+    def test_underflowing_schedule_exits_two(self, capsys):
+        code = cli.main(["info", "--T", "4", "--s", "1e-200"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: variance scale s=1e-200 makes the schedule at T=4 underflow\n"

@@ -1,3 +1,4 @@
+import os
 import tracemalloc
 import zlib
 
@@ -256,6 +257,20 @@ class TestPersistence:
         save(ds, p1)
         save(ds, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_failed_write_keeps_earlier_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "pairs.csv"
+        save(gen_two_moons_paired(n=20, noise_sd=0.05, seed=16), path)
+        earlier = path.read_bytes()
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            save(gen_two_moons_paired(n=30, noise_sd=0.05, seed=17), path)
+        assert path.read_bytes() == earlier
+        assert list(tmp_path.iterdir()) == [path]
 
 
 class TestPairedDatasetValidation:

@@ -98,6 +98,49 @@ class TestEma:
             EmaState.from_params(np.zeros(1), update_interval=0)
 
 
+class TestRangeChecks:
+    """Each state checks its hyperparameters when built, by its factory or
+    directly (as a checkpoint restore builds it)."""
+
+    @pytest.mark.parametrize("field,value", [
+        ("beta1", 1.0), ("beta1", -0.1), ("beta1", math.nan), ("beta2", 1.0),
+        ("eps", 0.0), ("eps", -1e-8), ("eps", math.inf), ("eps", math.nan),
+    ])
+    def test_adam(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            AdamState(m=np.zeros(2), v=np.zeros(2), **{field: value})
+
+    @pytest.mark.parametrize("field,value,match", [
+        ("decay", 1.0, "decay"), ("decay", -0.1, "decay"), ("decay", math.nan, "decay"),
+        ("update_interval", 0, "update interval"),
+    ])
+    def test_ema(self, field, value, match):
+        with pytest.raises(ValueError, match=match):
+            EmaState(shadow=np.zeros(2), **{field: value})
+
+    @pytest.mark.parametrize("field,value,match", [
+        ("factor", 0.0, "factor"), ("factor", 1.0, "factor"), ("factor", 2.0, "factor"),
+        ("factor", math.nan, "factor"), ("min_lr", 2e-3, "min_lr"), ("min_lr", math.nan, "min_lr"),
+        ("min_lr", 0.0, "min_lr"), ("current_lr", 2e-3, "current_lr"),
+        ("current_lr", math.nan, "current_lr"), ("current_lr", 1e-7, "current_lr"),
+        ("threshold", -1e-4, "threshold"), ("threshold", math.inf, "threshold"),
+        ("threshold", math.nan, "threshold"),
+    ])
+    def test_plateau(self, field, value, match):
+        with pytest.raises(ValueError, match=match):
+            PlateauLrState(**{"current_lr": 1e-3, "max_lr": 1e-3, field: value})
+
+    def test_plateau_max_lr_must_be_finite(self):
+        with pytest.raises(ValueError, match="max_lr"):
+            PlateauLrState.create(math.inf)
+
+    def test_factories_check_too(self):
+        with pytest.raises(ValueError, match="beta2"):
+            AdamState.for_params(np.zeros(2), beta2=1.0)
+        with pytest.raises(ValueError, match="threshold"):
+            PlateauLrState.create(1e-3, threshold=-1.0)
+
+
 def _per_array_adam(params, grads, m, v, step, lr, beta1, beta2, eps):
     """Reference: Adam applied array by array, with the formulas in the
     order the whole-vector update must reproduce."""

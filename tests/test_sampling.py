@@ -181,8 +181,13 @@ class TestAccelerated:
 
     def test_grid_must_end_at_T(self, schedule, model):
         plan = SamplerPlan(grid=(1, 2, 29), eta=1.0, seed=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="grid must end at T=30, got 29"):
             accelerated_sample(schedule, model.eps_fn(30), np.zeros(2), plan)
+
+    def test_grid_past_T_rejected(self, schedule, model):
+        plan = SamplerPlan(grid=(1, 2, 31), eta=1.0, seed=(1, 2))
+        with pytest.raises(ValueError, match="grid must end at T=30, got 31"):
+            accelerated_sample(schedule, model.eps_fn(30), np.zeros((2, 2)), plan)
 
 
 class TestTrajectoryExport:

@@ -110,12 +110,21 @@ class TestBuildValidation:
         with pytest.raises(ValueError):
             build_schedule(10, s)
 
-    @pytest.mark.parametrize("s", [1e300, 1.7e308, 5e-324])
+    @pytest.mark.parametrize("s", [1e300, 1.7e308, 5e-324, 1e-160, 1e-200, 1e-300, 1e-320])
     def test_s_giving_a_non_finite_schedule(self, s):
-        # Too large, a variance overflows; too small, the interior variances
-        # underflow to 0 and the reverse coefficients are 0/0.
-        with pytest.raises(ValueError, match=re.escape(f"s={s!r} gives a non-finite schedule")):
+        # Too large, a variance overflows. Too small, a product of two
+        # variances underflows: at 1e-200 posterior_var would read 0, at
+        # 5e-324 the interior variances would be 0 and the coefficients 0/0.
+        kind = "overflow" if s > 1.0 else "underflow"
+        with pytest.raises(ValueError, match=re.escape(f"s={s!r} makes the schedule at T=4 {kind}")):
             build_schedule(4, s)
+
+    def test_small_s_that_fits(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sch = build_schedule(4, 1e-140)
+        np.testing.assert_allclose(sch.posterior_var[1:4] / 1e-140, build_schedule(4, 1.0).posterior_var[1:4],
+                                   rtol=1e-12)
 
     def test_large_s_that_fits(self):
         with warnings.catch_warnings():

@@ -403,7 +403,7 @@ class TestTrainConfigValidation:
             TrainConfig(**{"seed": 1, key: value})
 
     def test_overflowing_schedule_rejected(self):
-        with pytest.raises(ValueError, match=r"s=1e\+300 gives a non-finite schedule"):
+        with pytest.raises(ValueError, match=r"s=1e\+300 makes the schedule at T=50 overflow"):
             TrainConfig(seed=1, T=50, s=1e300)
 
     def test_seed_mandatory(self):

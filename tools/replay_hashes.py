@@ -23,6 +23,9 @@ In a temporary directory it
 - copies ``w0`` to ``w0_resume`` and resumes that copy in place from its
   ``ckpt_00000200.bin``, so every ``w0_resume`` file should hash as the
   ``w0`` file of the same name;
+- loads ``w0/ckpt_final.bin`` and saves it again as
+  ``w0/ckpt_final_resaved.bin``, which should hash as the file it was
+  loaded from;
 - writes the schedule tables of ``bridgediff info`` at (T, s) = (1000, 1)
   and (37, 4), and the report of ``bridgediff verify``.
 
@@ -51,6 +54,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from bridgediff import cli, data  # noqa: E402
+from bridgediff.checkpoint import load_checkpoint, save_checkpoint  # noqa: E402
 from bridgediff.training import TrainConfig, run_training  # noqa: E402
 
 # The acceptance configuration of the two-moons task (tests/test_acceptance.py).
@@ -95,6 +99,8 @@ def replay(root: Path) -> None:
     shutil.copytree(root / "w0", root / "w0_resume")
     run_training(configs["w0"], pairs, root / "w0_resume",
                  resume_from=root / "w0_resume" / "ckpt_00000200.bin")
+    save_checkpoint(root / "w0" / "ckpt_final_resaved.bin",
+                    load_checkpoint(root / "w0" / "ckpt_final.bin"))
     _run(["info", "--T", "1000", "--s", "1.0", "--out", str(root / "info_T1000_s1.csv")])
     _run(["info", "--T", "37", "--s", "4.0", "--out", str(root / "info_T37_s4.csv")])
     _run(["verify", "--report", str(root / "verify_report.txt")])
