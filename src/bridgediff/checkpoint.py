@@ -7,11 +7,11 @@ Layout:
     then          UTF-8 JSON header (sorted keys)
     then          raw array payload
 
-The header records the schedule (T, s), architecture sizes, training step,
-one section of scalar fields per optimizer state (``adam``, ``ema``,
-``plateau``), and an ordered list of array records ``{"name": ...,
-"shape": [...]}``; the payload is those arrays' float64 data, C-order,
-little-endian, concatenated in header order.
+The header records the schedule (T, s), which must build as a fresh run's
+does, architecture sizes, training step, one section of scalar fields per
+optimizer state (``adam``, ``ema``, ``plateau``), and an ordered list of
+array records ``{"name": ..., "shape": [...]}``; the payload is those
+arrays' float64 data, C-order, little-endian, concatenated in header order.
 Writing the same state twice produces identical bytes, and a load/save
 round trip is lossless.
 
@@ -39,6 +39,7 @@ import numpy as np
 from .fileio import temp_beside
 from .nn import NoisePredictor, layer_shapes
 from .optim import AdamState, EmaState, PlateauLrState
+from .schedule import build_schedule
 
 MAGIC = b"BDGCKPT1"
 VERSION = 1
@@ -191,9 +192,13 @@ def _from_header(header: dict, blob: bytes, offset: int, path) -> Checkpoint:
     data_dim, embed_dim = int(mh["data_dim"]), int(mh["embed_dim"])
     hidden = tuple(int(h) for h in mh["hidden"])
     T = int(header["T"])
-    if data_dim < 1 or embed_dim < 2 or embed_dim % 2 or not hidden or min(hidden) < 1 or T < 1:
+    try:
+        build_schedule(T, header["s"])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"bad schedule in {path}: {exc}") from exc
+    if data_dim < 1 or embed_dim < 2 or embed_dim % 2 or not hidden or min(hidden) < 1:
         raise ValueError(
-            f"bad sizes in {path}: T={T}, data_dim={data_dim}, embed_dim={embed_dim}, hidden={hidden}"
+            f"bad sizes in {path}: data_dim={data_dim}, embed_dim={embed_dim}, hidden={hidden}"
         )
     shapes = layer_shapes(data_dim, embed_dim, hidden)
     _check_arrays(arrays, shapes, T, path)

@@ -89,8 +89,6 @@ def _load_model(args):
         ckpt = load_checkpoint(args.checkpoint)
     except FileNotFoundError as exc:
         raise UsageError(f"checkpoint not found: {args.checkpoint}") from exc
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
     model = ckpt.model if args.raw_params else ckpt.ema_model()
     return ckpt, model
 
@@ -101,8 +99,6 @@ def cmd_sample(args) -> int:
         dataset = load_dataset(args.data)
     except FileNotFoundError as exc:
         raise UsageError(f"data file not found: {args.data}") from exc
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
     if dataset.dim != model.data_dim:
         raise UsageError(
             f"checkpoint/data mismatch: model dimension {model.data_dim}, "
@@ -242,10 +238,7 @@ def cmd_eval(args) -> int:
     ref_path = Path(args.reference)
     if not ref_path.exists():
         raise UsageError(f"reference file not found: {ref_path}")
-    try:
-        reference = load_dataset(ref_path)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    reference = load_dataset(ref_path)
     if reference.dim != samples.shape[1]:
         raise UsageError(
             f"dimension mismatch: samples {samples.shape[1]}, reference {reference.dim}"
@@ -261,11 +254,8 @@ def cmd_eval(args) -> int:
             f"conditioning input {uids[bad[0]]} has {counts[bad[0]]} samples, expected k={args.k}"
         )
     groups = np.split(samples[order], starts[1:])
-    try:
-        div = diversity(groups, k=args.k)
-        ed = energy_distance(samples, reference.x0)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    div = diversity(groups, k=args.k)
+    ed = energy_distance(samples, reference.x0)
     mom = moments(samples)
 
     seed = all_meta.get("seed", "") if all_meta else ""

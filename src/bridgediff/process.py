@@ -1,11 +1,12 @@
 """Closed-form maps between the endpoints, intermediate states and noise.
 
-State vectors are 1-D double arrays of a fixed dimension (scalars are
-treated as dimension-1 states); time indices are scalars. All operations
-are pure functions. ``forward_sample`` also takes a batch: (B, d) states
-with one integer step per row, computed with the same arithmetic as the
-scalar call on each row, which is how the training loop noises its
-batches.
+All operations are pure functions over rows. A scalar or (d,) state with
+one integer step is a batch of one, a single (1, d) row, and the result
+comes back in the input's shape (a scalar call returns ``numpy.float64``).
+``forward_sample`` and ``loss_target`` also take (B, d) states with a (B,)
+integer array of steps, row i at step t[i], bit for bit the call on that
+row alone: this is how the training loop noises its batches.
+``posterior`` and ``reverse_mean`` take one integer step.
 """
 
 from __future__ import annotations
@@ -32,43 +33,36 @@ class GaussianParams:
             raise ValueError(f"variance must be finite and non-negative, got {self.var}")
 
 
-def _as_state(x) -> np.ndarray:
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim > 1:
-        raise ValueError(f"state vectors must be scalar or 1-D, got shape {arr.shape}")
-    return arr
+def _rows(schedule: BridgeSchedule, t, lo: int, hi: int, *states,
+          one_step: bool = False) -> tuple[list[np.ndarray], np.ndarray, tuple[int, ...]]:
+    """The states as (B, d) rows, the steps as a (B,) array, and the
+    states' own shape to give results back in.
 
-
-def _check_same_dim(**states) -> dict[str, np.ndarray]:
-    out = {name: _as_state(v) for name, v in states.items()}
-    shapes = {name: a.shape for name, a in out.items()}
-    if len(set(shapes.values())) > 1:
-        raise ValueError(f"dimension mismatch between states: {shapes}")
-    return out
-
-
-def _check_t(schedule: BridgeSchedule, t: int, lo: int, hi: int) -> int:
-    if isinstance(t, bool) or not isinstance(t, (int, np.integer)):
-        raise TypeError(f"step index must be an integer, got {t!r}")
-    t = int(t)
-    if not lo <= t <= hi:
-        raise ValueError(f"step index {t} outside {lo}..{hi} (T={schedule.T})")
-    return t
-
-
-def _check_rows(schedule: BridgeSchedule, t, **states) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    t = np.asarray(t)
-    if not np.issubdtype(t.dtype, np.integer):
-        raise TypeError(f"step indices must be integers, got dtype {t.dtype}")
-    if t.ndim != 1:
-        raise ValueError(f"step indices must be a scalar or 1-D, got shape {t.shape}")
-    out = {name: np.asarray(v, dtype=np.float64) for name, v in states.items()}
-    shapes = {name: a.shape for name, a in out.items()}
-    if len(set(shapes.values())) > 1 or any(a.ndim != 2 or len(a) != len(t) for a in out.values()):
-        raise ValueError(f"batched states must all be ({len(t)}, dim), got {shapes}")
-    if np.any(t < 0) or np.any(t > schedule.T):
-        raise ValueError(f"step index outside 0..{schedule.T}")
-    return out, t
+    A scalar or (d,) state with one step is a batch of one; (B, d) states
+    with (B,) steps pass through. Steps must be integers (bool is not) in
+    lo..hi, and ``one_step`` refuses a step array.
+    """
+    steps = np.asarray(t)
+    if not np.issubdtype(steps.dtype, np.integer):
+        raise TypeError(f"step indices must be integers, got dtype {steps.dtype}")
+    if one_step and steps.ndim:
+        raise TypeError(f"expected one integer step, got an array of shape {steps.shape}")
+    rows = [np.asarray(s, dtype=np.float64) for s in states]
+    shapes = [a.shape for a in rows]
+    shape = shapes[0]
+    batch_ok = steps.ndim == 1 and len(shape) == 2 and shape[0] == len(steps)
+    if len(set(shapes)) > 1 or not (len(shape) <= 1 if steps.ndim == 0 else batch_ok):
+        raise ValueError(
+            f"batched states must share one shape, (d,) for one step or (B, d) for B steps; "
+            f"got {shapes} for steps of shape {steps.shape}"
+        )
+    bad = steps[(steps < lo) | (steps > hi)]
+    if bad.size:
+        raise ValueError(f"step index {bad.flat[0]} outside {lo}..{hi} (T={schedule.T})")
+    if steps.ndim == 0:
+        steps = steps.reshape(1)
+        rows = [a.reshape(1, -1) for a in rows]
+    return rows, steps, shape
 
 
 def forward_sample(schedule: BridgeSchedule, x0, y, t, eps) -> np.ndarray:
@@ -77,19 +71,12 @@ def forward_sample(schedule: BridgeSchedule, x0, y, t, eps) -> np.ndarray:
     Returns (1 - mix_t) x0 + mix_t y + sqrt(marginal_var_t) * eps; with
     eps = 0 this is exactly the marginal mean, and at t = T it is y
     bit-for-bit regardless of x0 and eps. With an integer array ``t`` of
-    shape (B,) and (B, d) states, row i is drawn at step t[i], bit for
-    bit as the scalar call on that row.
+    shape (B,) and (B, d) states, row i is drawn at step t[i].
     """
-    if np.ndim(t) == 0:
-        s = _check_same_dim(x0=x0, y=y, eps=eps)
-        t = _check_t(schedule, t, 0, schedule.T)
-        m = schedule.mix[t]
-        sd = math.sqrt(schedule.marginal_var[t])
-    else:
-        s, t = _check_rows(schedule, t, x0=x0, y=y, eps=eps)
-        m = schedule.mix[t][:, None]
-        sd = np.sqrt(schedule.marginal_var[t])[:, None]
-    return (1.0 - m) * s["x0"] + m * s["y"] + sd * s["eps"]
+    (x0, y, eps), t, shape = _rows(schedule, t, 0, schedule.T, x0, y, eps)
+    m = schedule.mix[t][:, None]
+    sd = np.sqrt(schedule.marginal_var[t])[:, None]
+    return ((1.0 - m) * x0 + m * y + sd * eps).reshape(shape)[()]
 
 
 def posterior(schedule: BridgeSchedule, x_t, x0, y, t: int) -> GaussianParams:
@@ -105,8 +92,7 @@ def posterior(schedule: BridgeSchedule, x_t, x0, y, t: int) -> GaussianParams:
     with A + B + C = 1. Only the interior steps 2 <= t <= T-1 are
     non-degenerate; the sampler owns the endpoint special cases.
     """
-    s = _check_same_dim(x_t=x_t, x0=x0, y=y)
-    t = _check_t(schedule, t, 2, schedule.T - 1)
+    (x_t, x0, y), (t,), shape = _rows(schedule, t, 2, schedule.T - 1, x_t, x0, y, one_step=True)
     mv = schedule.marginal_var[t]
     mv_prev = schedule.marginal_var[t - 1]
     tv = schedule.transition_var[t]
@@ -114,21 +100,18 @@ def posterior(schedule: BridgeSchedule, x_t, x0, y, t: int) -> GaussianParams:
     a = r * mv_prev / mv
     b = (1.0 - schedule.mix[t - 1]) * tv / mv
     c = schedule.mix[t - 1] - schedule.mix[t] * r * mv_prev / mv
-    return GaussianParams(
-        mean=a * s["x_t"] + b * s["x0"] + c * s["y"],
-        var=schedule.posterior_var[t],
-    )
+    return GaussianParams(mean=(a * x_t + b * x0 + c * y).reshape(shape),
+                          var=schedule.posterior_var[t])
 
 
-def loss_target(schedule: BridgeSchedule, x0, y, t: int, eps) -> np.ndarray:
+def loss_target(schedule: BridgeSchedule, x0, y, t, eps) -> np.ndarray:
     """Regression target for the noise predictor: mix_t (y - x0) + sqrt(mv_t) eps.
 
     Computed as forward_sample(...) - x0 so that target + x0 reproduces the
     forward sample bit-for-bit (the two expressions are algebraically
-    identical).
+    identical). It takes whatever ``forward_sample`` takes.
     """
-    x0_arr = _as_state(x0)
-    return forward_sample(schedule, x0_arr, y, t, eps) - x0_arr
+    return forward_sample(schedule, x0, y, t, eps) - np.asarray(x0, dtype=np.float64)
 
 
 def reverse_mean(schedule: BridgeSchedule, x_t, y, eps_pred, t: int) -> GaussianParams:
@@ -139,11 +122,7 @@ def reverse_mean(schedule: BridgeSchedule, x_t, y, eps_pred, t: int) -> Gaussian
     eps_pred equal to the true loss_target this reproduces the posterior
     mean.
     """
-    s = _check_same_dim(x_t=x_t, y=y, eps_pred=eps_pred)
-    t = _check_t(schedule, t, 2, schedule.T - 1)
-    mean = (
-        schedule.coef_state[t] * s["x_t"]
-        + schedule.coef_cond[t] * s["y"]
-        - schedule.coef_noise[t] * s["eps_pred"]
-    )
-    return GaussianParams(mean=mean, var=schedule.posterior_var[t])
+    (x_t, y, eps_pred), (t,), shape = _rows(schedule, t, 2, schedule.T - 1, x_t, y, eps_pred,
+                                            one_step=True)
+    mean = schedule.coef_state[t] * x_t + schedule.coef_cond[t] * y - schedule.coef_noise[t] * eps_pred
+    return GaussianParams(mean=mean.reshape(shape), var=schedule.posterior_var[t])

@@ -267,7 +267,7 @@ class TestArchitecture:
 class TestStateSections:
     """The ``adam``, ``ema`` and ``plateau`` sections hold their state
     dataclasses' scalar fields and pass the same range checks as a fresh
-    run."""
+    run; so does the schedule (``T``, ``s``), through ``build_schedule``."""
 
     @pytest.mark.parametrize("key,cls", [("adam", AdamState), ("ema", EmaState),
                                          ("plateau", PlateauLrState)])
@@ -280,27 +280,29 @@ class TestStateSections:
     @pytest.fixture
     def bad(self, request, ckpt, tmp_path):
         """A run directory holding a metrics log and a checkpoint with one
-        header value out of range."""
+        header value out of range; an empty section is a top-level key."""
         section, name, value = request.param
         run_dir = tmp_path / "run"
         run_dir.mkdir()
         (run_dir / "metrics.csv").write_text("step,loss,lr,val_loss\n1,0.5,0.001,\n", encoding="utf-8")
         path = run_dir / "ckpt.bin"
         save_checkpoint(path, ckpt)
-        _rewrite_header(path, lambda h: h[section].update({name: value}))
+        _rewrite_header(path, lambda h: (h[section] if section else h).update({name: value}))
         return path
 
     cases = pytest.mark.parametrize(
         "bad", [("ema", "update_interval", 0), ("plateau", "factor", 2.0), ("adam", "beta1", 1.0),
-                ("plateau", "current_lr", float("nan"))],
+                ("plateau", "current_lr", float("nan")), ("", "s", -1.0), ("", "s", 0.0),
+                ("", "s", float("nan")), ("", "T", 1)],
         ids=["ema.update_interval=0", "plateau.factor=2.0", "adam.beta1=1.0",
-             "plateau.current_lr=nan"],
+             "plateau.current_lr=nan", "s=-1", "s=0", "s=nan", "T=1"],
         indirect=True,
     )
 
     @cases
     def test_load_names_the_file(self, bad):
-        with pytest.raises(ValueError, match="update interval|factor|beta1|current_lr") as info:
+        with pytest.raises(ValueError,
+                           match="update interval|factor|beta1|current_lr|^bad schedule in") as info:
             load_checkpoint(bad)
         assert str(bad) in str(info.value)
 

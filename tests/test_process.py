@@ -96,6 +96,63 @@ class TestForwardSample:
             forward_sample(sch, x0[:6], y[:6], t_idx, eps[:6])
 
 
+class TestBatchOfOne:
+    """A scalar or (d,) state with one step is the (1, d) batch at [t]."""
+
+    @pytest.mark.parametrize("T,t", [(2, 0), (2, 1), (2, 2), (37, 18), (1000, 1), (1000, 999)])
+    @pytest.mark.parametrize("fn", [forward_sample, loss_target])
+    def test_state_matches_batch_of_one_bitwise(self, fn, T, t):
+        sch = build_schedule(T, 1.5)
+        rng = rng_for(102, "one", T, t)
+        x0, y, eps = (rng.normal(size=3) * 5 for _ in range(3))
+        one = fn(sch, x0, y, t, eps)
+        batch = fn(sch, x0[None], y[None], np.array([t]), eps[None])
+        assert one.shape == (3,) and batch.shape == (1, 3)
+        assert one.tobytes() == batch.tobytes()
+
+    def test_batch_loss_target_is_forward_sample_minus_x0(self):
+        sch = build_schedule(37, 2.0)
+        rng = rng_for(103, "batch")
+        x0, y, eps = (rng.normal(size=(9, 2)) for _ in range(3))
+        t_idx = rng.integers(0, 38, size=9)
+        target = loss_target(sch, x0, y, t_idx, eps)
+        assert target.tobytes() == (forward_sample(sch, x0, y, t_idx, eps) - x0).tobytes()
+
+    def test_scalar_calls_return_float64(self, t4):
+        assert type(forward_sample(t4, 0.5, -1.0, 2, 0.25)) is np.float64
+        assert type(loss_target(t4, 0.5, -1.0, 2, 0.25)) is np.float64
+        assert forward_sample(t4, 0.5, -1.0, 2, 0.25) == forward_sample(
+            t4, np.array([0.5]), np.array([-1.0]), 2, np.array([0.25]))[0]
+        assert posterior(t4, 0.6, 0.0, 1.0, 2).mean.shape == ()
+        assert reverse_mean(t4, 0.6, 1.0, 0.6, 2).mean.shape == ()
+
+    @pytest.mark.parametrize("t", [np.array([2]), np.array([2, 2])])
+    def test_one_step_functions_reject_step_arrays(self, t4, t):
+        x = np.zeros(3)
+        with pytest.raises(TypeError):
+            posterior(t4, x, x, x, t)
+        with pytest.raises(TypeError):
+            reverse_mean(t4, x, x, x, t)
+
+    @pytest.mark.parametrize("t", [True, np.True_, 2.0, np.array([True, False])])
+    def test_bool_and_float_steps_named(self, t4, t):
+        x = np.zeros(3) if np.ndim(t) == 0 else np.zeros((2, 3))
+        with pytest.raises(TypeError, match="integers"):
+            forward_sample(t4, x, x, t, x)
+        with pytest.raises(TypeError, match="integers"):
+            posterior(t4, x, x, x, t)
+
+    def test_batched_states_rejected(self, t4):
+        x = np.zeros((2, 3))
+        for fn in (posterior, reverse_mean):
+            with pytest.raises(ValueError, match="batched states"):
+                fn(t4, x, x, x, 2)
+        with pytest.raises(ValueError, match="batched states"):
+            forward_sample(t4, x, x, 2, x)
+        with pytest.raises(ValueError, match="batched states"):
+            forward_sample(t4, x[0], x[0], np.array([2]), x[0])
+
+
 class TestForwardTransition:
     """The one-step forward kernel, whose chain must reproduce the marginals."""
 

@@ -27,7 +27,12 @@ In a temporary directory it
   ``w0/ckpt_final_resaved.bin``, which should hash as the file it was
   loaded from;
 - writes the schedule tables of ``bridgediff info`` at (T, s) = (1000, 1)
-  and (37, 4), and the report of ``bridgediff verify``.
+  and (37, 4), and the report of ``bridgediff verify``;
+- writes ``process_ops.bin``, the float64 bytes of ``forward_sample``,
+  ``loss_target``, ``posterior`` and ``reverse_mean`` on a seeded grid:
+  T = 2, 37 and 1000, steps at the ends of each function's range and
+  between, scalar and (d,) states for all four, and a (B, d) batch with a
+  step array for ``forward_sample``.
 
 Each output line is ``<sha256>  <path>``, sorted by path, for every file
 those steps write. Run it at two commits and diff the outputs: a change
@@ -51,10 +56,15 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from bridgediff import cli, data  # noqa: E402
 from bridgediff.checkpoint import load_checkpoint, save_checkpoint  # noqa: E402
+from bridgediff.process import forward_sample, loss_target, posterior, reverse_mean  # noqa: E402
+from bridgediff.schedule import build_schedule  # noqa: E402
+from bridgediff.seeding import rng_for  # noqa: E402
 from bridgediff.training import TrainConfig, run_training  # noqa: E402
 
 # The acceptance configuration of the two-moons task (tests/test_acceptance.py).
@@ -75,6 +85,29 @@ def _run(argv: list[str]) -> None:
 def _sample(root: Path, ckpt: str, out: str, *extra: str) -> None:
     _run(["sample", "--checkpoint", str(root / ckpt), "--data", str(root / "pairs.csv"),
           "--k", "5", "--steps", "200", "--seed", "7", "--out", str(root / out), *extra])
+
+
+def _process_ops(path: Path) -> None:
+    """Write the bytes of the four ``process`` functions on a seeded grid."""
+    out = []
+    for T in (2, 37, 1000):
+        sch = build_schedule(T, 1.5)
+        rng = rng_for(31, "process_ops", T)
+        steps = sorted({0, 1, 2, T // 2, T - 1, T})
+        for shape in ((), (3,)):
+            for t in steps:
+                x0, y, eps, eps_pred = (rng.normal(size=shape) * 4 for _ in range(4))
+                if not shape:
+                    x0, y, eps, eps_pred = float(x0), float(y), float(eps), float(eps_pred)
+                x_t = forward_sample(sch, x0, y, t, eps)
+                out += [x_t, loss_target(sch, x0, y, t, eps)]
+                if 2 <= t <= T - 1:
+                    for g in (posterior(sch, x_t, x0, y, t), reverse_mean(sch, x_t, y, eps_pred, t)):
+                        out += [g.mean, g.var]
+        t_idx = np.concatenate([steps, rng.integers(0, T + 1, size=8)])
+        x0, y, eps = (rng.normal(size=(len(t_idx), 3)) * 4 for _ in range(3))
+        out.append(forward_sample(sch, x0, y, t_idx, eps))
+    path.write_bytes(b"".join(np.asarray(a, dtype=np.float64).tobytes() for a in out))
 
 
 def replay(root: Path) -> None:
@@ -104,6 +137,7 @@ def replay(root: Path) -> None:
     _run(["info", "--T", "1000", "--s", "1.0", "--out", str(root / "info_T1000_s1.csv")])
     _run(["info", "--T", "37", "--s", "4.0", "--out", str(root / "info_T37_s4.csv")])
     _run(["verify", "--report", str(root / "verify_report.txt")])
+    _process_ops(root / "process_ops.bin")
 
 
 def main() -> int:
