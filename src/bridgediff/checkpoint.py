@@ -7,28 +7,28 @@ Layout:
     then          UTF-8 JSON header (sorted keys)
     then          raw array payload
 
-The header records the schedule (T, s), which must build as a fresh run's
-does, architecture sizes, training step, one section of scalar fields per
-optimizer state (``adam``, ``ema``, ``plateau``), and an ordered list of
-array records ``{"name": ..., "shape": [...]}``; the payload is those
-arrays' float64 data, C-order, little-endian, concatenated in header order.
-Writing the same state twice produces identical bytes, and a load/save
-round trip is lossless.
+The header records the schedule (T, s), architecture sizes, training step,
+one section of scalar fields per optimizer state (``adam``, ``ema``,
+``plateau``), and an ordered list of array records ``{"name": ...,
+"shape": [...]}``; the payload is those arrays' float64 data, C-order,
+little-endian, concatenated in header order. Writing the same state twice
+produces identical bytes, and a load/save round trip is lossless. A load
+takes only JSON integers for integer fields and a step >= 0, then runs the
+checks a fresh run does (``build_schedule``, ``nn.layer_shapes``, the
+optimizer states); a bad value is a ``ValueError`` naming the file.
 
 In memory the model parameters, the EMA shadow and the two Adam moments
 are one vector each (see ``nn``). On disk each is split into per-layer
 records ``param.i``, ``ema.i``, ``adam_m.i`` and ``adam_v.i``, written
 from views of those vectors; a load copies each group of records into a
 new vector, so a loaded checkpoint shares no memory with the file's
-bytes or with any other object. A checkpoint is written to a hidden temp
-file beside its path and moved into place once complete, so a failed
-write leaves any earlier file at that path as it was.
+bytes or with any other object. A failed write (``fileio.write_atomic``)
+leaves any earlier file at that path as it was.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import struct
 import typing
 from dataclasses import dataclass, fields
@@ -36,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fileio import temp_beside
+from .fileio import write_atomic
 from .nn import NoisePredictor, layer_shapes
 from .optim import AdamState, EmaState, PlateauLrState
 from .schedule import build_schedule
@@ -106,18 +106,8 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
     for key, (_, scalars) in _STATES.items():
         header[key] = {name: getattr(getattr(ckpt, key), name) for name in scalars}
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    path = Path(path)
-    tmp = temp_beside(path)
-    try:
-        with open(tmp, "xb") as f:
-            f.write(MAGIC)
-            f.write(struct.pack("<I", len(header_bytes)))
-            f.write(header_bytes)
-            for _, arr in records:
-                f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    write_atomic(Path(path), MAGIC, struct.pack("<I", len(header_bytes)), header_bytes,
+                 *(np.ascontiguousarray(arr, dtype="<f8").tobytes() for _, arr in records))
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -189,18 +179,21 @@ def _from_header(header: dict, blob: bytes, offset: int, path) -> Checkpoint:
     mh = header["model"]
     if mh["activation"] != "silu":
         raise ValueError(f"unsupported activation {mh['activation']!r} in {path}; only 'silu' exists")
-    data_dim, embed_dim = int(mh["data_dim"]), int(mh["embed_dim"])
-    hidden = tuple(int(h) for h in mh["hidden"])
-    T = int(header["T"])
+    T = _typed(header["T"], int, "T")
+    s = _typed(header["s"], float, "s")
+    step = _typed(header["step"], int, "step")
+    if step < 0:
+        raise ValueError(f"bad checkpoint header in {path}: step must be >= 0, got {step}")
     try:
-        build_schedule(T, header["s"])
-    except (TypeError, ValueError) as exc:
+        build_schedule(T, s)
+    except ValueError as exc:
         raise ValueError(f"bad schedule in {path}: {exc}") from exc
-    if data_dim < 1 or embed_dim < 2 or embed_dim % 2 or not hidden or min(hidden) < 1:
-        raise ValueError(
-            f"bad sizes in {path}: data_dim={data_dim}, embed_dim={embed_dim}, hidden={hidden}"
-        )
-    shapes = layer_shapes(data_dim, embed_dim, hidden)
+    data_dim, embed_dim = (_typed(mh[key], int, f"model.{key}") for key in ("data_dim", "embed_dim"))
+    hidden = tuple(_typed(h, int, f"model.hidden[{i}]") for i, h in enumerate(mh["hidden"]))
+    try:
+        shapes = layer_shapes(data_dim, embed_dim, hidden)
+    except ValueError as exc:
+        raise ValueError(f"bad sizes in {path}: {exc}") from exc
     _check_arrays(arrays, shapes, T, path)
 
     # One new native float64 vector per group, keyed by owner and field.
@@ -213,15 +206,23 @@ def _from_header(header: dict, blob: bytes, offset: int, path) -> Checkpoint:
     model = NoisePredictor(data_dim, embed_dim, hidden, **vectors["model"],
                            state_scale=None if scale is None else np.array(scale, dtype=np.float64))
     states = {key: _restore(header, key, vectors.get(key, {}), path) for key in _STATES}
-    return Checkpoint(T=T, s=float(header["s"]), step=int(header["step"]), model=model, **states)
+    return Checkpoint(T=T, s=s, step=step, model=model, **states)
+
+
+def _typed(value, kind: type, key: str):
+    """``value`` as ``kind``: a JSON integer, or a JSON float for a float field."""
+    if type(value) is not int and (kind is int or type(value) is not float):
+        raise TypeError(f"{key} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
+    return kind(value)
 
 
 def _restore(header: dict, key: str, vectors: dict[str, np.ndarray], path):
     """The state of section ``key`` from its vectors and the section's
-    scalars, each converted to its field's type. A bad value is a
+    scalars, each held to its field's type. A bad value is a
     ``ValueError`` naming the file; a missing one is a ``KeyError``."""
     (cls, scalars), section = _STATES[key], header[key]
     try:
-        return cls(**vectors, **{name: kind(section[name]) for name, kind in scalars.items()})
+        return cls(**vectors, **{name: _typed(section[name], kind, f"{key}.{name}")
+                                 for name, kind in scalars.items()})
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"bad {key} value in the checkpoint header of {path}: {exc}") from exc

@@ -12,6 +12,7 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ from .configfile import (
     resolve_dataset,
 )
 from .data import load as load_dataset
-from .fileio import temp_beside, write_text_atomic
+from .fileio import temp_beside, write_atomic
 from .metrics import diversity, energy_distance, moments
 from .sampling import (
     NonFiniteState,
@@ -64,7 +65,7 @@ def cmd_verify(args) -> int:
     report = "\n".join(lines)
     print(report)
     if args.report:
-        write_text_atomic(Path(args.report), report + "\n")
+        write_atomic(Path(args.report), report + "\n")
     return 0 if ok else 1
 
 
@@ -104,10 +105,8 @@ def cmd_sample(args) -> int:
             f"checkpoint/data mismatch: model dimension {model.data_dim}, "
             f"data dimension {dataset.dim}"
         )
-    if not 1 <= args.steps <= ckpt.T:
-        raise UsageError(f"steps must lie in 1..T={ckpt.T}, got {args.steps}")
-    if not 0.0 <= args.eta <= 1.0:
-        raise UsageError(f"eta must lie in [0, 1], got {args.eta}")
+    plan = SamplerPlan(make_grid(ckpt.T, args.steps), args.eta,
+                       record_trajectory=args.trajectories)
     n = dataset.n if args.n is None else args.n
     if n < 0 or n > dataset.n:
         raise UsageError(f"n must lie in 0..{dataset.n}, got {args.n}")
@@ -115,7 +114,6 @@ def cmd_sample(args) -> int:
         raise UsageError(f"k must be >= 1, got {args.k}")
 
     schedule = build_schedule(ckpt.T, ckpt.s)
-    grid = make_grid(ckpt.T, args.steps)
     eps_fn = model.eps_fn(ckpt.T)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -134,16 +132,12 @@ def cmd_sample(args) -> int:
             f.write("y_index,sample_index," + ",".join(f"dim_{i}" for i in range(dataset.dim)) + "\n")
             for start in range(0, len(chains), SAMPLE_BLOCK):
                 block = chains[start : start + SAMPLE_BLOCK]
-                plan = SamplerPlan(
-                    grid=grid,
-                    eta=args.eta,
-                    seed=[int(rng_for(args.seed, "sample", row, rep).integers(2**62))
-                          for row, rep in block],
-                    record_trajectory=args.trajectories,
-                )
+                seeds = [int(rng_for(args.seed, "sample", row, rep).integers(2**62))
+                         for row, rep in block]
                 try:
                     x0, traj = accelerated_sample(
-                        schedule, eps_fn, dataset.y[[row for row, _ in block]], plan
+                        schedule, eps_fn, dataset.y[[row for row, _ in block]],
+                        replace(plan, seed=seeds),
                     )
                 except NonFiniteState as exc:
                     row, rep = block[exc.chain]
@@ -266,7 +260,7 @@ def cmd_eval(args) -> int:
         lines.append(f"mean_{i},{_fmt(mom.mean[i])},{samples.shape[0]},{seed}")
         lines.append(f"var_{i},{_fmt(mom.var[i])},{samples.shape[0]},{seed}")
     report = "\n".join(lines) + "\n"
-    write_text_atomic(Path(args.out), report)
+    write_atomic(Path(args.out), report)
     print(report, end="")
     return 0
 
@@ -281,7 +275,7 @@ def cmd_info(args) -> int:
         lines.append(",".join((str(t), *("" if math.isnan(v) else _fmt(v) for v in row))))
     table = "\n".join(lines) + "\n"
     if args.out:
-        write_text_atomic(Path(args.out), table)
+        write_atomic(Path(args.out), table)
         print(f"schedule table: {args.out}")
     else:
         print(table, end="")

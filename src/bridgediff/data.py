@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fileio import write_text_atomic
+from .fileio import write_atomic
 from .oracle import JointGaussianSpec
 from .seeding import rng_for
 
@@ -183,7 +183,7 @@ def save(dataset: PairedDataset, path) -> None:
         f"# dim={dataset.dim}",
         f"# crc32={zlib.crc32(data_text.encode('utf-8'))}",
     ]
-    write_text_atomic(Path(path), "\n".join(meta) + "\n", data_text)
+    write_atomic(Path(path), "\n".join(meta) + "\n", data_text)
 
 
 def read_header(path) -> dict:

@@ -13,13 +13,14 @@ def temp_beside(path: Path) -> Path:
     return path.with_name(f".{path.name}-{os.urandom(8).hex()}.tmp")
 
 
-def write_text_atomic(path: Path, *parts: str) -> None:
-    """Write ``parts`` one after another to ``path`` through a temp file
-    beside it, so a failed write leaves an earlier file at ``path`` as it
-    was and no temp file."""
+def write_atomic(path: Path, *parts: str | bytes) -> None:
+    """Write ``parts``, all text (UTF-8, ``\\n`` line ends) or all bytes, in
+    turn to ``path`` through a temp file beside it, so a failed write leaves
+    an earlier file at ``path`` as it was and no temp file."""
     tmp = temp_beside(path)
+    text = bool(parts) and isinstance(parts[0], str)
     try:
-        with open(tmp, "x", encoding="utf-8", newline="\n") as f:
+        with open(tmp, "x", encoding="utf-8", newline="\n") if text else open(tmp, "xb") as f:
             f.writelines(parts)
         os.replace(tmp, path)
     finally:

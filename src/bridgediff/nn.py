@@ -80,7 +80,17 @@ def _embed_table(T: int, dim: int) -> np.ndarray:
 
 
 def layer_shapes(data_dim: int, embed_dim: int, hidden: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Shapes of the parameter arrays in storage order [W0, b0, W1, b1, ...]."""
+    """Shapes of the parameter arrays in storage order [W0, b0, W1, b1, ...].
+    The one home of the size rules: a bad size is a ``ValueError`` that
+    starts with its config key."""
+    if data_dim < 1:
+        raise ValueError(f"data_dim must be >= 1, got {data_dim}")
+    if embed_dim < 1:
+        raise ValueError(f"embed_dim must be >= 1, got {embed_dim}")
+    if embed_dim % 2 != 0:
+        raise ValueError(f"embed_dim must be even, got {embed_dim}")
+    if not hidden or min(hidden) < 1:
+        raise ValueError(f"hidden must list one or more widths, each >= 1, got {hidden}")
     sizes = [data_dim + embed_dim, *hidden, data_dim]
     shapes: list[tuple[int, ...]] = []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
@@ -140,16 +150,12 @@ class NoisePredictor:
         state_scale: np.ndarray | None = None,
     ) -> "NoisePredictor":
         """Fan-in uniform init for hidden layers, zeros for the output layer."""
-        if data_dim < 1 or embed_dim < 2 or embed_dim % 2 != 0:
-            raise ValueError(f"bad sizes: data_dim={data_dim}, embed_dim={embed_dim}")
         hidden = tuple(int(h) for h in hidden)
-        if not hidden or any(h < 1 for h in hidden):
-            raise ValueError(f"need at least one positive hidden width, got {hidden}")
+        n = sum(math.prod(shape) for shape in layer_shapes(data_dim, embed_dim, hidden))
         if state_scale is not None:
             state_scale = np.asarray(state_scale, dtype=np.float64)
             if state_scale.ndim != 1 or not np.all(np.isfinite(state_scale) & (state_scale > 0)):
                 raise ValueError("state_scale must be a 1-D array of finite, positive scales")
-        n = sum(math.prod(shape) for shape in layer_shapes(data_dim, embed_dim, hidden))
         model = cls(data_dim, embed_dim, hidden, flat=np.zeros(n), state_scale=state_scale)
         # The output layer is drawn and then zeroed, so a caller that keeps
         # using ``rng`` sees the same later draws as it always has.

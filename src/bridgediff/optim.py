@@ -10,7 +10,8 @@ ufunc calls spell out a fixed sequence of float operations, which keeps
 training runs replayable byte for byte; regroup none of them.
 
 Each state dataclass checks its hyperparameters' ranges on construction,
-so a fresh run's factory and a checkpoint restore pass the same checks.
+the one place those rules live, in messages that start with the config key
+(``adam_beta1`` for the checkpoint header's ``adam.beta1``).
 """
 
 from __future__ import annotations
@@ -35,9 +36,9 @@ class AdamState:
     def __post_init__(self):
         for name in ("beta1", "beta2"):
             if not 0.0 <= getattr(self, name) < 1.0:
-                raise ValueError(f"Adam {name} must lie in [0, 1), got {getattr(self, name)}")
+                raise ValueError(f"adam_{name} must lie in [0, 1), got {getattr(self, name)}")
         if not (math.isfinite(self.eps) and self.eps > 0.0):
-            raise ValueError(f"Adam eps must be finite and positive, got {self.eps}")
+            raise ValueError(f"adam_eps must be finite and positive, got {self.eps}")
         # Scratch for adam_step, so an update allocates nothing.
         self._a = np.empty_like(self.m)
         self._b = np.empty_like(self.m)
@@ -106,9 +107,9 @@ class EmaState:
 
     def __post_init__(self):
         if not 0.0 <= self.decay < 1.0:
-            raise ValueError(f"EMA decay must lie in [0, 1), got {self.decay}")
+            raise ValueError(f"ema_decay must lie in [0, 1), got {self.decay}")
         if self.update_interval < 1:
-            raise ValueError(f"EMA update interval must be >= 1, got {self.update_interval}")
+            raise ValueError(f"ema_update_interval must be >= 1, got {self.update_interval}")
 
     @classmethod
     def from_params(
@@ -153,14 +154,14 @@ class PlateauLrState:
 
     def __post_init__(self):
         if not 0.0 < self.factor < 1.0:
-            raise ValueError(f"factor must lie in (0, 1), got {self.factor}")
+            raise ValueError(f"plateau_factor must lie in (0, 1), got {self.factor}")
         if not 0.0 < self.min_lr <= self.current_lr <= self.max_lr < math.inf:
             raise ValueError(
                 "plateau rates must satisfy 0 < min_lr <= current_lr <= max_lr < inf, got "
                 f"min_lr={self.min_lr}, current_lr={self.current_lr}, max_lr={self.max_lr}"
             )
         if not (math.isfinite(self.threshold) and self.threshold >= 0.0):
-            raise ValueError(f"plateau threshold must be finite and >= 0, got {self.threshold}")
+            raise ValueError(f"plateau_threshold must be finite and >= 0, got {self.threshold}")
 
     @classmethod
     def create(

@@ -90,7 +90,7 @@ class SamplerPlan:
 def make_grid(T: int, S: int) -> tuple[int, ...]:
     """S strictly increasing steps, evenly spaced by rounding, ending at T."""
     if not 1 <= S <= T:
-        raise ValueError(f"need 1 <= S <= T, got S={S}, T={T}")
+        raise ValueError(f"steps must lie in 1..T={T}, got {S}")
     steps = [int(math.floor(i * T / S + 0.5)) for i in range(1, S + 1)]
     steps[-1] = T
     out = [max(1, steps[0])]

@@ -62,19 +62,19 @@ class BridgeSchedule:
 def build_schedule(T: int, s: float) -> BridgeSchedule:
     """Precompute the full schedule for ``T`` steps at variance scale ``s``.
 
-    Requires ``T >= 2`` and finite ``s > 0``. An ``s`` so large that a
-    schedule quantity overflows, or so small that one underflows (which
-    would, for one, zero ``posterior_var`` and leave the sampler without
-    noise), is a ``ValueError`` naming ``s``.
+    Requires an integer ``T >= 2`` and finite ``s > 0``. An ``s`` so large
+    that a schedule quantity overflows, or so small that one underflows
+    (which would, for one, zero ``posterior_var`` and leave the sampler
+    without noise), is a ``ValueError`` naming ``s``.
     """
     if isinstance(T, bool) or not isinstance(T, (int, np.integer)):
-        raise TypeError(f"step count must be an integer, got {T!r}")
+        raise TypeError(f"T must be an integer, got {T!r}")
     T = int(T)
     if T < 2:
-        raise ValueError(f"need at least 2 diffusion steps, got T={T}")
+        raise ValueError(f"T must be >= 2, got {T}")
     s = float(s)
     if not math.isfinite(s) or s <= 0.0:
-        raise ValueError(f"variance scale must be finite and positive, got s={s}")
+        raise ValueError(f"s must be finite and positive, got {s}")
 
     try:
         with np.errstate(over="raise", under="raise", invalid="raise"):

@@ -19,7 +19,7 @@ import numpy as np
 
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .data import PairedDataset
-from .nn import NoisePredictor
+from .nn import NoisePredictor, layer_shapes
 from .optim import (
     AdamState,
     EmaState,
@@ -75,10 +75,7 @@ class TrainConfig:
     gen_params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.T < 2:
-            raise ValueError(f"T must be >= 2, got {self.T}")
-        for name in ("batch_size", "embed_dim", "checkpoint_interval",
-                     "validation_interval", "ema_update_interval"):
+        for name in ("batch_size", "checkpoint_interval", "validation_interval"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         for name in ("seed", "max_steps"):
@@ -86,26 +83,26 @@ class TrainConfig:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ValueError(f"val_fraction must lie in [0, 1), got {self.val_fraction}")
-        for name in ("s", "lr", "min_lr", "adam_eps"):
+        # lr is the plateau state's max_lr and current_lr, so only the config can name it.
+        for name in ("lr", "min_lr"):
             v = getattr(self, name)
             if not math.isfinite(v) or v <= 0.0:
                 raise ValueError(f"{name} must be finite and positive, got {v}")
-        build_schedule(self.T, self.s)  # an s that over- or underflows the schedule is a ValueError
         if self.min_lr > self.lr:
             raise ValueError(f"min_lr must not exceed lr, got min_lr={self.min_lr}, lr={self.lr}")
-        for name in ("adam_beta1", "adam_beta2", "ema_decay"):
-            v = getattr(self, name)
-            if not 0.0 <= v < 1.0:
-                raise ValueError(f"{name} must lie in [0, 1), got {v}")
-        if not 0.0 < self.plateau_factor < 1.0:
-            raise ValueError(f"plateau_factor must lie in (0, 1), got {self.plateau_factor}")
-        if not (math.isfinite(self.plateau_threshold) and self.plateau_threshold >= 0.0):
-            raise ValueError(f"plateau_threshold must be finite and >= 0, got {self.plateau_threshold}")
-        if self.embed_dim % 2 != 0:
-            raise ValueError(f"embed_dim must be even, got {self.embed_dim}")
+        build_schedule(self.T, self.s)
         self.hidden = tuple(int(h) for h in self.hidden)
-        if not self.hidden or min(self.hidden) < 1:
-            raise ValueError(f"hidden must list one or more widths, each >= 1, got {self.hidden}")
+        layer_shapes(1, self.embed_dim, self.hidden)
+        self.optimizer_states(np.empty(0))
+
+    def optimizer_states(self, flat: np.ndarray) -> tuple[AdamState, EmaState, PlateauLrState]:
+        """A fresh run's Adam, EMA and plateau states over parameters ``flat``."""
+        return (
+            AdamState.for_params(flat, self.adam_beta1, self.adam_beta2, self.adam_eps),
+            EmaState.from_params(flat, self.ema_decay, self.ema_start_step, self.ema_update_interval),
+            PlateauLrState.create(self.lr, self.min_lr, self.plateau_factor, self.plateau_patience,
+                                  self.plateau_cooldown, self.plateau_threshold),
+        )
 
 
 @dataclass
@@ -271,17 +268,7 @@ def run_training(
             dataset.dim, config.hidden, config.embed_dim, rng_for(config.seed, "init"),
             state_scale=state_scale,
         )
-        adam = AdamState.for_params(
-            model.flat, config.adam_beta1, config.adam_beta2, config.adam_eps
-        )
-        ema = EmaState.from_params(
-            model.flat, config.ema_decay, config.ema_start_step,
-            config.ema_update_interval,
-        )
-        plateau = PlateauLrState.create(
-            config.lr, config.min_lr, config.plateau_factor, config.plateau_patience,
-            config.plateau_cooldown, config.plateau_threshold,
-        )
+        adam, ema, plateau = config.optimizer_states(model.flat)
         start_step = 0
 
     def checkpoint_at(step: int) -> Checkpoint:

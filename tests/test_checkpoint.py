@@ -9,7 +9,7 @@ import pytest
 from bridgediff import cli
 from bridgediff.checkpoint import MAGIC, Checkpoint, load_checkpoint, save_checkpoint
 from bridgediff.data import gen_two_moons_paired, save
-from bridgediff.nn import NoisePredictor
+from bridgediff.nn import NoisePredictor, layer_shapes
 from bridgediff.optim import AdamState, EmaState, PlateauLrState
 from bridgediff.seeding import rng_for
 from bridgediff.training import TrainConfig, run_training
@@ -112,7 +112,7 @@ class TestStorage:
                 raise OSError("disk full")
 
         records = checkpoint_mod._array_records
-        # Every array but the last is written before the failure.
+        # Every array but the last converts before the failure.
         monkeypatch.setattr(
             checkpoint_mod, "_array_records",
             lambda *a: records(*a)[:-1] + [("adam_v.5", Unwritable())],
@@ -206,6 +206,76 @@ class TestCorruption:
             load_checkpoint(path)
 
 
+class TestHeaderTypes:
+    """An integer header field takes only a JSON integer, a float field any
+    JSON number; each error names the file and the key."""
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("T", 50.7, "bad checkpoint header in {path}: T must be an integer, got 50.7"),
+        ("T", "abc", "bad checkpoint header in {path}: T must be an integer, got 'abc'"),
+        ("step", 2.7, "bad checkpoint header in {path}: step must be an integer, got 2.7"),
+        ("step", -5, "bad checkpoint header in {path}: step must be >= 0, got -5"),
+        ("s", "1.5", "bad checkpoint header in {path}: s must be a number, got '1.5'"),
+        ("s", True, "bad checkpoint header in {path}: s must be a number, got True"),
+        ("model.data_dim", 2.0,
+         "bad checkpoint header in {path}: model.data_dim must be an integer, got 2.0"),
+        ("model.hidden", [8.9, 6],
+         "bad checkpoint header in {path}: model.hidden[0] must be an integer, got 8.9"),
+        ("adam.step", 1.9, "bad adam value in the checkpoint header of {path}: "
+                           "adam.step must be an integer, got 1.9"),
+        ("ema.update_interval", True, "bad ema value in the checkpoint header of {path}: "
+                                      "ema.update_interval must be an integer, got True"),
+        ("plateau.patience", "7", "bad plateau value in the checkpoint header of {path}: "
+                                  "plateau.patience must be an integer, got '7'"),
+        ("plateau.factor", "0.5", "bad plateau value in the checkpoint header of {path}: "
+                                  "plateau.factor must be a number, got '0.5'"),
+    ], ids=["T=50.7", "T='abc'", "step=2.7", "step=-5", "s='1.5'", "s=true", "model.data_dim=2.0",
+            "model.hidden=[8.9,6]", "adam.step=1.9", "ema.update_interval=true",
+            "plateau.patience='7'", "plateau.factor='0.5'"])
+    def test_mistyped_value_names_file_and_key(self, ckpt, tmp_path, key, value, message):
+        path = tmp_path / "model.bin"
+        save_checkpoint(path, ckpt)
+        *sections, name = key.split(".")
+        _rewrite_header(path, lambda h: (h[sections[0]] if sections else h).update({name: value}))
+        with pytest.raises(ValueError) as info:
+            load_checkpoint(path)
+        assert str(info.value) == message.format(path=path)
+
+    def test_float_fields_take_json_integers(self, ckpt, tmp_path):
+        path = tmp_path / "model.bin"
+        save_checkpoint(path, ckpt)
+        _rewrite_header(path, lambda h: (h.update(s=2), h["adam"].update(beta1=0)))
+        loaded = load_checkpoint(path)
+        assert (loaded.s, loaded.adam.beta1) == (2.0, 0.0)
+        assert type(loaded.s) is float and type(loaded.adam.beta1) is float
+
+
+@pytest.mark.parametrize("sizes,message", [
+    ((0, 4, (8,)), "data_dim must be >= 1, got 0"),
+    ((2, 0, (8,)), "embed_dim must be >= 1, got 0"),
+    ((2, 5, (8,)), "embed_dim must be even, got 5"),
+    ((2, 4, ()), "hidden must list one or more widths, each >= 1, got ()"),
+    ((2, 4, (8, 0)), "hidden must list one or more widths, each >= 1, got (8, 0)"),
+], ids=["data_dim=0", "embed_dim=0", "embed_dim=5", "hidden=()", "hidden=(8,0)"])
+def test_one_rule_for_sizes(ckpt, tmp_path, sizes, message):
+    """``layer_shapes`` holds the size rules; the constructor, ``create``
+    and a checkpoint restore reject bad sizes with its words."""
+    data_dim, embed_dim, hidden = sizes
+    exact = f"^{re.escape(message)}$"
+    with pytest.raises(ValueError, match=exact):
+        layer_shapes(data_dim, embed_dim, hidden)
+    with pytest.raises(ValueError, match=exact):
+        NoisePredictor(data_dim, embed_dim, hidden, flat=np.zeros(1))
+    with pytest.raises(ValueError, match=exact):
+        NoisePredictor.create(data_dim, hidden, embed_dim, rng_for(1, "init"))
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, ckpt)
+    _rewrite_header(path, lambda h: h["model"].update(data_dim=data_dim, embed_dim=embed_dim,
+                                                      hidden=list(hidden)))
+    with pytest.raises(ValueError, match=f"^{re.escape(f'bad sizes in {path}: {message}')}$"):
+        load_checkpoint(path)
+
+
 class TestArchitecture:
     """Arrays must match the declared sizes; model, EMA and state-scale
     values must be finite."""
@@ -267,7 +337,8 @@ class TestArchitecture:
 class TestStateSections:
     """The ``adam``, ``ema`` and ``plateau`` sections hold their state
     dataclasses' scalar fields and pass the same range checks as a fresh
-    run; so does the schedule (``T``, ``s``), through ``build_schedule``."""
+    run; so does the schedule (``T``, ``s``), through ``build_schedule``.
+    An integer field takes only a JSON integer, and the step is >= 0."""
 
     @pytest.mark.parametrize("key,cls", [("adam", AdamState), ("ema", EmaState),
                                          ("plateau", PlateauLrState)])
@@ -293,16 +364,21 @@ class TestStateSections:
     cases = pytest.mark.parametrize(
         "bad", [("ema", "update_interval", 0), ("plateau", "factor", 2.0), ("adam", "beta1", 1.0),
                 ("plateau", "current_lr", float("nan")), ("", "s", -1.0), ("", "s", 0.0),
-                ("", "s", float("nan")), ("", "T", 1)],
+                ("", "s", float("nan")), ("", "T", 1), ("", "T", 50.7), ("", "step", 2.7),
+                ("adam", "step", 1.9), ("ema", "update_interval", True), ("plateau", "patience", "7"),
+                ("model", "hidden", [8.9, 6]), ("", "T", "abc"), ("", "step", -5)],
         ids=["ema.update_interval=0", "plateau.factor=2.0", "adam.beta1=1.0",
-             "plateau.current_lr=nan", "s=-1", "s=0", "s=nan", "T=1"],
+             "plateau.current_lr=nan", "s=-1", "s=0", "s=nan", "T=1", "T=50.7", "step=2.7",
+             "adam.step=1.9", "ema.update_interval=true", "plateau.patience='7'",
+             "model.hidden=[8.9,6]", "T='abc'", "step=-5"],
         indirect=True,
     )
 
     @cases
     def test_load_names_the_file(self, bad):
         with pytest.raises(ValueError,
-                           match="update interval|factor|beta1|current_lr|^bad schedule in") as info:
+                           match="update_interval|factor|beta1|current_lr|^bad schedule in|"
+                                 "must be an integer|step must be >= 0") as info:
             load_checkpoint(bad)
         assert str(bad) in str(info.value)
 

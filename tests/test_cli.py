@@ -248,6 +248,22 @@ class TestSampleCommand:
         assert code == 2
         assert "steps" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,value,line", [
+        ("--eta", "1.5", "error: eta must lie in [0, 1], got 1.5\n"),
+        ("--steps", "0", "error: steps must lie in 1..T=60, got 0\n"),
+    ])
+    def test_bad_sampler_setting_exits_two(self, tmp_path, moons_file, trained, capsys,
+                                           flag, value, line):
+        capsys.readouterr()
+        out_dir = tmp_path / "x"
+        code = cli.main([
+            "sample", "--checkpoint", str(trained), "--data", str(moons_file),
+            "--steps", "10", flag, value, "--out", str(out_dir),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == line
+        assert not out_dir.exists()
+
     def test_dim_mismatch_rejected(self, tmp_path, trained, capsys):
         from bridgediff.data import gen_binary_patterns
 

@@ -112,7 +112,7 @@ class TestRangeChecks:
 
     @pytest.mark.parametrize("field,value,match", [
         ("decay", 1.0, "decay"), ("decay", -0.1, "decay"), ("decay", math.nan, "decay"),
-        ("update_interval", 0, "update interval"),
+        ("update_interval", 0, "update_interval"),
     ])
     def test_ema(self, field, value, match):
         with pytest.raises(ValueError, match=match):

@@ -396,7 +396,9 @@ class TestTrainConfigValidation:
     @pytest.mark.parametrize("key,value", [
         ("seed", -1), ("ema_decay", 1.0), ("ema_decay", -0.1), ("plateau_factor", 0.0),
         ("plateau_factor", 1.0), ("min_lr", 2e-4), ("embed_dim", 7), ("hidden", ()),
-        ("hidden", (16, 0)),
+        ("hidden", (16, 0)), ("T", 1), ("s", 0.0), ("adam_beta1", 1.0), ("adam_beta2", -0.1),
+        ("adam_eps", 0.0), ("ema_update_interval", 0), ("plateau_threshold", -1.0),
+        ("embed_dim", 0),
     ])
     def test_out_of_range_value_names_its_key(self, key, value):
         with pytest.raises(ValueError, match=f"^{key} must"):

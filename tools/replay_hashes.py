@@ -32,7 +32,10 @@ In a temporary directory it
   ``loss_target``, ``posterior`` and ``reverse_mean`` on a seeded grid:
   T = 2, 37 and 1000, steps at the ends of each function's range and
   between, scalar and (d,) states for all four, and a (B, d) batch with a
-  step array for ``forward_sample``.
+  step array for ``forward_sample``;
+- writes ``config_errors.txt``, the error line of each config in a fixed
+  list that sets one key to a bad value, covering every ``TrainConfig``
+  key that has a range.
 
 Each output line is ``<sha256>  <path>``, sorted by path, for every file
 those steps write. Run it at two commits and diff the outputs: a change
@@ -62,6 +65,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from bridgediff import cli, data  # noqa: E402
 from bridgediff.checkpoint import load_checkpoint, save_checkpoint  # noqa: E402
+from bridgediff.configfile import UsageError, build_train_config  # noqa: E402
 from bridgediff.process import forward_sample, loss_target, posterior, reverse_mean  # noqa: E402
 from bridgediff.schedule import build_schedule  # noqa: E402
 from bridgediff.seeding import rng_for  # noqa: E402
@@ -73,6 +77,35 @@ MOONS = dict(
     ema_decay=0.995, ema_update_interval=4, ema_start_step=500, plateau_patience=10,
     plateau_cooldown=5, plateau_threshold=1e-5, val_fraction=0.05,
 )
+
+
+# One bad value per config, as the config file spells it.
+BAD_CONFIG = [
+    ("T", "1"), ("T", "0"), ("T", "abc"), ("s", "0"), ("s", "-1"), ("s", "nan"), ("s", "inf"),
+    ("s", "1e300"), ("s", "1e-320"), ("embed_dim", "0"), ("embed_dim", "-2"), ("embed_dim", "7"),
+    ("hidden", ""), ("hidden", "16,0"), ("hidden", "-3"), ("batch_size", "0"),
+    ("checkpoint_interval", "0"), ("validation_interval", "0"), ("seed", "-1"),
+    ("max_steps", "-1"), ("val_fraction", "1"), ("val_fraction", "-0.1"), ("lr", "0"),
+    ("lr", "nan"), ("lr", "inf"), ("min_lr", "0"), ("min_lr", "2e-3"), ("adam_beta1", "1"),
+    ("adam_beta1", "-0.1"), ("adam_beta1", "nan"), ("adam_beta2", "1"), ("adam_eps", "0"),
+    ("adam_eps", "inf"), ("adam_eps", "nan"), ("ema_decay", "1"), ("ema_decay", "-0.1"),
+    ("ema_update_interval", "0"), ("plateau_factor", "0"), ("plateau_factor", "1"),
+    ("plateau_factor", "nan"), ("plateau_threshold", "-1"), ("plateau_threshold", "inf"),
+    ("plateau_threshold", "nan"),
+]
+
+
+def _config_errors(path: Path) -> None:
+    """Write ``key=value: message`` for each config in ``BAD_CONFIG``."""
+    lines = []
+    for key, value in BAD_CONFIG:
+        try:
+            build_train_config({"seed": "1", key: value})
+        except UsageError as exc:
+            lines.append(f"{key}={value}: {exc}\n")
+        else:
+            raise SystemExit(f"config {key}={value} was accepted")
+    path.write_text("".join(lines), encoding="utf-8")
 
 
 def _run(argv: list[str]) -> None:
@@ -138,6 +171,7 @@ def replay(root: Path) -> None:
     _run(["info", "--T", "37", "--s", "4.0", "--out", str(root / "info_T37_s4.csv")])
     _run(["verify", "--report", str(root / "verify_report.txt")])
     _process_ops(root / "process_ops.bin")
+    _config_errors(root / "config_errors.txt")
 
 
 def main() -> int:
