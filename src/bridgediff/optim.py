@@ -11,7 +11,10 @@ training runs replayable byte for byte; regroup none of them.
 
 Each state dataclass checks its hyperparameters' ranges on construction,
 the one place those rules live, in messages that start with the config key
-(``adam_beta1`` for the checkpoint header's ``adam.beta1``).
+(``adam_beta1`` for the checkpoint header's ``adam.beta1``). An integer
+setting (the EMA's start step and update interval, the plateau patience and
+cooldown) must be an integer: a bool or a float such as 2.5 is a
+``TypeError``, not truncated.
 """
 
 from __future__ import annotations
@@ -20,6 +23,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+
+def _count(key: str, value, low: int) -> int:
+    """``value`` as an int; it must be an integer (not a bool) and at
+    least ``low``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{key} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{key} must be >= {low}, got {value}")
+    return int(value)
 
 
 @dataclass
@@ -108,8 +121,8 @@ class EmaState:
     def __post_init__(self):
         if not 0.0 <= self.decay < 1.0:
             raise ValueError(f"ema_decay must lie in [0, 1), got {self.decay}")
-        if self.update_interval < 1:
-            raise ValueError(f"ema_update_interval must be >= 1, got {self.update_interval}")
+        self.start_step = _count("ema_start_step", self.start_step, 0)
+        self.update_interval = _count("ema_update_interval", self.update_interval, 1)
 
     @classmethod
     def from_params(
@@ -119,8 +132,8 @@ class EmaState:
         return cls(
             shadow=np.array(params, dtype=np.float64),
             decay=float(decay),
-            start_step=int(start_step),
-            update_interval=int(update_interval),
+            start_step=start_step,
+            update_interval=update_interval,
         )
 
 
@@ -162,6 +175,8 @@ class PlateauLrState:
             )
         if not (math.isfinite(self.threshold) and self.threshold >= 0.0):
             raise ValueError(f"plateau_threshold must be finite and >= 0, got {self.threshold}")
+        self.patience = _count("plateau_patience", self.patience, 1)
+        self.cooldown = _count("plateau_cooldown", self.cooldown, 0)
 
     @classmethod
     def create(
@@ -173,8 +188,8 @@ class PlateauLrState:
             max_lr=float(max_lr),
             min_lr=float(min_lr),
             factor=float(factor),
-            patience=int(patience),
-            cooldown=int(cooldown),
+            patience=patience,
+            cooldown=cooldown,
             threshold=float(threshold),
         )
 

@@ -36,6 +36,23 @@ for bit those of computing every move's coefficients at that move. The
 gap check (noise variance within the target marginal) runs over the
 whole plan before the first move and names the offending step.
 
+A move's ``mix_cur y`` is the product the move before formed as its
+``mix_prev y`` (one move's prev is the next one's cur), so it is carried
+over and each move multiplies ``y`` once. Each interior move checks one
+array for finiteness, its new state. That is exact: prev < T, so the
+weight ``1 - mix_prev`` on ``x0_hat`` is positive and a non-finite
+reconstruction always makes the state non-finite. Only when the check
+fails are the reconstruction and the state checked in turn, which names
+the step and row that checking both at every move would. The interior
+moves, their ``eps_fn`` calls included, run under one
+``np.errstate(over="ignore", invalid="ignore")``: a non-finite prediction,
+or a move whose arithmetic overflows, ends in ``NonFiniteState`` without a
+numpy ``RuntimeWarning``. The first move and the final reconstruction
+check both arrays, once per call. On 2 cores with 1 BLAS thread and numpy
+2.4.6, this raised the benchmark's ``chain`` throughput (one chain per
+call, analytic predictor) from 30,712 to 35,960 reverse steps/s, medians
+of 10 alternated pairs.
+
 Endpoints are special: the state at t = T is the conditioning input itself
 and carries no extra information, so the first move draws straight from the
 step-grid[-2] marginal around the reconstructed data point (variance scaled
@@ -181,26 +198,37 @@ def _run_chain(
         # sigma z for every move and row in one multiply.
         noise *= np.sqrt(sigma2)[:, None, None]
         keep_prev, mix_prev = (1.0 - mix[prevs]).tolist(), mix[prevs].tolist()
-        keep_cur, mix_cur = (1.0 - mix[curs]).tolist(), mix[curs].tolist()
+        keep_cur = (1.0 - mix[curs]).tolist()
 
-        x = keep_prev[0] * x0_hat + mix_prev[0] * y + noise[0]
+        # mix_cur[j] is mix_prev[j - 1] (one move's prev is the next one's
+        # cur), so a move's mix_cur y is the product the move before made.
+        mix_y = mix_prev[0] * y
+        x = keep_prev[0] * x0_hat + mix_y + noise[0]
         _check_state(x, grid[-2])
         if record:
             traj.append((grid[-2], x.copy()))
 
-        for j, (cur, prev) in enumerate(zip(grid[-2:0:-1], grid[-3::-1]), start=1):
-            eps = np.asarray(eps_fn(x, cur), dtype=np.float64)
-            x0_hat = x - eps
-            _check_state(x0_hat, cur)
-            mean = (
-                keep_prev[j] * x0_hat
-                + mix_prev[j] * y
-                + scale[j - 1] * (x - keep_cur[j] * x0_hat - mix_cur[j] * y)
-            )
-            x = mean + noise[j]
-            _check_state(x, prev)
-            if record:
-                traj.append((prev, x.copy()))
+        # One guard per interior move, on x alone. It is exact: prev < T, so
+        # keep_prev > 0 and a non-finite x0_hat makes x non-finite (inf * c,
+        # inf - inf and NaN all propagate). A failed guard checks x0_hat,
+        # then x, naming the step and row that checking both would. The
+        # errstate keeps the arithmetic before the guard from warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j, (cur, prev) in enumerate(zip(grid[-2:0:-1], grid[-3::-1]), start=1):
+                eps = np.asarray(eps_fn(x, cur), dtype=np.float64)
+                x0_hat = x - eps
+                mix_y_cur, mix_y = mix_y, mix_prev[j] * y
+                mean = (
+                    keep_prev[j] * x0_hat
+                    + mix_y
+                    + scale[j - 1] * (x - keep_cur[j] * x0_hat - mix_y_cur)
+                )
+                x = mean + noise[j]
+                if not np.isfinite(x).all():
+                    _check_state(x0_hat, cur)
+                    _check_state(x, prev)
+                if record:
+                    traj.append((prev, x.copy()))
 
         eps = np.asarray(eps_fn(x, grid[0]), dtype=np.float64)
         x0_hat = x - eps

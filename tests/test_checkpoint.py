@@ -366,11 +366,14 @@ class TestStateSections:
                 ("plateau", "current_lr", float("nan")), ("", "s", -1.0), ("", "s", 0.0),
                 ("", "s", float("nan")), ("", "T", 1), ("", "T", 50.7), ("", "step", 2.7),
                 ("adam", "step", 1.9), ("ema", "update_interval", True), ("plateau", "patience", "7"),
-                ("model", "hidden", [8.9, 6]), ("", "T", "abc"), ("", "step", -5)],
+                ("model", "hidden", [8.9, 6]), ("", "T", "abc"), ("", "step", -5),
+                ("plateau", "patience", -5), ("plateau", "patience", 0), ("plateau", "cooldown", -3),
+                ("ema", "start_step", -7)],
         ids=["ema.update_interval=0", "plateau.factor=2.0", "adam.beta1=1.0",
              "plateau.current_lr=nan", "s=-1", "s=0", "s=nan", "T=1", "T=50.7", "step=2.7",
              "adam.step=1.9", "ema.update_interval=true", "plateau.patience='7'",
-             "model.hidden=[8.9,6]", "T='abc'", "step=-5"],
+             "model.hidden=[8.9,6]", "T='abc'", "step=-5", "plateau.patience=-5",
+             "plateau.patience=0", "plateau.cooldown=-3", "ema.start_step=-7"],
         indirect=True,
     )
 
@@ -378,7 +381,7 @@ class TestStateSections:
     def test_load_names_the_file(self, bad):
         with pytest.raises(ValueError,
                            match="update_interval|factor|beta1|current_lr|^bad schedule in|"
-                                 "must be an integer|step must be >= 0") as info:
+                                 "must be an integer|step must be >= 0|patience|cooldown") as info:
             load_checkpoint(bad)
         assert str(bad) in str(info.value)
 

@@ -140,6 +140,36 @@ class TestRangeChecks:
         with pytest.raises(ValueError, match="threshold"):
             PlateauLrState.create(1e-3, threshold=-1.0)
 
+    @pytest.mark.parametrize("cls,field,value,message", [
+        (EmaState, "start_step", -7, "ema_start_step must be >= 0, got -7"),
+        (PlateauLrState, "patience", -5, "plateau_patience must be >= 1, got -5"),
+        (PlateauLrState, "patience", 0, "plateau_patience must be >= 1, got 0"),
+        (PlateauLrState, "cooldown", -3, "plateau_cooldown must be >= 0, got -3"),
+    ])
+    def test_integer_settings_out_of_range(self, cls, field, value, message):
+        kwargs = {"shadow": np.zeros(2)} if cls is EmaState else {"current_lr": 1e-3, "max_lr": 1e-3}
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            cls(**kwargs, **{field: value})
+
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, "2"])
+    def test_integer_settings_are_not_truncated(self, value):
+        # A float, a bool or a string is rejected rather than cast by int().
+        for build in (
+            lambda: EmaState.from_params(np.zeros(2), update_interval=value),
+            lambda: EmaState.from_params(np.zeros(2), start_step=value),
+            lambda: PlateauLrState.create(1e-3, patience=value),
+            lambda: PlateauLrState.create(1e-3, cooldown=value),
+        ):
+            with pytest.raises(TypeError, match=r"^(ema|plateau)_\w+ must be an integer, got "):
+                build()
+
+    def test_integer_settings_at_their_bounds(self):
+        ema = EmaState.from_params(np.zeros(2), start_step=np.int64(0), update_interval=1)
+        plateau = PlateauLrState.create(1e-3, patience=1, cooldown=0)
+        assert (ema.start_step, ema.update_interval) == (0, 1)
+        assert type(ema.start_step) is int
+        assert (plateau.patience, plateau.cooldown) == (1, 0)
+
 
 def _per_array_adam(params, grads, m, v, step, lr, beta1, beta2, eps):
     """Reference: Adam applied array by array, with the formulas in the

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -295,6 +297,71 @@ class TestBatch:
         with pytest.raises(NonFiniteState, match="t=17") as info:
             ancestral_sample(schedule, bad_eps, np.zeros((4, 2)), seed=[1, 2, 3, 4])
         assert info.value.step == 17 and info.value.chain == 2
+
+
+class TestNonFiniteGuard:
+    """One finiteness check per interior move still names the step and row
+    that a check of x0_hat and then of the new state would, and a
+    non-finite prediction ends in ``NonFiniteState``, never in a warning."""
+
+    GRIDS = {"dense": (tuple(range(1, 31)), 1.0), "coarse": (make_grid(30, 7), 0.5)}
+
+    @pytest.mark.parametrize("grid", ["dense", "coarse"])
+    @pytest.mark.parametrize("rows", [None, 4])
+    @pytest.mark.parametrize("where", ["first", "interior", "final"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+    def test_bad_prediction_names_its_step_and_row(self, schedule, grid, rows, where, value):
+        grid, eta = self.GRIDS[grid]
+        step = {"first": grid[-1], "interior": grid[len(grid) // 2], "final": grid[0]}[where]
+        bad_row = 0 if rows is None else 2
+
+        def eps_fn(x, t):
+            eps = np.zeros_like(x)
+            if t == step:
+                eps[bad_row] = value
+            return eps
+
+        y = np.zeros(2) if rows is None else np.zeros((rows, 2))
+        seed = 5 if rows is None else [5, 6, 7, 8]
+        plan = SamplerPlan(grid=grid, eta=eta, seed=seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteState) as info:
+                accelerated_sample(schedule, eps_fn, y, plan)
+        assert (info.value.step, info.value.chain) == (step, bad_row)
+
+    @pytest.mark.parametrize("grid", ["dense", "coarse"])
+    def test_overflow_in_a_move_ends_without_a_warning(self, schedule, grid):
+        # Row 2's prediction grows by 1e300 a step: finite at t = T, it
+        # overflows in the first interior move's eps_fn call.
+        grid, eta = self.GRIDS[grid]
+
+        def eps_fn(x, t):
+            eps = np.zeros_like(x)
+            eps[2] = -1e300 * (x[2] + 1.0)
+            return eps
+
+        plan = SamplerPlan(grid=grid, eta=eta, seed=[5, 6, 7, 8])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteState) as info:
+                accelerated_sample(schedule, eps_fn, np.zeros((4, 2)), plan)
+        assert (info.value.step, info.value.chain) == (grid[-2], 2)
+
+    def test_peak_memory_is_about_the_noise_block(self):
+        # 256 chains of d = 16 over 200 steps: the pre-drawn noise is the one
+        # large array; no other per-move array of that size is planned.
+        sch = build_schedule(1000, 1.0)
+        y = rng_for(45, "guard-y").normal(size=(256, 16))
+        plan = SamplerPlan(grid=make_grid(1000, 200), eta=1.0, seed=list(range(256)))
+        noise_bytes = (len(plan.grid) - 1) * y.nbytes
+        tracemalloc.start()
+        try:
+            accelerated_sample(sch, lambda x, t: 0.1 * x, y, plan)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * noise_bytes + 64 * 1024
 
 
 def _reference_chain(schedule, eps_fn, y, grid, eta, seeds):

@@ -398,11 +398,18 @@ class TestTrainConfigValidation:
         ("plateau_factor", 1.0), ("min_lr", 2e-4), ("embed_dim", 7), ("hidden", ()),
         ("hidden", (16, 0)), ("T", 1), ("s", 0.0), ("adam_beta1", 1.0), ("adam_beta2", -0.1),
         ("adam_eps", 0.0), ("ema_update_interval", 0), ("plateau_threshold", -1.0),
-        ("embed_dim", 0),
+        ("embed_dim", 0), ("plateau_patience", -5), ("plateau_patience", 0),
+        ("plateau_cooldown", -3), ("ema_start_step", -7),
     ])
     def test_out_of_range_value_names_its_key(self, key, value):
         with pytest.raises(ValueError, match=f"^{key} must"):
             TrainConfig(**{"seed": 1, key: value})
+
+    @pytest.mark.parametrize("key", ["ema_update_interval", "ema_start_step",
+                                     "plateau_patience", "plateau_cooldown"])
+    def test_integer_setting_is_not_truncated(self, key):
+        with pytest.raises(TypeError, match=f"^{key} must be an integer, got 2.5$"):
+            TrainConfig(**{"seed": 1, key: 2.5})
 
     def test_overflowing_schedule_rejected(self):
         with pytest.raises(ValueError, match=r"s=1e\+300 makes the schedule at T=50 overflow"):

@@ -4,6 +4,7 @@ Run from anywhere; the package is imported from the ``src/`` of the
 checkout that holds this script:
 
     python3 tools/replay_hashes.py > hashes.txt
+    python3 tools/replay_hashes.py --check
 
 In a temporary directory it
 
@@ -37,11 +38,20 @@ In a temporary directory it
   list that sets one key to a bad value, covering every ``TrainConfig``
   key that has a range.
 
-Each output line is ``<sha256>  <path>``, sorted by path, for every file
-those steps write. Run it at two commits and diff the outputs: a change
-that keeps results byte-identical prints the same lines. BLAS is pinned to
-one thread. The hashes depend on the BLAS library and the numpy version,
-so this is a tool for comparing commits on one machine, not a test.
+The output opens with ``#`` lines naming the Python, numpy and BLAS
+versions, which the hashes depend on. Then each line is
+``<sha256>  <path>``, sorted by path, for every file those steps write.
+Run it at two commits and diff the outputs: a change that keeps results
+byte-identical prints the same lines. BLAS is pinned to one thread. This
+is a tool for comparing commits on one machine, not a test.
+
+``replay_hashes.txt`` beside this script is the committed listing. With
+``--check`` the script reruns the recipe and compares the result with it:
+it prints each ``changed``, ``missing`` or ``extra`` path and exits 1 on
+any difference, 0 when every line matches. When the ``#`` lines differ from
+this environment's, the listings are not comparable: it says so and exits 2
+without running the recipe. To update the listing, redirect a plain run
+into that file.
 """
 
 from __future__ import annotations
@@ -51,9 +61,11 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
+import argparse
 import contextlib
 import hashlib
 import io
+import platform
 import shutil
 import sys
 import tempfile
@@ -91,7 +103,8 @@ BAD_CONFIG = [
     ("adam_eps", "inf"), ("adam_eps", "nan"), ("ema_decay", "1"), ("ema_decay", "-0.1"),
     ("ema_update_interval", "0"), ("plateau_factor", "0"), ("plateau_factor", "1"),
     ("plateau_factor", "nan"), ("plateau_threshold", "-1"), ("plateau_threshold", "inf"),
-    ("plateau_threshold", "nan"),
+    ("plateau_threshold", "nan"), ("plateau_patience", "-5"), ("plateau_patience", "0"),
+    ("plateau_cooldown", "-3"), ("ema_start_step", "-7"),
 ]
 
 
@@ -174,13 +187,65 @@ def replay(root: Path) -> None:
     _config_errors(root / "config_errors.txt")
 
 
-def main() -> int:
+LISTING = Path(__file__).with_suffix(".txt")
+
+
+def environment() -> list[str]:
+    """The ``#`` lines that head a listing: the versions its hashes depend on."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas.get('name')} {blas.get('version')}"
+    except (TypeError, KeyError):
+        blas = "unknown"
+    return [f"# python {platform.python_version()}", f"# numpy {np.__version__}", f"# blas {blas}"]
+
+
+def hashes() -> dict[str, str]:
+    """Path -> sha256 of every file the recipe writes."""
     with tempfile.TemporaryDirectory(prefix="replay-hashes-") as tmp:
         root = Path(tmp)
         replay(root)
-        for path in sorted(p for p in root.rglob("*") if p.is_file()):
-            digest = hashlib.sha256(path.read_bytes()).hexdigest()
-            print(f"{digest}  {path.relative_to(root).as_posix()}")
+        return {path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+                for path in sorted(p for p in root.rglob("*") if p.is_file())}
+
+
+def check() -> int:
+    """Compare a fresh run with ``LISTING``; 0 same, 1 different, 2 not comparable."""
+    lines = LISTING.read_text(encoding="utf-8").splitlines()
+    listed_env, env = [line for line in lines if line.startswith("#")], environment()
+    if listed_env != env:
+        print(f"environment differs from {LISTING.name}; the listings are not comparable")
+        for line in listed_env:
+            print(f"  listed: {line}")
+        for line in env:
+            print(f"  here:   {line}")
+        return 2
+    listed = {path: digest for digest, path in
+              (line.split("  ", 1) for line in lines if not line.startswith("#"))}
+    got = hashes()
+    diffs = sorted(
+        [(path, "changed") for path in listed.keys() & got.keys() if listed[path] != got[path]]
+        + [(path, "missing") for path in listed.keys() - got.keys()]
+        + [(path, "extra") for path in got.keys() - listed.keys()]
+    )
+    for path, kind in diffs:
+        print(f"{kind}  {path}")
+    if diffs:
+        print(f"{len(diffs)} of {len(listed.keys() | got.keys())} paths differ from {LISTING.name}")
+        return 1
+    print(f"all {len(got)} paths match {LISTING.name}")
+    return 0
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true",
+                        help=f"compare a fresh run with {LISTING.name} instead of printing it")
+    if parser.parse_args().check:
+        return check()
+    print("\n".join(environment()))
+    for path, digest in hashes().items():
+        print(f"{digest}  {path}")
     return 0
 
 
