@@ -4,31 +4,36 @@ Layout:
 
     bytes 0..7    magic b"BDGCKPT1"
     bytes 8..11   uint32 little-endian length of the JSON header
-    then          UTF-8 JSON header (sorted keys)
-    then          raw array payload
+    then          UTF-8 JSON header (compact, sorted keys)
+    then          payload: float64 little-endian vectors, each whole
 
-The header records the schedule (T, s), architecture sizes, training step,
-one section of scalar fields per optimizer state (``adam``, ``ema``,
-``plateau``), and an ordered list of array records ``{"name": ...,
-"shape": [...]}``; the payload is those arrays' float64 data, C-order,
-little-endian, concatenated in header order. Writing the same state twice
-produces identical bytes, and a load/save round trip is lossless. A load
-takes only JSON integers for integer fields and a step >= 0, then runs the
-checks a fresh run does (``build_schedule``, ``nn.layer_shapes``, the
-optimizer states); a bad value is a ``ValueError`` naming the file.
+The payload holds the model parameters, the EMA shadow and the Adam
+moments ``m`` and ``v`` (each laid out as ``NoisePredictor.flat``), then
+the state scale if the model has one. The header records the schedule
+(T, s), architecture sizes, training step, the scalar fields of each
+optimizer state (sections ``adam``, ``ema``, ``plateau``) and ``arrays``,
+which ``_layout`` builds from the layer shapes and the scale's length: one
+``{"name", "shape"}`` record per layer of each vector (``param.i``,
+``ema.i``, ``adam_m.i``, ``adam_v.i``), then ``state_scale.0``.
 
-In memory the model parameters, the EMA shadow and the two Adam moments
-are one vector each (see ``nn``). On disk each is split into per-layer
-records ``param.i``, ``ema.i``, ``adam_m.i`` and ``adam_v.i``, written
-from views of those vectors; a load copies each group of records into a
-new vector, so a loaded checkpoint shares no memory with the file's
-bytes or with any other object. A failed write (``fileio.write_atomic``)
-leaves any earlier file at that path as it was.
+A load requires ``arrays`` to be exactly that list for the declared sizes
+(with a scale of T + 1 entries), the payload to be exactly those vectors,
+JSON integers in integer fields and a step >= 0. Every other rule is its
+owner's, as in a fresh run: ``build_schedule`` (T, s), ``nn.layer_shapes``
+(sizes), ``NoisePredictor`` (finite parameters, finite positive scale),
+``EmaState`` (finite shadow), ``AdamState`` (finite moments, v >= 0) and
+the optimizer states' scalar rules. A bad value is a ``ValueError`` naming
+the file. The payload is read with one ``np.frombuffer`` and each vector
+copied once, so a loaded checkpoint shares no memory with the file or any
+other object. Saving the same state twice gives identical bytes, a
+load/save round trip is lossless, and a failed write
+(``fileio.write_atomic``) leaves any earlier file at that path as it was.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 import typing
 from dataclasses import dataclass, fields
@@ -62,10 +67,10 @@ class Checkpoint:
         return self.model.copy_with(self.ema.shadow)
 
 
-# The per-layer record groups of the payload, in order: record prefix ->
-# (Checkpoint attribute, vector field, whether its values must be finite).
-_GROUPS = {"param": ("model", "flat", True), "ema": ("ema", "shadow", True),
-           "adam_m": ("adam", "m", False), "adam_v": ("adam", "v", False)}
+# The payload's vectors before the state scale, in order: record prefix ->
+# (Checkpoint attribute, vector field).
+_VECTORS = {"param": ("model", "flat"), "ema": ("ema", "shadow"),
+            "adam_m": ("adam", "m"), "adam_v": ("adam", "v")}
 
 
 def _scalar_fields(cls) -> dict[str, type]:
@@ -80,34 +85,39 @@ _STATES = {key: (cls, _scalar_fields(cls))
            for key, cls in (("adam", AdamState), ("ema", EmaState), ("plateau", PlateauLrState))}
 
 
-def _array_records(ckpt: Checkpoint):
-    records = [(f"{prefix}.{i}", arr) for prefix, (owner, vec, _) in _GROUPS.items()
-               for i, arr in enumerate(ckpt.model.split(getattr(getattr(ckpt, owner), vec)))]
-    if ckpt.model.state_scale is not None:
-        records.append(("state_scale.0", ckpt.model.state_scale))
+def _layout(shapes: list[tuple[int, ...]], scale_len: int | None) -> list[dict]:
+    """The header's ``arrays``: one record per layer of each vector, in
+    payload order, then the state scale's when there is one."""
+    records = [{"name": f"{prefix}.{i}", "shape": list(shape)}
+               for prefix in _VECTORS for i, shape in enumerate(shapes)]
+    if scale_len is not None:
+        records.append({"name": "state_scale.0", "shape": [scale_len]})
     return records
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
-    records = _array_records(ckpt)
+    model, scale = ckpt.model, ckpt.model.state_scale
+    vectors = [getattr(getattr(ckpt, owner), name) for owner, name in _VECTORS.values()]
+    vectors += [] if scale is None else [scale]
     header = {
         "version": VERSION,
         "T": int(ckpt.T),
         "s": float(ckpt.s),
         "step": int(ckpt.step),
         "model": {
-            "data_dim": ckpt.model.data_dim,
-            "embed_dim": ckpt.model.embed_dim,
-            "hidden": list(ckpt.model.hidden),
+            "data_dim": model.data_dim,
+            "embed_dim": model.embed_dim,
+            "hidden": list(model.hidden),
             "activation": "silu",
         },
-        "arrays": [{"name": name, "shape": list(arr.shape)} for name, arr in records],
+        "arrays": _layout(layer_shapes(model.data_dim, model.embed_dim, model.hidden),
+                          None if scale is None else scale.size),
     }
     for key, (_, scalars) in _STATES.items():
         header[key] = {name: getattr(getattr(ckpt, key), name) for name in scalars}
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     write_atomic(Path(path), MAGIC, struct.pack("<I", len(header_bytes)), header_bytes,
-                 *(np.ascontiguousarray(arr, dtype="<f8").tobytes() for _, arr in records))
+                 *(np.ascontiguousarray(vec, dtype="<f8").tobytes() for vec in vectors))
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -132,50 +142,18 @@ def load_checkpoint(path) -> Checkpoint:
         raise ValueError(f"bad checkpoint header in {path}: {exc}") from exc
 
 
-def _check_arrays(arrays: dict[str, np.ndarray], shapes: list[tuple[int, ...]], T: int, path) -> None:
-    """The payload must be exactly the arrays of the declared architecture,
-    with finite model and EMA weights and a finite, positive state scale."""
-    expected = {f"{prefix}.{i}": shape for prefix in _GROUPS for i, shape in enumerate(shapes)}
-    if "state_scale.0" in arrays:
-        expected["state_scale.0"] = (T + 1,)
-    if arrays.keys() != expected.keys():
-        missing = sorted(expected.keys() - arrays.keys())
-        extra = sorted(arrays.keys() - expected.keys())
-        raise ValueError(
-            f"checkpoint arrays in {path} do not match the declared architecture "
-            f"(missing {missing}, unexpected {extra})"
-        )
-    for name, shape in expected.items():
-        if arrays[name].shape != shape:
-            raise ValueError(
-                f"checkpoint array {name} in {path} has shape {arrays[name].shape}, "
-                f"the declared architecture needs {shape}"
-            )
-        prefix = name.split(".")[0]
-        finite = prefix == "state_scale" or _GROUPS[prefix][2]
-        if finite and not np.all(np.isfinite(arrays[name])):
-            raise ValueError(f"checkpoint array {name} in {path} holds non-finite values")
-    if "state_scale.0" in arrays and np.any(arrays["state_scale.0"] <= 0):
-        raise ValueError(f"checkpoint array state_scale.0 in {path} holds non-positive scales")
+def _layout_mismatch(records: list, layout: list[dict]) -> str | None:
+    """The first record that differs from ``layout``, as JSON, so that a
+    float 6.0 is not the integer 6; None when every record matches."""
+    for i in range(max(len(records), len(layout))):
+        got, want = (json.dumps(r[i], sort_keys=True, separators=(",", ":")) if i < len(r)
+                     else "nothing" for r in (records, layout))
+        if got != want:
+            return f"record {i} is {got}, expected {want}"
+    return None
 
 
 def _from_header(header: dict, blob: bytes, offset: int, path) -> Checkpoint:
-    arrays: dict[str, np.ndarray] = {}
-    for record in header["arrays"]:
-        shape = tuple(record["shape"])
-        size = int(np.prod(shape)) if shape else 1
-        end = offset + 8 * size
-        if end > len(blob):
-            raise ValueError(f"truncated checkpoint payload in {path}")
-        if record["name"] in arrays:
-            raise ValueError(f"checkpoint array {record['name']} listed twice in {path}")
-        arrays[record["name"]] = np.frombuffer(
-            blob, dtype="<f8", count=size, offset=offset
-        ).reshape(shape)
-        offset = end
-    if offset != len(blob):
-        raise ValueError(f"trailing bytes in checkpoint {path}")
-
     mh = header["model"]
     if mh["activation"] != "silu":
         raise ValueError(f"unsupported activation {mh['activation']!r} in {path}; only 'silu' exists")
@@ -194,18 +172,35 @@ def _from_header(header: dict, blob: bytes, offset: int, path) -> Checkpoint:
         shapes = layer_shapes(data_dim, embed_dim, hidden)
     except ValueError as exc:
         raise ValueError(f"bad sizes in {path}: {exc}") from exc
-    _check_arrays(arrays, shapes, T, path)
 
-    # One new native float64 vector per group, keyed by owner and field.
+    records = header["arrays"]
+    if type(records) is not list:
+        raise TypeError(f"arrays must be a list, got {records!r}")
+    # A record past the vectors' is the state scale's, which needs T + 1 entries.
+    scale_len = T + 1 if len(records) > len(_VECTORS) * len(shapes) else None
+    mismatch = _layout_mismatch(records, _layout(shapes, scale_len))
+    if mismatch:
+        raise ValueError(f"checkpoint arrays in {path} do not match the declared architecture: "
+                         f"{mismatch}")
+    n = sum(math.prod(shape) for shape in shapes)
+    count = len(_VECTORS) * n + (scale_len or 0)
+    if len(blob) - offset < 8 * count:
+        raise ValueError(f"truncated checkpoint payload in {path}")
+    if len(blob) - offset > 8 * count:
+        raise ValueError(f"trailing bytes in checkpoint {path}")
+    payload = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
+
+    # One new native float64 vector each, keyed by owner and field.
     vectors: dict[str, dict[str, np.ndarray]] = {}
-    for prefix, (owner, vec, _) in _GROUPS.items():
-        vectors.setdefault(owner, {})[vec] = np.concatenate(
-            [arrays[f"{prefix}.{i}"].ravel() for i in range(len(shapes))], dtype=np.float64
-        )
-    scale = arrays.get("state_scale.0")
-    model = NoisePredictor(data_dim, embed_dim, hidden, **vectors["model"],
-                           state_scale=None if scale is None else np.array(scale, dtype=np.float64))
-    states = {key: _restore(header, key, vectors.get(key, {}), path) for key in _STATES}
+    for k, (owner, name) in enumerate(_VECTORS.values()):
+        vectors.setdefault(owner, {})[name] = np.array(payload[k * n : (k + 1) * n], dtype=np.float64)
+    scale = None if scale_len is None else np.array(payload[-scale_len:], dtype=np.float64)
+    model = _restore("model", path, lambda: NoisePredictor(
+        data_dim, embed_dim, hidden, **vectors["model"], state_scale=scale))
+    states = {key: _restore(key, path, lambda: cls(
+                  **vectors.get(key, {}), **{name: _typed(header[key][name], kind, f"{key}.{name}")
+                                             for name, kind in scalars.items()}))
+              for key, (cls, scalars) in _STATES.items()}
     return Checkpoint(T=T, s=s, step=step, model=model, **states)
 
 
@@ -216,13 +211,10 @@ def _typed(value, kind: type, key: str):
     return kind(value)
 
 
-def _restore(header: dict, key: str, vectors: dict[str, np.ndarray], path):
-    """The state of section ``key`` from its vectors and the section's
-    scalars, each held to its field's type. A bad value is a
-    ``ValueError`` naming the file; a missing one is a ``KeyError``."""
-    (cls, scalars), section = _STATES[key], header[key]
+def _restore(key: str, path, build):
+    """``build()``, run with its owner's checks: a bad value is a
+    ``ValueError`` naming the file, a missing header key a ``KeyError``."""
     try:
-        return cls(**vectors, **{name: _typed(section[name], kind, f"{key}.{name}")
-                                 for name, kind in scalars.items()})
+        return build()
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"bad {key} value in the checkpoint header of {path}: {exc}") from exc
+        raise ValueError(f"bad {key} value in checkpoint {path}: {exc}") from exc

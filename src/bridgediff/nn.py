@@ -48,12 +48,6 @@ import numpy as np
 from . import parallel
 
 
-# Rows per block of a hidden layer's elementwise ops. On a large batch
-# (or one of the row blocks below) a block of pre-activations and its
-# sigmoids stays in cache across the five passes; elementwise results do
-# not depend on the blocking.
-_ELEMENTWISE_ROWS = 256
-
 # Rows per block of a plain forward over more than twice this many rows:
 # each block's input build and hidden layers run on one worker, and the
 # last block takes the remainder, so no block has fewer rows. The hidden
@@ -115,6 +109,10 @@ class NoisePredictor:
     ``weights``, ``biases`` and ``params()`` are views into it, so an
     in-place edit through any of them changes the model. Rebinding
     ``flat`` would leave the views behind; build a new predictor instead.
+
+    The constructor holds the value rules: ``flat`` must be finite, and a
+    ``state_scale`` a 1-D array of finite, positive scales. ``create``,
+    ``copy_with`` and a checkpoint restore inherit them.
     """
 
     data_dim: int
@@ -136,6 +134,12 @@ class NoisePredictor:
                 f"parameters must be one contiguous float64 vector of {offset} entries, "
                 f"got {f.dtype} {f.shape}"
             )
+        if not np.isfinite(f).all():
+            raise ValueError("parameters hold non-finite values")
+        if self.state_scale is not None:
+            scale = self.state_scale = np.asarray(self.state_scale, dtype=np.float64)
+            if scale.ndim != 1 or not np.all(np.isfinite(scale) & (scale > 0)):
+                raise ValueError("state_scale must be a 1-D array of finite, positive scales")
         self._params = self.split(f)
         self.weights = self._params[0::2]
         self.biases = self._params[1::2]
@@ -152,10 +156,6 @@ class NoisePredictor:
         """Fan-in uniform init for hidden layers, zeros for the output layer."""
         hidden = tuple(int(h) for h in hidden)
         n = sum(math.prod(shape) for shape in layer_shapes(data_dim, embed_dim, hidden))
-        if state_scale is not None:
-            state_scale = np.asarray(state_scale, dtype=np.float64)
-            if state_scale.ndim != 1 or not np.all(np.isfinite(state_scale) & (state_scale > 0)):
-                raise ValueError("state_scale must be a 1-D array of finite, positive scales")
         model = cls(data_dim, embed_dim, hidden, flat=np.zeros(n), state_scale=state_scale)
         # The output layer is drawn and then zeroed, so a caller that keeps
         # using ``rng`` sees the same later draws as it always has.
@@ -271,26 +271,17 @@ class NoisePredictor:
         last = len(self.hidden) - 1
         for layer, (w, b) in enumerate(zip(self.weights[:-1], self.biases[:-1])):
             z = h @ w if out is None or layer < last else np.matmul(h, w, out=out)
-            rows = z.shape[0]
-            sig = np.empty(z.shape if keep else (min(rows, _ELEMENTWISE_ROWS), z.shape[1]))
             # z += b and sig = 1 / (1 + exp(-z)), op for op, then (plain
-            # forward) z *= sig, a block of rows at a time.
-            for r in range(0, rows, _ELEMENTWISE_ROWS):
-                zb = z[r : r + _ELEMENTWISE_ROWS]
-                sb = sig[r : r + _ELEMENTWISE_ROWS] if keep else sig[: zb.shape[0]]
-                zb += b
-                np.negative(zb, out=sb)
-                np.exp(sb, out=sb)
-                sb += 1.0
-                np.divide(1.0, sb, out=sb)
-                if not keep:
-                    zb *= sb
+            # forward) z *= sig.
+            z += b
+            sig = np.negative(z)
+            np.exp(sig, out=sig)
+            sig += 1.0
+            np.divide(1.0, sig, out=sig)
             if keep:
                 inputs.append(h)
                 acts.append((z, sig))
-                h = z * sig
-            else:
-                h = z
+            h = z * sig if keep else np.multiply(z, sig, out=z)
         return h, inputs, acts
 
     def forward(self, x, t, T: int) -> np.ndarray:

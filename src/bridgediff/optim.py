@@ -9,9 +9,11 @@ the vector gives the same bits as one pass per layer. Their in-place
 ufunc calls spell out a fixed sequence of float operations, which keeps
 training runs replayable byte for byte; regroup none of them.
 
-Each state dataclass checks its hyperparameters' ranges on construction,
-the one place those rules live, in messages that start with the config key
-(``adam_beta1`` for the checkpoint header's ``adam.beta1``). An integer
+Each state dataclass checks its vectors and its hyperparameters' ranges on
+construction, the one place those rules live: the Adam moments ``m`` and
+``v`` share one shape and are finite with ``v >= 0``, and the EMA shadow is
+finite. Range messages start with the config key (``adam_beta1`` for the
+checkpoint header's ``adam.beta1``). An integer
 setting (the EMA's start step and update interval, the plateau patience and
 cooldown) must be an integer: a bool or a float such as 2.5 is a
 ``TypeError``, not truncated.
@@ -37,7 +39,9 @@ def _count(key: str, value, low: int) -> int:
 
 @dataclass
 class AdamState:
-    """First/second moment vectors plus the step counter."""
+    """First/second moment vectors plus the step counter. The moments
+    share one shape and are finite, with ``v >= 0``; a checkpoint restore
+    runs the same checks."""
 
     m: np.ndarray
     v: np.ndarray
@@ -47,6 +51,13 @@ class AdamState:
     eps: float = 1e-8
 
     def __post_init__(self):
+        if self.m.shape != self.v.shape:
+            raise ValueError(f"adam moments m {self.m.shape} and v {self.v.shape} differ in shape")
+        if not np.isfinite(self.m).all():
+            raise ValueError("adam_m holds non-finite values")
+        # NaN fails both comparisons.
+        if not np.all((self.v >= 0.0) & (self.v < math.inf)):
+            raise ValueError("adam_v holds non-finite or negative values")
         for name in ("beta1", "beta2"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ValueError(f"adam_{name} must lie in [0, 1), got {getattr(self, name)}")
@@ -111,7 +122,8 @@ def adam_step(
 
 @dataclass
 class EmaState:
-    """Shadow copy of the parameter vector, updated geometrically on a step grid."""
+    """Shadow copy of the parameter vector, updated geometrically on a step
+    grid. The shadow must be finite, here as in a checkpoint restore."""
 
     shadow: np.ndarray
     decay: float = 0.995
@@ -119,6 +131,8 @@ class EmaState:
     update_interval: int = 16
 
     def __post_init__(self):
+        if not np.isfinite(self.shadow).all():
+            raise ValueError("ema shadow holds non-finite values")
         if not 0.0 <= self.decay < 1.0:
             raise ValueError(f"ema_decay must lie in [0, 1), got {self.decay}")
         self.start_step = _count("ema_start_step", self.start_step, 0)

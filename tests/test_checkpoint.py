@@ -98,25 +98,17 @@ class TestStorage:
         ema_model.flat += 1.0
         np.testing.assert_array_equal(ckpt.ema.shadow, before)
 
-    def test_failed_write_keeps_earlier_checkpoint(self, ckpt, tmp_path, monkeypatch):
-        import bridgediff.checkpoint as checkpoint_mod
-
+    def test_failed_write_keeps_earlier_checkpoint(self, ckpt, tmp_path):
         path = tmp_path / "model.bin"
         save_checkpoint(path, ckpt)
         earlier = path.read_bytes()
 
         class Unwritable:
-            shape = (1,)
-
             def __array__(self, dtype=None, copy=None):
                 raise OSError("disk full")
 
-        records = checkpoint_mod._array_records
-        # Every array but the last converts before the failure.
-        monkeypatch.setattr(
-            checkpoint_mod, "_array_records",
-            lambda *a: records(*a)[:-1] + [("adam_v.5", Unwritable())],
-        )
+        # Every vector but the last, adam.v, converts before the failure.
+        ckpt.adam.v = Unwritable()
         ckpt.step += 1
         with pytest.raises(OSError, match="disk full"):
             save_checkpoint(path, ckpt)
@@ -127,6 +119,52 @@ class TestStorage:
         save_checkpoint(tmp_path / "model.bin", ckpt)
         save_checkpoint(tmp_path / "model.bin", ckpt)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["model.bin"]
+
+
+class TestFormat:
+    """The bytes on disk, spelled out: magic, ``<I`` header length, compact
+    sorted-key JSON header with per-layer records, then each vector whole
+    as ``<f8``: parameters, EMA shadow, Adam m and v, state scale."""
+
+    @pytest.mark.parametrize("scaled", [False, True], ids=["no-scale", "scale"])
+    def test_bytes_match_the_documented_layout(self, ckpt, tmp_path, scaled):
+        vectors = [ckpt.model.flat, ckpt.ema.shadow, ckpt.adam.m, ckpt.adam.v]
+        shapes = [[6, 8], [8], [8, 6], [6], [6, 2], [2]]
+        records = [{"name": f"{prefix}.{i}", "shape": shape}
+                   for prefix in ("param", "ema", "adam_m", "adam_v") for i, shape in enumerate(shapes)]
+        if scaled:
+            ckpt.model.state_scale = np.linspace(1.0, 2.0, 51)
+            vectors.append(ckpt.model.state_scale)
+            records.append({"name": "state_scale.0", "shape": [51]})
+        header = {
+            "version": 1, "T": 50, "s": 1.5, "step": 321,
+            "model": {"data_dim": 2, "embed_dim": 4, "hidden": [8, 6], "activation": "silu"},
+            "arrays": records,
+            "adam": {"step": 17, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8},
+            "ema": {"decay": 0.99, "start_step": 5, "update_interval": 2},
+            "plateau": {"current_lr": 1e-3, "max_lr": 1e-3, "min_lr": 1e-6, "factor": 0.5,
+                        "patience": 3000, "cooldown": 2000, "threshold": 1e-4,
+                        "best_metric": 0.123, "bad_count": 2, "cooldown_count": 0},
+        }
+        text = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        blob = (b"BDGCKPT1" + struct.pack("<I", len(text)) + text
+                + b"".join(vec.astype("<f8").tobytes() for vec in vectors))
+        path = tmp_path / "model.bin"
+        save_checkpoint(path, ckpt)
+        assert path.read_bytes() == blob
+
+        hand = tmp_path / "hand.bin"
+        hand.write_bytes(blob)
+        loaded = load_checkpoint(hand)
+        got = [loaded.model.flat, loaded.ema.shadow, loaded.adam.m, loaded.adam.v]
+        if scaled:
+            got.append(loaded.model.state_scale)
+        else:
+            assert loaded.model.state_scale is None
+        for a, b in zip(got, vectors, strict=True):
+            np.testing.assert_array_equal(a, b)
+        assert (loaded.T, loaded.s, loaded.step, loaded.adam.step) == (50, 1.5, 321, 17)
+        assert dataclasses.asdict(loaded.plateau) == dataclasses.asdict(ckpt.plateau)
 
 
 def _read_header(path):
@@ -221,13 +259,13 @@ class TestHeaderTypes:
          "bad checkpoint header in {path}: model.data_dim must be an integer, got 2.0"),
         ("model.hidden", [8.9, 6],
          "bad checkpoint header in {path}: model.hidden[0] must be an integer, got 8.9"),
-        ("adam.step", 1.9, "bad adam value in the checkpoint header of {path}: "
+        ("adam.step", 1.9, "bad adam value in checkpoint {path}: "
                            "adam.step must be an integer, got 1.9"),
-        ("ema.update_interval", True, "bad ema value in the checkpoint header of {path}: "
+        ("ema.update_interval", True, "bad ema value in checkpoint {path}: "
                                       "ema.update_interval must be an integer, got True"),
-        ("plateau.patience", "7", "bad plateau value in the checkpoint header of {path}: "
+        ("plateau.patience", "7", "bad plateau value in checkpoint {path}: "
                                   "plateau.patience must be an integer, got '7'"),
-        ("plateau.factor", "0.5", "bad plateau value in the checkpoint header of {path}: "
+        ("plateau.factor", "0.5", "bad plateau value in checkpoint {path}: "
                                   "plateau.factor must be a number, got '0.5'"),
     ], ids=["T=50.7", "T='abc'", "step=2.7", "step=-5", "s='1.5'", "s=true", "model.data_dim=2.0",
             "model.hidden=[8.9,6]", "adam.step=1.9", "ema.update_interval=true",
@@ -277,8 +315,8 @@ def test_one_rule_for_sizes(ckpt, tmp_path, sizes, message):
 
 
 class TestArchitecture:
-    """Arrays must match the declared sizes; model, EMA and state-scale
-    values must be finite."""
+    """Arrays must match the declared sizes; model, EMA, state-scale and
+    Adam moment values must be finite."""
 
     @pytest.mark.parametrize("hidden", [[8], [8, 6, 6], [8, 8]], ids=["fewer", "more", "wider"])
     def test_hidden_mismatch_rejected(self, ckpt, tmp_path, hidden):
@@ -321,16 +359,17 @@ class TestArchitecture:
         with pytest.raises(ValueError, match="state_scale"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("where", ["param", "ema", "state_scale"])
+    @pytest.mark.parametrize("where", ["param", "ema", "state_scale", "adam_m", "adam_v"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_nonfinite_values_rejected(self, ckpt, tmp_path, where, value):
         ckpt.model.state_scale = np.ones(ckpt.T + 1)
         target = {"param": ckpt.model.weights[1], "ema": ckpt.model.split(ckpt.ema.shadow)[0],
-                  "state_scale": ckpt.model.state_scale}[where]
+                  "state_scale": ckpt.model.state_scale, "adam_m": ckpt.adam.m,
+                  "adam_v": ckpt.adam.v}[where]
         target.flat[3] = value
         path = tmp_path / "model.bin"
         save_checkpoint(path, ckpt)
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match="non-finite|finite, positive"):
             load_checkpoint(path)
 
 
@@ -351,14 +390,27 @@ class TestStateSections:
     @pytest.fixture
     def bad(self, request, ckpt, tmp_path):
         """A run directory holding a metrics log and a checkpoint with one
-        header value out of range; an empty section is a top-level key."""
+        header value out of range; an empty section is a top-level key, and
+        a callable value edits the value it replaces. The section
+        ``payload`` instead writes the value into entry 3 of a vector."""
         section, name, value = request.param
         run_dir = tmp_path / "run"
         run_dir.mkdir()
-        (run_dir / "metrics.csv").write_text("step,loss,lr,val_loss\n1,0.5,0.001,\n", encoding="utf-8")
+        # A log up to the checkpoint's step, so only the restore can refuse a resume.
+        rows = "".join(f"{step},0.5,0.001,\n" for step in range(1, ckpt.step + 1))
+        (run_dir / "metrics.csv").write_text("step,loss,lr,val_loss\n" + rows, encoding="utf-8")
         path = run_dir / "ckpt.bin"
+        if section == "payload":
+            owner, field = name.split(".")
+            getattr(getattr(ckpt, owner), field)[3] = value
         save_checkpoint(path, ckpt)
-        _rewrite_header(path, lambda h: (h[section] if section else h).update({name: value}))
+
+        def edit(header):
+            target = header[section] if section else header
+            target[name] = value(target[name]) if callable(value) else value
+
+        if section != "payload":
+            _rewrite_header(path, edit)
         return path
 
     cases = pytest.mark.parametrize(
@@ -368,12 +420,19 @@ class TestStateSections:
                 ("adam", "step", 1.9), ("ema", "update_interval", True), ("plateau", "patience", "7"),
                 ("model", "hidden", [8.9, 6]), ("", "T", "abc"), ("", "step", -5),
                 ("plateau", "patience", -5), ("plateau", "patience", 0), ("plateau", "cooldown", -3),
-                ("ema", "start_step", -7)],
+                ("ema", "start_step", -7), ("", "arrays", lambda a: [a[1], a[0], *a[2:]]),
+                ("", "arrays", lambda a: [{**a[0], "shape": [-n for n in a[0]["shape"]]}, *a[1:]]),
+                ("", "arrays", lambda a: [{**a[0], "shape": [float(n) for n in a[0]["shape"]]},
+                                          *a[1:]]),
+                ("payload", "adam.v", np.nan), ("payload", "adam.v", -1.0),
+                ("payload", "adam.m", np.inf)],
         ids=["ema.update_interval=0", "plateau.factor=2.0", "adam.beta1=1.0",
              "plateau.current_lr=nan", "s=-1", "s=0", "s=nan", "T=1", "T=50.7", "step=2.7",
              "adam.step=1.9", "ema.update_interval=true", "plateau.patience='7'",
              "model.hidden=[8.9,6]", "T='abc'", "step=-5", "plateau.patience=-5",
-             "plateau.patience=0", "plateau.cooldown=-3", "ema.start_step=-7"],
+             "plateau.patience=0", "plateau.cooldown=-3", "ema.start_step=-7",
+             "arrays[0]<->arrays[1]", "arrays[0].shape=[-6,-8]", "arrays[0].shape=[6.0,8.0]",
+             "adam_v=nan", "adam_v=-1", "adam_m=inf"],
         indirect=True,
     )
 
@@ -381,7 +440,8 @@ class TestStateSections:
     def test_load_names_the_file(self, bad):
         with pytest.raises(ValueError,
                            match="update_interval|factor|beta1|current_lr|^bad schedule in|"
-                                 "must be an integer|step must be >= 0|patience|cooldown") as info:
+                                 "must be an integer|step must be >= 0|patience|cooldown|"
+                                 "architecture|adam_[mv] holds") as info:
             load_checkpoint(bad)
         assert str(bad) in str(info.value)
 

@@ -324,7 +324,7 @@ class TestStateScale:
     @pytest.mark.parametrize("rows", [1, 40, 300])
     def test_scalar_step_bitwise_equal_to_step_per_row(self, rows, scaled):
         # The sampler's one-step call against the same step given per row,
-        # on the acceptance architecture; 300 rows cross the 256-row block.
+        # on the acceptance architecture.
         T = 1000
         rng = rng_for(23, "scalar-step")
         scale = np.linspace(0.3, 1.4, T + 1) if scaled else None

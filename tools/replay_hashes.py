@@ -27,6 +27,13 @@ In a temporary directory it
 - loads ``w0/ckpt_final.bin`` and saves it again as
   ``w0/ckpt_final_resaved.bin``, which should hash as the file it was
   loaded from;
+- trains ``w0_noscale`` for 0 steps with ``normalize_inputs`` off, which
+  writes a checkpoint without a state scale, and re-saves that checkpoint
+  the same way;
+- writes ``checkpoint_errors.txt``, one line per edit of
+  ``w0/ckpt_final.bin`` in a fixed list (header keys, record list, payload
+  length and values): the error ``load_checkpoint`` raises, with the file's
+  path written as ``<path>``, or ``loaded``;
 - writes the schedule tables of ``bridgediff info`` at (T, s) = (1000, 1)
   and (37, 4), and the report of ``bridgediff verify``;
 - writes ``process_ops.bin``, the float64 bytes of ``forward_sample``,
@@ -63,10 +70,15 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse
 import contextlib
+import copy
+import dataclasses
 import hashlib
 import io
+import json
+import math
 import platform
 import shutil
+import struct
 import sys
 import tempfile
 from pathlib import Path
@@ -76,7 +88,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from bridgediff import cli, data  # noqa: E402
-from bridgediff.checkpoint import load_checkpoint, save_checkpoint  # noqa: E402
+from bridgediff.checkpoint import MAGIC, load_checkpoint, save_checkpoint  # noqa: E402
 from bridgediff.configfile import UsageError, build_train_config  # noqa: E402
 from bridgediff.process import forward_sample, loss_target, posterior, reverse_mean  # noqa: E402
 from bridgediff.schedule import build_schedule  # noqa: E402
@@ -118,6 +130,92 @@ def _config_errors(path: Path) -> None:
             lines.append(f"{key}={value}: {exc}\n")
         else:
             raise SystemExit(f"config {key}={value} was accepted")
+    path.write_text("".join(lines), encoding="utf-8")
+
+
+def _edited_checkpoints(blob: bytes) -> list[tuple[str, bytes]]:
+    """(label, bytes) of each edit of the moons checkpoint ``blob``: the
+    edits of the checkpoint tests, at this checkpoint's sizes."""
+    (n,) = struct.unpack("<I", blob[len(MAGIC) : len(MAGIC) + 4])
+    header, payload = json.loads(blob[len(MAGIC) + 4 : len(MAGIC) + 4 + n]), blob[len(MAGIC) + 4 + n :]
+    arrays = header["arrays"]
+
+    def file(h=header, p=payload, magic=MAGIC) -> bytes:
+        text = json.dumps(h, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        return magic + struct.pack("<I", len(text)) + text + p
+
+    def edit(key: str, *value) -> dict:
+        """The header with ``key`` (``section.name`` for a nested one) set
+        to ``value``, or removed when no value is given."""
+        h = copy.deepcopy(header)
+        *section, name = key.split(".")
+        target = h[section[0]] if section else h
+        if value:
+            target[name] = value[0]
+        else:
+            del target[name]
+        return h
+
+    def start(name: str) -> int:
+        """Byte offset in the payload of the record ``name``."""
+        names = [record["name"] for record in arrays]
+        return 8 * sum(math.prod(record["shape"]) for record in arrays[: names.index(name)])
+
+    def poke(name: str, value: float) -> bytes:
+        """The payload with entry 3 of the record ``name`` set to ``value``."""
+        at = start(name) + 24
+        return payload[:at] + struct.pack("<d", value) + payload[at + 8 :]
+
+    at = start("adam_v.5")
+    shape0 = arrays[0]["shape"]
+    edits = [("model.activation=relu", file(edit("model.activation", "relu")))]
+    edits += [(f"no {key}", file(edit(key))) for key in
+              ("model", "arrays", "adam", "ema", "plateau", "T", "step", "plateau.cooldown",
+               "model.hidden")]
+    edits += [
+        ("T=inf", file(edit("T", math.inf))), ("step=inf", file(edit("step", math.inf))),
+        ("arrays=5", file(edit("arrays", 5))), ("magic=XDGCKPT1", file(magic=b"X" + MAGIC[1:])),
+        ("payload less 16 bytes", file(p=payload[:-16])),
+        ("payload and junk", file(p=payload + b"junk")),
+        ("model.hidden=[96]", file(edit("model.hidden", [96]))),
+        ("model.hidden=[96,96,96]", file(edit("model.hidden", [96, 96, 96]))),
+        ("model.hidden=[96,128]", file(edit("model.hidden", [96, 128]))),
+        ("model.data_dim=3", file(edit("model.data_dim", 3))),
+        ("arrays=[] and no payload", file(edit("arrays", []), b"")),
+        ("no adam_v.5 record and bytes",
+         file(edit("arrays", [r for r in arrays if r["name"] != "adam_v.5"]),
+              payload[:at] + payload[at + 16 :])),
+        ("state_scale.0 of T entries",
+         file(edit("arrays", [*arrays[:-1], {"name": "state_scale.0", "shape": [header["T"]]}]),
+              payload[:-8])),
+    ]
+    edits += [(f"{name}[3]={value}", file(p=poke(name, value)))
+              for name in ("param.1", "ema.0", "state_scale.0") for value in (math.nan, math.inf)]
+    edits += [
+        ("arrays[0]<->arrays[1]", file(edit("arrays", [arrays[1], arrays[0], *arrays[2:]]))),
+        (f"arrays[0].shape={json.dumps([-k for k in shape0])}",
+         file(edit("arrays", [{**arrays[0], "shape": [-k for k in shape0]}, *arrays[1:]]))),
+        (f"arrays[0].shape={json.dumps([float(k) for k in shape0])}",
+         file(edit("arrays", [{**arrays[0], "shape": [float(k) for k in shape0]}, *arrays[1:]]))),
+        ("adam_v.0[3]=nan", file(p=poke("adam_v.0", math.nan))),
+        ("adam_v.0[3]=-1", file(p=poke("adam_v.0", -1.0))),
+        ("adam_m.0[3]=inf", file(p=poke("adam_m.0", math.inf))),
+    ]
+    return edits
+
+
+def _checkpoint_errors(ckpt: Path, path: Path) -> None:
+    """Write ``label: message`` for each edit of ``ckpt``, or ``label: loaded``."""
+    lines, edited = [], path.with_name("edited.bin")
+    for label, blob in _edited_checkpoints(ckpt.read_bytes()):
+        edited.write_bytes(blob)
+        try:
+            load_checkpoint(edited)
+            message = "loaded"
+        except ValueError as exc:
+            message = str(exc).replace(str(edited), "<path>")
+        lines.append(f"{label}: {message}\n")
+    edited.unlink()
     path.write_text("".join(lines), encoding="utf-8")
 
 
@@ -180,6 +278,11 @@ def replay(root: Path) -> None:
                  resume_from=root / "w0_resume" / "ckpt_00000200.bin")
     save_checkpoint(root / "w0" / "ckpt_final_resaved.bin",
                     load_checkpoint(root / "w0" / "ckpt_final.bin"))
+    run_training(dataclasses.replace(configs["w0"], max_steps=0, normalize_inputs=False), pairs,
+                 root / "w0_noscale")
+    save_checkpoint(root / "w0_noscale" / "ckpt_final_resaved.bin",
+                    load_checkpoint(root / "w0_noscale" / "ckpt_final.bin"))
+    _checkpoint_errors(root / "w0" / "ckpt_final.bin", root / "checkpoint_errors.txt")
     _run(["info", "--T", "1000", "--s", "1.0", "--out", str(root / "info_T1000_s1.csv")])
     _run(["info", "--T", "37", "--s", "4.0", "--out", str(root / "info_T37_s4.csv")])
     _run(["verify", "--report", str(root / "verify_report.txt")])
