@@ -26,7 +26,7 @@ from .configfile import (
     parse_kv_file,
     resolve_dataset,
 )
-from .data import load as load_dataset
+from .data import load as load_dataset, parse_metadata
 from .fileio import temp_beside, write_atomic
 from .metrics import diversity, energy_distance, moments
 from .sampling import (
@@ -44,6 +44,10 @@ from .seeding import rng_for
 # Chains ``sample`` advances together: one MLP forward per step covers a
 # block, and the block's state, noise and trajectories bound its memory.
 SAMPLE_BLOCK = 256
+
+# The format and version lines of the samples CSV ``sample`` writes.
+SAMPLES_FORMAT = "samples-csv"
+SAMPLES_VERSION = 1
 
 
 def _fmt(v: float) -> str:
@@ -126,7 +130,7 @@ def cmd_sample(args) -> int:
     trajectories = []  # (temp path, final path) per written trajectory
     try:
         with open(samples_tmp, "x", encoding="utf-8", newline="\n") as f:
-            f.write("# format=samples-csv\n# version=1\n")
+            f.write(f"# format={SAMPLES_FORMAT}\n# version={SAMPLES_VERSION}\n")
             f.write(f"# seed={args.seed}\n# steps={args.steps}\n# eta={_fmt(args.eta)}\n")
             f.write(f"# k={args.k}\n# n={n}\n# dim={dataset.dim}\n")
             f.write("y_index,sample_index," + ",".join(f"dim_{i}" for i in range(dataset.dim)) + "\n")
@@ -166,23 +170,25 @@ def cmd_sample(args) -> int:
 
 def _read_samples_csv(path, k: int, seen: set):
     """Metadata, conditioning indices and sample rows of a samples CSV.
-    A malformed row, a non-finite value, a sample index outside 0..k-1 or
-    a (y_index, sample_index) pair already in ``seen`` is a usage error
-    that names the file and the line. Adds each row's pair to ``seen``."""
+    Metadata lines that ``data.parse_metadata`` rejects are an error that
+    names the file. A malformed row, a non-finite value, a sample index
+    outside 0..k-1 or a (y_index, sample_index) pair already in ``seen``
+    is a usage error that names the file and the line. Adds each row's
+    pair to ``seen``."""
     path = Path(path)
     if not path.exists():
         raise UsageError(f"samples file not found: {path}")
-    meta = {}
+    meta_lines: list[str] = []
     header = None
     y_idx, values = [], []
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.rstrip("\n")
-            if line.startswith("#"):
-                key, _, value = line[1:].strip().partition("=")
-                meta[key.strip()] = value
-                continue
             if header is None:
+                if line.startswith("#"):
+                    meta_lines.append(line)
+                    continue
+                meta = parse_metadata(meta_lines, path, SAMPLES_FORMAT, SAMPLES_VERSION)
                 header = line.split(",")
                 if header[:2] != ["y_index", "sample_index"]:
                     raise UsageError(f"not a samples CSV: {path}")

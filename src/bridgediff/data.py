@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass, field
-from itertools import islice, repeat
+from itertools import islice, repeat, takewhile
 from pathlib import Path
 
 import numpy as np
@@ -186,23 +186,29 @@ def save(dataset: PairedDataset, path) -> None:
     write_atomic(Path(path), "\n".join(meta) + "\n", data_text)
 
 
+def parse_metadata(lines, path, name: str = FORMAT_NAME, version: int = FORMAT_VERSION) -> dict:
+    """The entries of a file's '#'-prefixed ``key=value`` metadata lines; a
+    line without '=', or a format or version other than ``name`` and
+    ``version``, is a ``ValueError`` naming ``path``."""
+    meta: dict[str, str] = {}
+    for line in lines:
+        key, sep, value = line[1:].strip().partition("=")
+        if not sep:
+            raise ValueError(f"malformed metadata line in {path}: {line!r}")
+        meta[key.strip()] = value
+    if meta.get("format") != name:
+        raise ValueError(f"not a {name} file: {path}")
+    if meta.get("version") != str(version):
+        raise ValueError(f"unsupported {name} version {meta.get('version')!r} in {path}")
+    return meta
+
+
 def read_header(path) -> dict:
     """Parse only the metadata block; rows are not touched."""
-    meta: dict[str, str] = {}
     with open(path, "rb") as f:
-        for raw in f:
-            line = raw.decode("utf-8").rstrip("\n")
-            if not line.startswith("#"):
-                break
-            key, sep, value = line[1:].strip().partition("=")
-            if not sep:
-                raise ValueError(f"malformed metadata line in {path}: {line!r}")
-            meta[key.strip()] = value
-    if meta.get("format") != FORMAT_NAME:
-        raise ValueError(f"not a {FORMAT_NAME} file: {path}")
-    if int(meta.get("version", "-1")) != FORMAT_VERSION:
-        raise ValueError(f"unsupported {FORMAT_NAME} version {meta.get('version')!r} in {path}")
-    return meta
+        lines = takewhile(lambda line: line.startswith("#"),
+                          (raw.decode("utf-8").rstrip("\n") for raw in f))
+        return parse_metadata(lines, path)
 
 
 # Rows parsed per block in load(). Each block is joined, split and converted

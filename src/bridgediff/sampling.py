@@ -38,25 +38,27 @@ whole plan before the first move and names the offending step.
 
 A move's ``mix_cur y`` is the product the move before formed as its
 ``mix_prev y`` (one move's prev is the next one's cur), so it is carried
-over and each move multiplies ``y`` once. Each interior move checks one
-array for finiteness, its new state. That is exact: prev < T, so the
-weight ``1 - mix_prev`` on ``x0_hat`` is positive and a non-finite
-reconstruction always makes the state non-finite. Only when the check
-fails are the reconstruction and the state checked in turn, which names
-the step and row that checking both at every move would. The interior
-moves, their ``eps_fn`` calls included, run under one
-``np.errstate(over="ignore", invalid="ignore")``: a non-finite prediction,
-or a move whose arithmetic overflows, ends in ``NonFiniteState`` without a
-numpy ``RuntimeWarning``. The first move and the final reconstruction
-check both arrays, once per call. On 2 cores with 1 BLAS thread and numpy
-2.4.6, this raised the benchmark's ``chain`` throughput (one chain per
-call, analytic predictor) from 30,712 to 35,960 reverse steps/s, medians
-of 10 alternated pairs.
+over and each move multiplies ``y`` once. Each move checks one array for
+finiteness, its new state. That is exact: prev < T, so the weight
+``1 - mix_prev`` on ``x0_hat`` is positive and a non-finite reconstruction
+always makes the state non-finite. Only when the check fails are the
+reconstruction and the state checked in turn, which names the step and
+row that checking both at every move would. The moves, their ``eps_fn``
+calls included, run under one ``np.errstate(over="ignore",
+invalid="ignore")``: a non-finite prediction, or a move whose arithmetic
+overflows, ends in ``NonFiniteState`` without a numpy ``RuntimeWarning``.
+The final reconstruction checks its own array. On 2 cores with 1 BLAS
+thread and numpy 2.4.6, this raised the benchmark's ``chain`` throughput
+(one chain per call, analytic predictor) from 30,712 to 35,960 reverse
+steps/s, medians of 10 alternated pairs.
 
-Endpoints are special: the state at t = T is the conditioning input itself
-and carries no extra information, so the first move draws straight from the
-step-grid[-2] marginal around the reconstructed data point (variance scaled
-by eta); the final move outputs the reconstruction with no noise.
+Endpoints: the state at t = T is the conditioning input itself and carries
+no extra information. The move from T is iteration 0 of the one loop, with
+bridge scale 0 (``x_T - (1 - mix_T) x0_hat - mix_T y = y - y``), so it
+draws straight from the step-grid[-2] marginal around the reconstructed
+data point (variance scaled by eta). The final move outputs the
+reconstruction with no noise; with the grid (T,) there are no moves and
+that reconstruction is taken at T.
 
 That reconstruction estimates E[x0 | x_grid[0]], so it averages over the
 residual variance ``marginal_var[grid[0]] = 2 s (m - m^2)``, which scales
@@ -169,72 +171,57 @@ def _run_chain(
     traj: Trajectory | None = [(T, y.copy())] if record else None
     x = y.copy()
 
-    # Leave t = T: the state equals y, so the posterior collapses onto the
-    # target-step marginal around the reconstructed data point.
-    eps = np.asarray(eps_fn(x, T), dtype=np.float64)
-    x0_hat = x - eps
-    _check_state(x0_hat, T)
-    if moves:
-        # The per-move plan depends only on the grid and eta, so it is built
-        # once, elementwise with the float operations a single move would
-        # use, and read as Python floats (numpy scalars cost more per use).
-        # Move j goes from curs[j] to prevs[j]; move 0 leaves T.
-        mix, mv = schedule.mix, schedule.marginal_var
-        curs = np.array(grid[:0:-1])
-        prevs = np.array(grid[-2::-1])
-        sigma2 = np.empty(moves)
-        sigma2[0] = eta * mv[prevs[0]]
-        sigma2[1:] = eta * coarse_posterior_var(schedule, prevs[1:], curs[1:])
-        mv_prev = mv[prevs[1:]]
-        gap = mv_prev - sigma2[1:]
-        exceeded = gap < -1e-12 * mv_prev
-        if exceeded.any():
-            j = 1 + int(np.argmax(exceeded))
-            raise AssertionError(
-                f"noise scale exceeded the marginal variance at step {curs[j]}->{prevs[j]}"
-            )
-        gap[gap < 0.0] = 0.0
-        scale = np.sqrt(gap / mv[curs[1:]]).tolist()
-        # sigma z for every move and row in one multiply.
-        noise *= np.sqrt(sigma2)[:, None, None]
-        keep_prev, mix_prev = (1.0 - mix[prevs]).tolist(), mix[prevs].tolist()
-        keep_cur = (1.0 - mix[curs]).tolist()
+    # The per-move plan depends only on the grid and eta, so it is built
+    # once, elementwise with the float operations a single move would use,
+    # and read as Python floats (numpy scalars cost more per use). Move j
+    # goes from curs[j] to prevs[j]. Move 0 leaves T, where x = y makes the
+    # bridge term zero: its scale is 0.0 (mv[T] = 0 would make it inf) and
+    # its noise the whole step-grid[-2] marginal.
+    mix, mv = schedule.mix, schedule.marginal_var
+    curs = np.array(grid[:0:-1], dtype=np.intp)
+    prevs = np.array(grid[-2::-1], dtype=np.intp)
+    sigma2 = np.empty(moves)
+    sigma2[:1] = eta * mv[prevs[:1]]
+    sigma2[1:] = eta * coarse_posterior_var(schedule, prevs[1:], curs[1:])
+    mv_prev = mv[prevs]
+    gap = mv_prev - sigma2
+    exceeded = gap < -1e-12 * mv_prev
+    if exceeded.any():
+        j = int(np.argmax(exceeded))
+        raise AssertionError(
+            f"noise scale exceeded the marginal variance at step {curs[j]}->{prevs[j]}"
+        )
+    gap[gap < 0.0] = 0.0
+    scale = [0.0] + np.sqrt(gap[1:] / mv[curs[1:]]).tolist()
+    # sigma z for every move and row in one multiply.
+    noise *= np.sqrt(sigma2)[:, None, None]
+    keep_prev, mix_prev = (1.0 - mix[prevs]).tolist(), mix[prevs].tolist()
+    keep_cur = (1.0 - mix[curs]).tolist()
 
-        # mix_cur[j] is mix_prev[j - 1] (one move's prev is the next one's
-        # cur), so a move's mix_cur y is the product the move before made.
-        mix_y = mix_prev[0] * y
-        x = keep_prev[0] * x0_hat + mix_y + noise[0]
-        _check_state(x, grid[-2])
-        if record:
-            traj.append((grid[-2], x.copy()))
+    # mix_cur[j] is mix_prev[j - 1] (one move's prev is the next one's
+    # cur), so a move's mix_cur y is the product the move before made; at
+    # T it is y itself. One guard per move, on x alone. It is exact: prev
+    # < T, so keep_prev > 0 and a non-finite x0_hat makes x non-finite
+    # (inf * c, inf - inf and NaN all propagate). A failed guard checks
+    # x0_hat, then x, naming the step and row that checking both would.
+    # The errstate keeps the arithmetic before the guard from warning.
+    mix_y = y
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, (cur, prev) in enumerate(zip(grid[:0:-1], grid[-2::-1])):
+            eps = np.asarray(eps_fn(x, cur), dtype=np.float64)
+            x0_hat = x - eps
+            mix_y_cur, mix_y = mix_y, mix_prev[j] * y
+            x = (keep_prev[j] * x0_hat + mix_y
+                 + scale[j] * (x - keep_cur[j] * x0_hat - mix_y_cur) + noise[j])
+            if not np.isfinite(x).all():
+                _check_state(x0_hat, cur)
+                _check_state(x, prev)
+            if record:
+                traj.append((prev, x.copy()))
 
-        # One guard per interior move, on x alone. It is exact: prev < T, so
-        # keep_prev > 0 and a non-finite x0_hat makes x non-finite (inf * c,
-        # inf - inf and NaN all propagate). A failed guard checks x0_hat,
-        # then x, naming the step and row that checking both would. The
-        # errstate keeps the arithmetic before the guard from warning.
-        with np.errstate(over="ignore", invalid="ignore"):
-            for j, (cur, prev) in enumerate(zip(grid[-2:0:-1], grid[-3::-1]), start=1):
-                eps = np.asarray(eps_fn(x, cur), dtype=np.float64)
-                x0_hat = x - eps
-                mix_y_cur, mix_y = mix_y, mix_prev[j] * y
-                mean = (
-                    keep_prev[j] * x0_hat
-                    + mix_y
-                    + scale[j - 1] * (x - keep_cur[j] * x0_hat - mix_y_cur)
-                )
-                x = mean + noise[j]
-                if not np.isfinite(x).all():
-                    _check_state(x0_hat, cur)
-                    _check_state(x, prev)
-                if record:
-                    traj.append((prev, x.copy()))
-
-        eps = np.asarray(eps_fn(x, grid[0]), dtype=np.float64)
-        x0_hat = x - eps
-        _check_state(x0_hat, grid[0])
-
-    x0 = x0_hat
+    # The final reconstruction, at grid[0] (T itself when the grid is (T,)).
+    x0 = x - np.asarray(eps_fn(x, grid[0]), dtype=np.float64)
+    _check_state(x0, grid[0])
     if record:
         traj.append((0, x0.copy()))
     if single:

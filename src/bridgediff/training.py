@@ -35,7 +35,7 @@ from .seeding import rng_for
 METRICS_HEADER = "step,loss,lr,val_loss"
 
 # run_training draws, noises and targets the batches of up to this many
-# steps in one pass, then runs their updates one by one; fewer steps when
+# steps in one pass, then runs train_step on each in turn; fewer steps when
 # those arrays would pass about _CHUNK_BYTES, so a large batch x dim keeps
 # the chunk's memory bounded.
 _CHUNK_STEPS = 64
@@ -117,39 +117,35 @@ class TrainingDiverged(RuntimeError):
     """Raised when the loss or a gradient stops being finite."""
 
 
-def train_step(
-    model: NoisePredictor,
-    schedule: BridgeSchedule,
-    x0: np.ndarray,
-    y: np.ndarray,
-    adam: AdamState,
-    lr: float,
-    rng: np.random.Generator,
-    weighted: bool = False,
-) -> float:
-    """One optimization step over a batch of pairs.
+def train_step(model: NoisePredictor, T: int, x_t: np.ndarray, t_idx: np.ndarray,
+               target: np.ndarray, weights: np.ndarray | None, adam: AdamState,
+               lr: float) -> float:
+    """One Adam update on an already-noised batch; returns the batch loss.
 
-    Draws a uniform step index and unit noise per pair, forms the noisy
-    state and its target, and applies one Adam update on the batch-mean
-    squared error. In weighted mode the per-pair error is scaled by
-    coef_noise at the drawn step, which is then drawn from 1..T-1 (the
-    weight is singular at t = T). ``run_training`` runs the same two
-    halves, ``_draw`` and ``_noised`` for many steps at once, then
-    ``_update`` step by step.
+    The loss is the batch-mean squared error of the prediction at
+    (``x_t``, ``t_idx``) against ``target``, each pair's error scaled by
+    its row of ``weights`` when given. ``run_training`` runs every step
+    through here, on the states, targets and weights ``_draw`` and
+    ``_noised`` prepared for many steps at once.
     """
-    if x0.ndim != 2 or x0.shape != y.shape or x0.shape[0] < 1:
-        raise ValueError(f"batch arrays must share an (n, dim) shape, got {x0.shape} and {y.shape}")
-    t_idx, eps = _draw(rng, schedule, x0.shape, weighted)
-    x_t, target, weights = _noised(schedule, x0, y, t_idx, eps, weighted)
-    return _update(model, schedule.T, x_t, t_idx, target, weights, adam, lr)
+    if x_t.ndim != 2 or x_t.shape != target.shape or x_t.shape[0] < 1:
+        raise ValueError(
+            f"batch arrays must share an (n, dim) shape, got {x_t.shape} and {target.shape}"
+        )
+    loss, grad = model._loss_and_grad(x_t, t_idx, target, T, sample_weight=weights)
+    adam_step(model.flat, grad, adam, lr)
+    return loss
 
 
-def _draw(rng: np.random.Generator, schedule: BridgeSchedule, shape: tuple[int, int],
-          weighted: bool) -> tuple[np.ndarray, np.ndarray]:
-    """A step index per pair, then unit noise of ``shape``, from ``rng``."""
+def _draw(rng: np.random.Generator, schedule: BridgeSchedule, n_rows: int,
+          shape: tuple[int, int], weighted: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A batch's rows of the ``n_rows`` training pairs, a step index per
+    pair, then unit noise of ``shape``, from ``rng``. In weighted mode the
+    steps come from 1..T-1 (the weight coef_noise is singular at t = T)."""
+    rows = rng.integers(0, n_rows, size=shape[0])
     high = schedule.T if not weighted else schedule.T - 1
     t_idx = rng.integers(1, high + 1, size=shape[0])
-    return t_idx, rng.standard_normal(shape)
+    return rows, t_idx, rng.standard_normal(shape)
 
 
 def _noised(schedule: BridgeSchedule, x0: np.ndarray, y: np.ndarray, t_idx: np.ndarray,
@@ -164,14 +160,6 @@ def _noised(schedule: BridgeSchedule, x0: np.ndarray, y: np.ndarray, t_idx: np.n
         target = x_t - x0
     weights = schedule.coef_noise[t_idx][:, None] if weighted else None
     return x_t, target, weights
-
-
-def _update(model: NoisePredictor, T: int, x_t: np.ndarray, t_idx: np.ndarray,
-            target: np.ndarray, weights: np.ndarray | None, adam: AdamState, lr: float) -> float:
-    """Loss and gradient on one batch, then one Adam update; returns the loss."""
-    loss, grad = model._loss_and_grad(x_t, t_idx, target, T, sample_weight=weights)
-    adam_step(model.flat, grad, adam, lr)
-    return loss
 
 
 def _format_float(v: float) -> str:
@@ -189,8 +177,7 @@ class _Validator:
         self.x0 = np.tile(x0, (len(ts), 1))
         y_rep = np.tile(y, (len(ts), 1))
         eps = rng_for(seed, "val").standard_normal(self.x0.shape)
-        self.x_t = forward_sample(schedule, self.x0, y_rep, self.t_idx, eps)
-        self.target = self.x_t - self.x0
+        self.x_t, self.target, _ = _noised(schedule, self.x0, y_rep, self.t_idx, eps, False)
         self.T = T
 
     def loss(self, model: NoisePredictor) -> float:
@@ -209,9 +196,10 @@ def run_training(
 
     ``max_steps = 0`` emits the initial checkpoint and an empty metrics log.
     ``resume_from`` restores model/optimizer/EMA/scheduler state and
-    continues the exact step sequence of an uninterrupted run; a checkpoint
-    past ``max_steps`` is a ``ValueError``, raised before any file is
-    written.
+    continues the exact step sequence of an uninterrupted run. A checkpoint
+    past ``max_steps``, or whose schedule, data dimension, ``hidden``,
+    ``embed_dim`` or ``normalize_inputs`` differ from the run's, is a
+    ``ValueError``, raised before any file is written.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -240,10 +228,14 @@ def run_training(
                 f"checkpoint schedule (T={ckpt.T}, s={ckpt.s}) does not match "
                 f"config (T={config.T}, s={config.s})"
             )
-        if ckpt.model.data_dim != dataset.dim:
-            raise ValueError(
-                f"checkpoint dimension {ckpt.model.data_dim} does not match dataset {dataset.dim}"
-            )
+        for key, have, want in (
+            ("dimension", ckpt.model.data_dim, dataset.dim),
+            ("hidden", ckpt.model.hidden, config.hidden),
+            ("embed_dim", ckpt.model.embed_dim, config.embed_dim),
+            ("normalize_inputs", ckpt.model.state_scale is not None, config.normalize_inputs),
+        ):
+            if have != want:
+                raise ValueError(f"checkpoint {key}={have!r} does not match the run's {want!r}")
         if config.max_steps < ckpt.step:
             raise ValueError(
                 f"cannot resume a step-{ckpt.step} checkpoint with max_steps={config.max_steps}: "
@@ -301,16 +293,17 @@ def run_training(
         step_bytes = 8 * batch * (3 + 5 * dataset.dim)
         chunk_steps = max(1, min(_CHUNK_STEPS, _CHUNK_BYTES // step_bytes))
         for first in range(start_step + 1, config.max_steps + 1, chunk_steps):
-            # Every step's draws come from its own generator, in the order
-            # train_step makes them, so the chunking does not change them.
+            # Every step's draws come from its own generator, so the
+            # chunking does not change them.
             steps = range(first, min(first + chunk_steps, config.max_steps + 1))
             rows = np.empty((len(steps), batch), dtype=np.intp)
             t_idx = np.empty((len(steps), batch), dtype=np.intp)
             eps = np.empty((len(steps), batch, dataset.dim))
             for i, step in enumerate(steps):
-                rng = rng_for(config.seed, "step", step)
-                rows[i] = rng.integers(0, x0_train.shape[0], size=batch)
-                t_idx[i], eps[i] = _draw(rng, schedule, (batch, dataset.dim), config.weighted_loss)
+                rows[i], t_idx[i], eps[i] = _draw(
+                    rng_for(config.seed, "step", step), schedule, x0_train.shape[0],
+                    (batch, dataset.dim), config.weighted_loss,
+                )
             flat_rows = rows.reshape(-1)
             x_t, target, weights = _noised(
                 schedule, x0_train[flat_rows], y_train[flat_rows], t_idx.reshape(-1),
@@ -319,7 +312,7 @@ def run_training(
             for i, step in enumerate(steps):
                 part = slice(i * batch, (i + 1) * batch)
                 try:
-                    loss = _update(
+                    loss = train_step(
                         model, config.T, x_t[part], t_idx[i], target[part],
                         None if weights is None else weights[part], adam,
                         plateau.current_lr,

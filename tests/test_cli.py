@@ -568,8 +568,9 @@ class TestEvalCommand:
         assert list(report_dir.iterdir()) == [report]
 
 
-    def _eval_rows(self, tmp_path, moons_file, capsys, *row_sets, k=1, keep=False):
-        header = "# format=samples-csv\n# version=1\n# seed=0\ny_index,sample_index,dim_0,dim_1\n"
+    def _eval_rows(self, tmp_path, moons_file, capsys, *row_sets, k=1, keep=False,
+                   meta="# format=samples-csv\n# version=1\n# seed=0\n"):
+        header = meta + "y_index,sample_index,dim_0,dim_1\n"
         sample_files = []
         for i, rows in enumerate(row_sets):
             sample_files.append(tmp_path / ("bad_samples.csv" if i == 0 else f"bad_samples_{i}.csv"))
@@ -613,6 +614,18 @@ class TestEvalCommand:
         code, err = self._eval_rows(tmp_path, moons_file, capsys, *row_sets, k=2)
         assert code == 2
         assert err.count("\n") == 1 and message in err
+
+    @pytest.mark.parametrize("meta,message", [
+        ("# format=samples-csv\n# version=2\n",
+         "error: unsupported samples-csv version '2' in {}\n"),
+        ("# format=paired-csv\n# version=1\n", "error: not a samples-csv file: {}\n"),
+        ("# format=samples-csv\n# version=1\n# seed\n",
+         "error: malformed metadata line in {}: '# seed'\n"),
+    ], ids=["version", "format", "no-equals"])
+    def test_bad_metadata_names_the_file(self, tmp_path, moons_file, capsys, meta, message):
+        code, err = self._eval_rows(tmp_path, moons_file, capsys, ["0,0,0.5,0.25"], meta=meta)
+        assert code == 2
+        assert err == message.format(tmp_path / "bad_samples.csv")
 
     def test_inputs_interleaved_across_files(self, tmp_path, moons_file, capsys):
         # Each input's k = 3 rows lie out of order and split over two files.

@@ -1,4 +1,6 @@
 import dataclasses
+import re
+import sys
 import warnings
 
 import numpy as np
@@ -45,6 +47,15 @@ def smoke_config(**overrides):
     return TrainConfig(**base)
 
 
+def drawn_batch(dataset, schedule, step, batch=32, weighted=False, seed=100):
+    """One step's rows, steps, noise, noised states, targets and weights."""
+    rows, t_idx, eps = training._draw(rng_for(seed, "step", step), schedule, dataset.n,
+                                      (batch, dataset.dim), weighted)
+    x_t, target, weights = training._noised(schedule, dataset.x0[rows], dataset.y[rows],
+                                             t_idx, eps, weighted)
+    return t_idx, x_t, target, weights
+
+
 class TestTrainStep:
     def test_deterministic_loss_trace(self, gauss_dataset):
         def run():
@@ -53,33 +64,55 @@ class TestTrainStep:
             adam = AdamState.for_params(model.flat)
             losses = []
             for step in range(1, 11):
-                rng = rng_for(100, "step", step)
-                rows = rng.integers(0, gauss_dataset.n, size=32)
-                losses.append(
-                    train_step(model, sch, gauss_dataset.x0[rows], gauss_dataset.y[rows],
-                               adam, 1e-3, rng)
-                )
-            return losses
+                t_idx, x_t, target, weights = drawn_batch(gauss_dataset, sch, step)
+                losses.append(train_step(model, sch.T, x_t, t_idx, target, weights, adam, 1e-3))
+            return losses, model.flat.tobytes()
 
         assert run() == run()
 
     def test_weighted_mode_avoids_final_step(self, gauss_dataset):
-        sch = build_schedule(50, 1.0)
+        sch = build_schedule(5, 1.0)
         model = NoisePredictor.create(1, (8,), 8, rng_for(1, "init"))
         adam = AdamState.for_params(model.flat)
-        loss = train_step(
-            model, sch, gauss_dataset.x0[:64], gauss_dataset.y[:64], adam, 1e-3,
-            rng_for(1, "step", 1), weighted=True,
-        )
-        assert np.isfinite(loss)
+        t_idx, x_t, target, weights = drawn_batch(gauss_dataset, sch, 1, batch=4000,
+                                                  weighted=True)
+        assert set(t_idx.tolist()) == {1, 2, 3, 4}
+        np.testing.assert_array_equal(weights[:, 0], sch.coef_noise[t_idx])
+        assert np.isfinite(train_step(model, sch.T, x_t, t_idx, target, weights, adam, 1e-3))
+        plain, _, _, _ = drawn_batch(gauss_dataset, sch, 1, batch=4000)
+        assert plain.max() == sch.T
 
-    def test_empty_batch_rejected(self, gauss_dataset):
-        sch = build_schedule(50, 1.0)
+    @staticmethod
+    def _step_on(x_t, target):
         model = NoisePredictor.create(1, (8,), 8, rng_for(1, "init"))
         adam = AdamState.for_params(model.flat)
-        with pytest.raises(ValueError):
-            train_step(model, sch, np.zeros((0, 1)), np.zeros((0, 1)), adam, 1e-3,
-                       rng_for(1, "step", 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="batch arrays"):
+                train_step(model, 50, x_t, np.ones(len(x_t), dtype=int), target, None, adam,
+                           1e-3)
+
+    def test_empty_batch_rejected(self):
+        self._step_on(np.zeros((0, 1)), np.zeros((0, 1)))
+
+    @pytest.mark.parametrize("x_t,target", [
+        (np.zeros((3, 1)), np.zeros((3, 2))),
+        (np.zeros(3), np.zeros(3)),
+    ], ids=["widths", "rank"])
+    def test_mismatched_batch_rejected(self, x_t, target):
+        self._step_on(x_t, target)
+
+    def test_run_training_updates_through_train_step(self, gauss_dataset, tmp_path,
+                                                     monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args[2].shape)
+            return train_step(*args)
+
+        monkeypatch.setattr(training, "train_step", counted)
+        run_training(smoke_config(max_steps=13), gauss_dataset, tmp_path)
+        assert calls == [(32, 1)] * 13
 
 
 class TestRunTraining:
@@ -206,9 +239,10 @@ class TestRunTraining:
 
 
 def reference_training(config, dataset, out_dir, resume_from=None):
-    """The training loop one step at a time on the public ``train_step``:
-    the bytes the chunked loop in ``run_training`` must write. The initial
-    state comes from a zero-step run."""
+    """The training loop one step at a time, each step's ``_draw``,
+    ``_noised`` and ``train_step`` in turn: the bytes the chunked loop in
+    ``run_training`` must write. The initial state comes from a zero-step
+    run."""
     out_dir.mkdir(parents=True, exist_ok=True)
     if resume_from is None:
         init = run_training(dataclasses.replace(config, max_steps=0), dataset,
@@ -229,10 +263,12 @@ def reference_training(config, dataset, out_dir, resume_from=None):
 
     lines = ["step,loss,lr,val_loss"]
     for step in range(ckpt.step + 1, config.max_steps + 1):
-        rng = rng_for(config.seed, "step", step)
-        rows = rng.integers(0, x0_train.shape[0], size=config.batch_size)
-        loss = train_step(model, sch, x0_train[rows], y_train[rows], adam, plateau.current_lr,
-                          rng, config.weighted_loss)
+        rows, t_idx, eps = training._draw(rng_for(config.seed, "step", step), sch,
+                                          x0_train.shape[0], (config.batch_size, dataset.dim),
+                                          config.weighted_loss)
+        x_t, target, weights = training._noised(sch, x0_train[rows], y_train[rows], t_idx, eps,
+                                                config.weighted_loss)
+        loss = train_step(model, config.T, x_t, t_idx, target, weights, adam, plateau.current_lr)
         ema_update(ema, model.flat, step)
         val = ""
         if step % config.validation_interval == 0 or step == config.max_steps:
@@ -298,7 +334,9 @@ class TestChunkedLoop:
         noised, rows = training._noised, []
 
         def record(schedule, x0, *args):
-            rows.append(x0.shape[0])
+            # The chunks' calls, not the validator's one over its fixed set.
+            if sys._getframe(1).f_code.co_name == "run_training":
+                rows.append(x0.shape[0])
             return noised(schedule, x0, *args)
 
         monkeypatch.setattr(training, "_noised", record)
@@ -337,6 +375,21 @@ class TestResumeInPlace:
         before = files_of(tmp_path)
         with pytest.raises(ValueError, match="step-20 checkpoint with max_steps=10"):
             run_training(smoke_config(max_steps=10), gauss_dataset, tmp_path,
+                         resume_from=half.checkpoint_path)
+        assert files_of(tmp_path) == before
+
+    @pytest.mark.parametrize("overrides,message", [
+        (dict(hidden=(64,)), "checkpoint hidden=(16, 16) does not match the run's (64,)"),
+        (dict(embed_dim=32), "checkpoint embed_dim=8 does not match the run's 32"),
+        (dict(normalize_inputs=False),
+         "checkpoint normalize_inputs=True does not match the run's False"),
+        (dict(hidden=(64,), embed_dim=32, normalize_inputs=False), "checkpoint hidden="),
+    ], ids=["hidden", "embed_dim", "normalize_inputs", "all"])
+    def test_architecture_mismatch_rejected(self, gauss_dataset, tmp_path, overrides, message):
+        half = run_training(smoke_config(max_steps=20), gauss_dataset, tmp_path)
+        before = files_of(tmp_path)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_training(smoke_config(**overrides), gauss_dataset, tmp_path,
                          resume_from=half.checkpoint_path)
         assert files_of(tmp_path) == before
 

@@ -15,8 +15,8 @@ In a temporary directory it
   writing a checkpoint every 100;
 - runs ``bridgediff sample --n 8 --k 5 --steps 200 --seed 7`` on
   ``w0/ckpt_final.bin``;
-- runs ``--n 200`` of the same command on ``w1/ckpt_final.bin`` at eta 1
-  and 0.5, each with and without ``--trajectories``;
+- runs ``--n 200`` of the same command on ``w1/ckpt_final.bin`` at eta 1,
+  0.5 and 0, each with and without ``--trajectories``;
 - runs ``bridgediff eval --k 5`` on the eta 1 samples against ``pairs.csv``
   and writes the report to ``eval_w1_n200_eta1.csv``;
 - runs ``--n 500`` of the sample command on ``w1/ckpt_final.bin`` (2,500
@@ -265,7 +265,7 @@ def replay(root: Path) -> None:
     for name, config in configs.items():
         run_training(config, pairs, root / name)
     _sample(root, "w0/ckpt_final.bin", "w0_n8", "--n", "8")
-    for eta in ("1", "0.5"):
+    for eta in ("1", "0.5", "0"):
         _sample(root, "w1/ckpt_final.bin", f"w1_n200_eta{eta}", "--n", "200", "--eta", eta)
         _sample(root, "w1/ckpt_final.bin", f"w1_n200_eta{eta}_traj", "--n", "200", "--eta", eta,
                 "--trajectories")
