@@ -48,6 +48,9 @@ SAMPLE_BLOCK = 256
 # The format and version lines of the samples CSV ``sample`` writes.
 SAMPLES_FORMAT = "samples-csv"
 SAMPLES_VERSION = 1
+# Metadata every shard of one sample set shares; ``n`` counts a shard's own
+# inputs and may differ.
+SHARD_KEYS = ("seed", "steps", "eta", "k", "dim")
 
 
 def _fmt(v: float) -> str:
@@ -221,13 +224,16 @@ def _read_samples_csv(path, k: int, seen: set):
 def cmd_eval(args) -> int:
     if args.k < 1:
         raise UsageError(f"k must be >= 1, got {args.k}")
-    all_meta = None
     y_parts, v_parts = [], []
     seen: set = set()
     for p in args.samples:
         meta, y_idx, values = _read_samples_csv(p, args.k, seen)
-        if all_meta is None:
-            all_meta = meta
+        if not y_parts:
+            first, set_meta = p, meta
+        for key in SHARD_KEYS:
+            if meta.get(key) != set_meta.get(key):
+                raise UsageError(f"samples files disagree on {key}: {first} has "
+                                 f"{set_meta.get(key)!r}, {p} has {meta.get(key)!r}")
         y_parts.append(y_idx)
         v_parts.append(values)
     y_idx = np.concatenate(y_parts)
@@ -258,7 +264,7 @@ def cmd_eval(args) -> int:
     ed = energy_distance(samples, reference.x0)
     mom = moments(samples)
 
-    seed = all_meta.get("seed", "") if all_meta else ""
+    seed = set_meta.get("seed", "")
     lines = ["metric,value,n,seed"]
     lines.append(f"diversity,{_fmt(div)},{len(groups)},{seed}")
     lines.append(f"energy_distance,{_fmt(ed)},{samples.shape[0]},{seed}")

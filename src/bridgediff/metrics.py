@@ -3,8 +3,13 @@
 The energy distance sums pair distances in fixed-size tiles, so its memory
 does not depend on the set sizes and a full 40k-row reference works. The
 tiles run on the workers ``parallel.run`` picks, each worker holding 1 MiB
-of tile buffers. The tile sums are combined exactly, so the result is the
-same float for any worker count.
+of tile buffers and about 8 KiB of BLAS operands. A tile's differences
+come from one BLAS product per coordinate, ``[a_ik, 1] @ [1; -b_jk]``,
+whose two products are exact, so each entry is ``a_ik - b_jk`` rounded
+once, as ``np.subtract`` rounds it. Every pass over a tile then runs on a
+contiguous buffer, where numpy needs no transient buffers. The tile sums
+are combined exactly, so the result is the same float for any worker
+count.
 """
 
 from __future__ import annotations
@@ -26,18 +31,13 @@ def diversity(sets: list[np.ndarray], k: int = 5) -> float:
     """
     if not sets:
         raise ValueError("need at least one sample set")
-    per_input = []
-    dim = None
-    for i, arr in enumerate(sets):
-        arr = np.asarray(arr, dtype=np.float64)
+    arrays = [np.asarray(arr, dtype=np.float64) for arr in sets]
+    for i, arr in enumerate(arrays):  # set 0's shape is checked first
         if arr.ndim != 2 or arr.shape[0] != k:
             raise ValueError(f"set {i} must hold exactly k={k} samples, got shape {arr.shape}")
-        if dim is None:
-            dim = arr.shape[1]
-        elif arr.shape[1] != dim:
-            raise ValueError(f"set {i} has dimension {arr.shape[1]}, expected {dim}")
-        per_input.append(float(np.mean(np.std(arr, axis=0))))
-    return float(np.mean(per_input))
+        if arr.shape[1] != arrays[0].shape[1]:
+            raise ValueError(f"set {i} has dimension {arr.shape[1]}, expected {arrays[0].shape[1]}")
+    return float(np.mean(np.mean(np.std(np.stack(arrays), axis=1), axis=1)))
 
 
 # Side of the square tiles the pair sums run in: each worker's two
@@ -75,6 +75,20 @@ def _pair_distance_sum(a: np.ndarray, b: np.ndarray) -> float:
     only tiles on or above the diagonal are visited and each one above it
     counts twice: |a_i - a_j| and |a_j - a_i| are the same float.
 
+    An (nr, nc) tile occupies the first nr·nc entries of a buffer, so it is
+    contiguous however narrow it is. For each coordinate k, ``np.matmul``
+    of ``lhs = [a_ik, 1]`` (nr, 2) and ``rhs = [1; -b_jk]`` (2, nc) writes
+    ``a_ik·1 + 1·(-b_jk)``: both products are exact, so the one rounding is
+    that of ``a_ik - b_jk`` in any summation order, with or without FMA.
+    Only the sign of an exact zero can differ from ``np.subtract``'s, and
+    squaring erases it. Only real pairs are computed, so no stale buffer
+    entry can overflow. The squares are added and rooted in place. A full
+    tile, or one as wide as the buffer, is then summed as it lies. A
+    narrower one is first copied into the ``[:nr, :nc]`` corner of the other
+    buffer and summed there: numpy sums a strided layout in another order
+    than a contiguous one, and the corner is the layout every tile sum has
+    always come from, so the sums keep their bits.
+
     The tiles are spread over workers with ``parallel.run``: each worker
     claims the next tile from one shared generator. Each keeps its tile
     sums as exact partials and the total is ``math.fsum`` of them all,
@@ -95,19 +109,27 @@ def _pair_distance_sum(a: np.ndarray, b: np.ndarray) -> float:
         nonfinite: list[float] = []  # inf or nan tile sums, kept as they are
         acc = np.empty((min(a.shape[0], _TILE), min(b.shape[0], _TILE)))
         tmp = np.empty_like(acc)
+        lhs = np.ones((acc.shape[0], 2))  # [a_ik, 1]
+        rhs = np.ones((2, acc.shape[1]))  # [1; -b_jk]
         while (tile := claim()) is not None:
             i, j = tile
             rows = a[i : i + _TILE]
             cols = b[j : j + _TILE]
-            dist = acc[: rows.shape[0], : cols.shape[0]]
-            sq = tmp[: rows.shape[0], : cols.shape[0]]
-            np.subtract(rows[:, 0, None], cols[None, :, 0], out=dist)
-            np.multiply(dist, dist, out=dist)
-            for k in range(1, a.shape[1]):
-                np.subtract(rows[:, k, None], cols[None, :, k], out=sq)
-                np.multiply(sq, sq, out=sq)
-                np.add(dist, sq, out=dist)
+            nr, nc = rows.shape[0], cols.shape[0]
+            dist = acc.reshape(-1)[: nr * nc].reshape(nr, nc)
+            sq = tmp.reshape(-1)[: nr * nc].reshape(nr, nc)
+            for k in range(a.shape[1]):
+                lhs[:nr, 0] = rows[:, k]
+                np.negative(cols[:, k], out=rhs[1, :nc])
+                out = sq if k else dist
+                np.matmul(lhs[:nr], rhs[:, :nc], out=out)
+                np.multiply(out, out, out=out)
+                if k:
+                    np.add(dist, sq, out=dist)
             np.sqrt(dist, out=dist)
+            if nc < acc.shape[1]:  # narrow: sum in the strided corner
+                tmp[:nr, :nc] = dist
+                dist = tmp[:nr, :nc]
             total = float(dist.sum())
             if same and j > i:
                 total *= 2.0

@@ -627,6 +627,43 @@ class TestEvalCommand:
         assert code == 2
         assert err == message.format(tmp_path / "bad_samples.csv")
 
+    SHARD_META = {"seed": "1", "steps": "200", "eta": "1.0", "k": "1", "n": "1", "dim": "2"}
+
+    def _eval_shards(self, tmp_path, moons_file, capsys, *metas):
+        # One input per shard, each shard with its own metadata lines.
+        files = []
+        for i, meta in enumerate(metas):
+            lines = ["# format=samples-csv", "# version=1",
+                     *(f"# {k}={v}" for k, v in meta.items()),
+                     "y_index,sample_index,dim_0,dim_1", f"{i},0,0.5,0.25"]
+            files.append(tmp_path / f"s{i}.csv")
+            files[-1].write_text("\n".join(lines) + "\n", encoding="utf-8")
+        report = tmp_path / "r.csv"
+        code = cli.main(["eval", "--samples", *map(str, files), "--reference", str(moons_file),
+                         "--k", "1", "--out", str(report)])
+        return code, capsys.readouterr().err, report, files
+
+    @pytest.mark.parametrize("key,other", [
+        ("seed", "2"), ("steps", "50"), ("eta", "0.0"), ("k", "5"), ("dim", "3"), ("eta", None),
+    ], ids=["seed", "steps", "eta", "k", "dim", "missing"])
+    def test_shards_with_different_metadata_exit_two(self, tmp_path, moons_file, capsys, key, other):
+        changed = {k: v for k, v in self.SHARD_META.items() if k != key or other is not None}
+        if other is not None:
+            changed[key] = other
+        code, err, report, files = self._eval_shards(
+            tmp_path, moons_file, capsys, self.SHARD_META, self.SHARD_META, changed)
+        assert code == 2
+        assert err == (f"error: samples files disagree on {key}: {files[0]} has "
+                       f"{self.SHARD_META[key]!r}, {files[2]} has {other!r}\n")
+        assert not report.exists()
+
+    def test_shards_may_differ_in_n(self, tmp_path, moons_file, capsys):
+        code, err, report, _ = self._eval_shards(
+            tmp_path, moons_file, capsys, self.SHARD_META, {**self.SHARD_META, "n": "7"})
+        assert (code, err) == (0, "")
+        rows = report.read_text(encoding="utf-8").splitlines()[1:3]
+        assert [line.split(",")[2:] for line in rows] == [["2", "1"], ["2", "1"]]
+
     def test_inputs_interleaved_across_files(self, tmp_path, moons_file, capsys):
         # Each input's k = 3 rows lie out of order and split over two files.
         # The report equals one built from each input's rows in file order,

@@ -30,12 +30,26 @@ class TestDiversity:
         assert diversity(shifted, k=5) == pytest.approx(diversity(sets, k=5), abs=1e-12)
 
     def test_k_mismatch_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"set 0 must hold exactly k=5 samples, got shape \(4, 2\)"):
             diversity([np.zeros((4, 2))], k=5)
+        with pytest.raises(ValueError, match=r"set 1 must hold exactly k=5 samples, got shape \(5,\)"):
+            diversity([np.zeros((5, 2)), np.zeros(5)], k=5)
 
     def test_dim_mismatch_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="set 1 has dimension 3, expected 2"):
             diversity([np.zeros((5, 2)), np.zeros((5, 3))], k=5)
+
+    def test_matches_per_input_loop(self):
+        # The stacked form gives the bits of the per-input loop: each
+        # input's std over its k rows, its mean over dimensions, then the
+        # mean over inputs.
+        rng = rng_for(71, "div")
+        for _ in range(60):
+            k, d, n = (int(x) for x in rng.integers(1, (40, 20, 200)))
+            scale = 10.0 ** rng.uniform(-8, 8)
+            sets = [(rng.normal(size=(k, d)) + rng.normal() * 10) * scale for _ in range(n)]
+            loop = float(np.mean([float(np.mean(np.std(s, axis=0))) for s in sets]))
+            assert diversity(sets, k=k) == loop
 
 
 class TestEnergyDistance:
@@ -318,6 +332,85 @@ class TestParallelPairSums:
         before = threading.active_count()
         energy_distance(a, a[::-1])
         assert threading.active_count() == before
+
+
+class TestTileKernel:
+    """A tile's differences come from ``[a_ik, 1] @ [1; -b_jk]``: the same
+    squares as ``np.subtract``'s, from contiguous buffers, only for real
+    pairs."""
+
+    @staticmethod
+    def _product_difference(a, b):
+        # The kernel's operands for one coordinate, as it lays them out.
+        lhs = np.ones((a.size, 2))
+        lhs[:, 0] = a
+        rhs = np.ones((2, b.size))
+        np.negative(b, out=rhs[1])
+        return np.matmul(lhs, rhs)
+
+    @pytest.mark.parametrize("shape", [(256, 256), (37, 200), (1, 256), (256, 1), (1, 1)])
+    def test_product_difference_squares_equal_subtract(self, shape):
+        rng = rng_for(67, "kernel", *shape)
+        n, m = shape
+        # Random finite bit patterns (many differences overflow to inf),
+        # subnormals, values shared by both sides and both zeros.
+        bits = rng.integers(0, 2**64, size=4 * (n + m), dtype=np.uint64).view(np.float64)
+        pool = np.concatenate([
+            bits[np.isfinite(bits)],
+            rng.integers(-2**20, 2**20, size=n + m) * 5e-324,
+            np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, -1.0]),
+        ])
+        a = rng.choice(pool, size=n)
+        b = rng.choice(pool, size=m)
+        b[: min(n, m) // 2] = a[: min(n, m) // 2]  # equal pairs
+        a[0], b[-1] = 1.7976931348623157e308, -1.7976931348623157e308  # an overflow
+        with np.errstate(over="ignore"):
+            diff = self._product_difference(a, b)
+            expected = np.subtract(a[:, None], b[None, :])
+            assert np.array_equal(diff, expected)  # up to the sign of a zero
+            squares = (diff * diff).view(np.uint64), (expected * expected).view(np.uint64)
+            assert np.array_equal(*squares)
+        assert np.isinf(expected).any()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_bitwise_equal_to_serial_on_narrow_edges(self, monkeypatch, workers, d):
+        # 257 rows leave an edge tile 1 wide, 511 one 255 wide.
+        monkeypatch.setattr(parallel, "worker_count", lambda: workers)
+        rng = rng_for(68, "kernel", d)
+        sets = {n: rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 4) for n in (1, 257, 511)}
+        for n, a in sets.items():
+            assert metrics._pair_distance_sum(a, a) == _serial_pair_sum(a, a)
+            for m, b in sets.items():
+                assert metrics._pair_distance_sum(a, b) == _serial_pair_sum(a, b)
+
+    def test_transient_memory_is_the_tile_buffers(self, monkeypatch):
+        # One worker on full tiles: beyond its two (256, 256) buffers, the
+        # passes over a tile allocate next to nothing.
+        monkeypatch.setattr(parallel, "worker_count", lambda: 1)
+        rng = rng_for(69, "kernel")
+        a, b = rng.normal(size=(512, 2)), rng.normal(size=(512, 2))
+        metrics._pair_distance_sum(a, b)
+        tracemalloc.start()
+        try:
+            metrics._pair_distance_sum(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 256 * 256 * 8 + 32 * 1024
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_no_overflow_outside_the_real_pairs(self, d):
+        # Differences near 1e150 square to about 1e300, but any entry taken
+        # against a padding value such as 0 or 1 would square past the
+        # largest float and warn (an error in this suite).
+        rng = rng_for(70, "kernel", d)
+        sets = [1e160 + rng.normal(size=(n, d)) * 1e150 for n in (1, 200, 300, 600)]
+        with np.errstate(all="raise"):
+            for a in sets:
+                assert metrics._pair_distance_sum(a, a) == _serial_pair_sum(a, a)
+                for b in sets:
+                    assert metrics._pair_distance_sum(a, b) == _serial_pair_sum(a, b)
 
 
 class TestMoments:
