@@ -4,6 +4,11 @@ Exit codes: 0 success, 1 verification/metric failure, 2 usage or
 configuration error. All randomness flows from explicit integer seeds, so
 every subcommand is replayable; reruns with identical inputs and seeds
 produce byte-identical CSV outputs.
+
+``eval`` keeps each reference's energy-distance self term in a file beside
+it (``<reference>.selfdist``, see ``_reference_self_sum``), so scoring
+further sample sets against the same reference skips that term; the
+report is the same bytes either way.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from .configfile import (
 )
 from .data import load as load_dataset, parse_metadata
 from .fileio import temp_beside, write_atomic
-from .metrics import diversity, energy_distance, moments
+from .metrics import diversity, energy_distance, moments, self_distance_key, self_distance_sum
 from .sampling import (
     NonFiniteState,
     SamplerPlan,
@@ -51,6 +56,12 @@ SAMPLES_VERSION = 1
 # Metadata every shard of one sample set shares; ``n`` counts a shard's own
 # inputs and may differ.
 SHARD_KEYS = ("seed", "steps", "eta", "k", "dim")
+
+# ``eval`` keeps a reference's self term in ``<reference>`` + SELF_SUM_SUFFIX,
+# three lines: SELF_SUM_FORMAT, ``metrics.self_distance_key`` of its x0 and
+# ``metrics.self_distance_sum`` of it as ``float.hex``.
+SELF_SUM_FORMAT = "bridgediff-selfdist 1"
+SELF_SUM_SUFFIX = ".selfdist"
 
 
 def _fmt(v: float) -> str:
@@ -221,6 +232,40 @@ def _read_samples_csv(path, k: int, seen: set):
     return meta, np.array(y_idx, dtype=int), values
 
 
+def _reference_self_sum(ref_path: Path, x0: np.ndarray) -> float:
+    """``self_distance_sum(x0)``, kept in the file beside ``ref_path``.
+
+    The file's value is used only when the file holds exactly the format
+    line, ``x0``'s key and a finite, non-negative ``float.hex`` value in its
+    canonical spelling, so the value has the bits a fresh computation would
+    give, and only when the file belongs to the current user or to the
+    reference's owner, so a file planted by anyone else who can create files
+    in that directory is not believed. Otherwise (missing, unreadable,
+    malformed, another key, another owner) the sum is computed and the file
+    rewritten atomically; if that write fails, as in a read-only directory,
+    the sum is still returned and no file is left.
+    """
+    path = ref_path.with_name(ref_path.name + SELF_SUM_SUFFIX)
+    head = f"{SELF_SUM_FORMAT}\n{self_distance_key(x0)}\n"
+    try:
+        with open(path, encoding="ascii") as f:
+            owner = os.fstat(f.fileno()).st_uid
+            text = f.read(4096)  # more than a well-formed file holds
+        value = float.fromhex(text[len(head) : -1])
+        if (owner in (os.geteuid(), ref_path.stat().st_uid)
+                and text == head + value.hex() + "\n" and math.isfinite(value)
+                and math.copysign(1.0, value) > 0):
+            return value
+    except (OSError, ValueError, OverflowError):
+        pass  # no usable file: compute the sum and write one
+    value = self_distance_sum(x0)
+    try:
+        write_atomic(path, head, value.hex() + "\n")
+    except OSError:
+        pass  # the report does not depend on the file
+    return value
+
+
 def cmd_eval(args) -> int:
     if args.k < 1:
         raise UsageError(f"k must be >= 1, got {args.k}")
@@ -234,6 +279,11 @@ def cmd_eval(args) -> int:
             if meta.get(key) != set_meta.get(key):
                 raise UsageError(f"samples files disagree on {key}: {first} has "
                                  f"{set_meta.get(key)!r}, {p} has {meta.get(key)!r}")
+        for key, actual, source in (("dim", values.shape[1], "value columns"),
+                                    ("k", args.k, "--k")):
+            if key in meta and meta[key] != str(actual):
+                raise UsageError(f"{p}: metadata {key}={meta[key]!r} does not match "
+                                 f"{source} ({actual})")
         y_parts.append(y_idx)
         v_parts.append(values)
     y_idx = np.concatenate(y_parts)
@@ -261,7 +311,7 @@ def cmd_eval(args) -> int:
         )
     groups = np.split(samples[order], starts[1:])
     div = diversity(groups, k=args.k)
-    ed = energy_distance(samples, reference.x0)
+    ed = energy_distance(samples, reference.x0, _reference_self_sum(ref_path, reference.x0))
     mom = moments(samples)
 
     seed = set_meta.get("seed", "")

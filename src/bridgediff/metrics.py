@@ -10,6 +10,12 @@ once, as ``np.subtract`` rounds it. Every pass over a tile then runs on a
 contiguous buffer, where numpy needs no transient buffers. The tile sums
 are combined exactly, so the result is the same float for any worker
 count.
+
+The reference's own term depends on the reference alone, so a caller that
+scores many sample sets against one reference can compute it once with
+``self_distance_sum``, keep it under ``self_distance_key`` and pass it to
+``energy_distance``; ``bridgediff eval`` keeps it in a file beside the
+reference.
 """
 
 from __future__ import annotations
@@ -143,24 +149,53 @@ def _pair_distance_sum(a: np.ndarray, b: np.ndarray) -> float:
     return math.fsum(x for part in parts for x in part)
 
 
-def energy_distance(a, b) -> float:
+def _point_set(x) -> np.ndarray:
+    return np.atleast_2d(np.asarray(x, dtype=np.float64))
+
+
+def self_distance_sum(b) -> float:
+    """Sum of |b_i - b_j| over all pairs (i, j), diagonal included: the
+    term of ``energy_distance(a, b)`` that depends on ``b`` alone."""
+    b = _point_set(b)
+    return _pair_distance_sum(b, b)
+
+
+def self_distance_key(b) -> str:
+    """One line naming everything the bits of ``self_distance_sum(b)``
+    depend on: the set's size, the sha256 of its C-order float64 bytes, the
+    tile side, which fixes the tiles, and numpy's version, which fixes the
+    order in which each tile is summed."""
+    # Imported here, not with the package: hashlib loads OpenSSL, about
+    # 3.7 MB of resident memory that only this key needs.
+    import hashlib
+
+    b = np.ascontiguousarray(_point_set(b))
+    return (f"n={b.shape[0]} d={b.shape[1]} sha256={hashlib.sha256(b).hexdigest()} "
+            f"tile={_TILE} numpy={np.__version__}")
+
+
+def energy_distance(a, b, b_self_sum: float | None = None) -> float:
     """2 E|a-b| - E|a-a'| - E|b-b'| over all pairs; zero iff the empirical
     distributions coincide (up to estimator noise).
 
     Each mean is the all-pairs V-statistic (diagonal included), so
-    identical sets give 0.
+    identical sets give 0. ``b_self_sum``, when given, is
+    ``self_distance_sum(b)`` computed earlier; the result is then the same
+    float as without it.
     """
-    a = np.atleast_2d(np.asarray(a, dtype=np.float64))
-    b = np.atleast_2d(np.asarray(b, dtype=np.float64))
+    a = _point_set(a)
+    b = _point_set(b)
     if a.shape[0] < 1 or b.shape[0] < 1:
         raise ValueError("both sample lists must be non-empty")
     if a.shape[1] != b.shape[1]:
         raise ValueError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
     n, m = a.shape[0], b.shape[0]
+    if b_self_sum is None:
+        b_self_sum = _pair_distance_sum(b, b)
     return (
         2.0 * _pair_distance_sum(a, b) / (n * m)
         - _pair_distance_sum(a, a) / (n * n)
-        - _pair_distance_sum(b, b) / (m * m)
+        - b_self_sum / (m * m)
     )
 
 

@@ -1,12 +1,15 @@
+import dataclasses
+import errno
 import json
 import os
 import struct
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bridgediff import cli
+from bridgediff import cli, fileio, metrics
 from bridgediff.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from bridgediff.data import gen_two_moons_paired, save
 from bridgediff.data import load as load_dataset
@@ -536,7 +539,7 @@ class TestEvalCommand:
         return sample_file
 
     def test_out_of_memory_exits_two(self, tmp_path, moons_file, monkeypatch, capsys):
-        def no_memory(a, b):
+        def no_memory(a, b, b_self_sum=None):
             raise MemoryError("Unable to allocate 23.8 GiB")
 
         monkeypatch.setattr(cli, "energy_distance", no_memory)
@@ -627,6 +630,17 @@ class TestEvalCommand:
         assert code == 2
         assert err == message.format(tmp_path / "bad_samples.csv")
 
+    @pytest.mark.parametrize("meta,message", [
+        ("# dim=3\n", "metadata dim='3' does not match value columns (2)"),
+        ("# k=5\n", "metadata k='5' does not match --k (1)"),
+        ("# k=1\n# dim=2.0\n", "metadata dim='2.0' does not match value columns (2)"),
+    ], ids=["dim", "k", "dim-spelling"])
+    def test_metadata_against_rows_and_flags(self, tmp_path, moons_file, capsys, meta, message):
+        code, err = self._eval_rows(tmp_path, moons_file, capsys, ["0,0,0.5,0.25"],
+                                    meta="# format=samples-csv\n# version=1\n" + meta)
+        assert code == 2
+        assert err == f"error: {tmp_path / 'bad_samples.csv'}: {message}\n"
+
     SHARD_META = {"seed": "1", "steps": "200", "eta": "1.0", "k": "1", "n": "1", "dim": "2"}
 
     def _eval_shards(self, tmp_path, moons_file, capsys, *metas):
@@ -693,6 +707,179 @@ class TestEvalCommand:
         code, err = self._eval_rows(tmp_path, moons_file, capsys, ["0,0,0.5,0.25"], k=0)
         assert code == 2
         assert err == "error: k must be >= 1, got 0\n"
+
+
+class TestReferenceSelfSum:
+    """``eval`` keeps the reference's self term in ``<reference>.selfdist``
+    and reuses it only when it is exactly what a fresh computation would
+    write."""
+
+    def _inputs(self, tmp_path, ref_dir=None):
+        ref_dir = ref_dir or tmp_path
+        ref_dir.mkdir(exist_ok=True)
+        reference = ref_dir / "ref.csv"
+        save(gen_two_moons_paired(n=600, noise_sd=0.05, seed=71), reference)
+        values = gen_two_moons_paired(n=300, noise_sd=0.1, seed=72).x0
+        samples = tmp_path / "samples.csv"
+        lines = ["# format=samples-csv", "# version=1", "# seed=3", "y_index,sample_index,dim_0,dim_1"]
+        lines += [f"{i},0,{a!r},{b!r}" for i, (a, b) in enumerate(values.tolist())]
+        samples.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return samples, reference, values
+
+    def _eval(self, samples, reference, out):
+        code = cli.main(["eval", "--samples", str(samples), "--reference", str(reference),
+                         "--k", "1", "--out", str(out)])
+        assert code == 0
+        return out.read_bytes()
+
+    @staticmethod
+    def _selfdist(reference):
+        return reference.with_name(reference.name + ".selfdist")
+
+    def _count_pair_sums(self, monkeypatch):
+        calls = []
+        pair_sum = metrics._pair_distance_sum
+
+        def counted(a, b):
+            calls.append((a.shape, b.shape))
+            return pair_sum(a, b)
+
+        monkeypatch.setattr(metrics, "_pair_distance_sum", counted)
+        return calls
+
+    def test_cold_warm_and_no_file_reports_match(self, tmp_path, monkeypatch):
+        samples, reference, values = self._inputs(tmp_path)
+        calls = self._count_pair_sums(monkeypatch)
+        cold = self._eval(samples, reference, tmp_path / "cold.csv")
+        assert len(calls) == 3
+        text = self._selfdist(reference).read_text(encoding="ascii")
+        x0 = load_dataset(reference).x0
+        assert text == (f"bridgediff-selfdist 1\n{metrics.self_distance_key(x0)}\n"
+                        f"{metrics.self_distance_sum(x0).hex()}\n")
+        calls.clear()
+        warm = self._eval(samples, reference, tmp_path / "warm.csv")
+        assert len(calls) == 2 and (600, 2) not in [shape for shape, _ in calls]
+        assert self._selfdist(reference).read_text(encoding="ascii") == text
+        self._selfdist(reference).unlink()
+        again = self._eval(samples, reference, tmp_path / "again.csv")
+        assert cold == warm == again
+        ed = [line for line in cold.decode().splitlines() if line.startswith("energy_distance,")]
+        assert ed == [f"energy_distance,{energy_distance(values, x0)!r},300,3"]
+
+    def test_edited_reference_rewrites_the_file(self, tmp_path):
+        samples, reference, values = self._inputs(tmp_path)
+        self._eval(samples, reference, tmp_path / "r1.csv")
+        first = self._selfdist(reference).read_text(encoding="ascii")
+        ds = load_dataset(reference)
+        x0 = ds.x0.copy()
+        x0[17, 1] += 0.25  # same size, one value changed
+        save(dataclasses.replace(ds, x0=x0), reference)
+        report = self._eval(samples, reference, tmp_path / "r2.csv")
+        second = self._selfdist(reference).read_text(encoding="ascii")
+        assert second != first
+        assert second.splitlines()[1] == metrics.self_distance_key(x0)
+        assert float.fromhex(second.splitlines()[2]) == metrics.self_distance_sum(x0)
+        assert f"energy_distance,{energy_distance(values, x0)!r}," in report.decode()
+
+    @pytest.mark.parametrize("edit", [
+        lambda text, head: "",
+        lambda text, head: text[: len(text) // 2],
+        lambda text, head: text[:-1],
+        lambda text, head: text.replace("bridgediff-selfdist 1", "bridgediff-selfdist 2"),
+        lambda text, head: head + "1.5e3\n",  # float.fromhex reads it as 0x1.5e3
+        lambda text, head: head + "0x1.8p+3 \n",
+        lambda text, head: head + "nan\n",
+        lambda text, head: head + "inf\n",
+        lambda text, head: head + "-0x1.8p+3\n",
+        lambda text, head: head + "-0x0.0p+0\n",
+        lambda text, head: head + "0x1p+99999\n",
+        lambda text, head: text + "extra line\n",
+        lambda text, head: text + "\n",
+        lambda text, head: text.replace("n=600", "n=601"),
+        lambda text, head: "\xe9" + text,
+    ], ids=["empty", "truncated", "no-final-newline", "format", "decimal", "whitespace",
+            "nan", "inf", "negative", "negative-zero", "overflow", "extra-line",
+            "blank-line", "other-key", "non-ascii"])
+    def test_unusable_file_is_recomputed_and_rewritten(self, tmp_path, monkeypatch, edit):
+        samples, reference, _ = self._inputs(tmp_path)
+        expected = self._eval(samples, reference, tmp_path / "expected.csv")
+        path = self._selfdist(reference)
+        good = path.read_text(encoding="ascii")
+        path.write_bytes(edit(good, "".join(good.splitlines(True)[:2])).encode("latin-1"))
+        calls = self._count_pair_sums(monkeypatch)
+        assert self._eval(samples, reference, tmp_path / "r.csv") == expected
+        assert len(calls) == 3
+        assert path.read_text(encoding="ascii") == good
+
+    def test_directory_in_its_place(self, tmp_path):
+        samples, reference, _ = self._inputs(tmp_path)
+        expected = self._eval(samples, reference, tmp_path / "expected.csv")
+        self._selfdist(reference).unlink()
+        self._selfdist(reference).mkdir()
+        assert self._eval(samples, reference, tmp_path / "r.csv") == expected
+        assert self._selfdist(reference).is_dir()
+        assert not [p for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+
+    def test_owner_decides_whether_the_file_is_believed(self, tmp_path, monkeypatch):
+        if os.geteuid() != 0:
+            pytest.skip("giving a file another owner needs root")
+        samples, reference, _ = self._inputs(tmp_path)
+        expected = self._eval(samples, reference, tmp_path / "expected.csv")
+        path = self._selfdist(reference)
+        good = path.read_text(encoding="ascii")
+        head = "".join(good.splitlines(True)[:2])
+        # Planted by another user: the right key, a well-formed wrong sum.
+        path.write_text(head + (1.5).hex() + "\n", encoding="ascii")
+        os.chown(path, 4242, -1)
+        calls = self._count_pair_sums(monkeypatch)
+        assert self._eval(samples, reference, tmp_path / "r1.csv") == expected
+        assert len(calls) == 3
+        assert path.read_text(encoding="ascii") == good
+        assert path.stat().st_uid == os.geteuid()
+        # A file owned by the reference's owner is believed.
+        os.chown(reference, 4242, -1)
+        os.chown(path, 4242, -1)
+        calls.clear()
+        assert self._eval(samples, reference, tmp_path / "r2.csv") == expected
+        assert len(calls) == 2
+
+    def test_read_only_directory(self, tmp_path, monkeypatch):
+        samples, reference, _ = self._inputs(tmp_path, tmp_path / "ro")
+        expected = self._eval(samples, reference, tmp_path / "expected.csv")
+        self._selfdist(reference).unlink()
+        ro = reference.parent
+        ro.chmod(0o555)
+        try:
+            if os.access(ro, os.W_OK):
+                # Mode bits do not stop a privileged user: refuse the way the
+                # kernel refuses everyone else.
+                def refuse(file, mode="r", *args, **kwargs):
+                    if Path(file).parent == ro and ("x" in mode or "w" in mode):
+                        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(file))
+                    return open(file, mode, *args, **kwargs)
+
+                monkeypatch.setattr(fileio, "open", refuse, raising=False)
+            assert self._eval(samples, reference, tmp_path / "r.csv") == expected
+            assert list(ro.iterdir()) == [reference]
+        finally:
+            ro.chmod(0o755)
+
+    def test_out_of_memory_in_self_term_exits_two(self, tmp_path, monkeypatch, capsys):
+        samples, reference, _ = self._inputs(tmp_path)
+        pair_sum = metrics._pair_distance_sum
+
+        def no_memory(a, b):
+            if a is b and a.shape[0] == 600:
+                raise MemoryError("Unable to allocate 1.00 MiB")
+            return pair_sum(a, b)
+
+        monkeypatch.setattr(metrics, "_pair_distance_sum", no_memory)
+        out = tmp_path / "r.csv"
+        code = cli.main(["eval", "--samples", str(samples), "--reference", str(reference),
+                         "--k", "1", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: out of memory: Unable to allocate 1.00 MiB\n"
+        assert sorted(tmp_path.iterdir()) == [reference, samples]
 
 
 class TestAtomicReports:

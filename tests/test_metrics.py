@@ -109,6 +109,27 @@ class TestEnergyDistance:
         with pytest.raises(ValueError):
             energy_distance(np.zeros((0, 2)), np.zeros((3, 2)))
 
+    @pytest.mark.parametrize("m", [1, 300, 700])
+    def test_precomputed_self_sum_keeps_the_bits(self, m):
+        rng = rng_for(56, "ed", m)
+        a = rng.normal(size=(90, 2))
+        b = rng.normal(size=(m, 2)) + 0.25
+        bb = metrics.self_distance_sum(b)
+        assert bb == metrics._pair_distance_sum(b, b)
+        assert energy_distance(a, b, bb).hex() == energy_distance(a, b).hex()
+
+    def test_self_distance_key_names_what_fixes_the_bits(self):
+        b = rng_for(57, "ed").normal(size=(40, 3))
+        key = metrics.self_distance_key(b)
+        assert key.startswith("n=40 d=3 sha256=")
+        assert key.endswith(f" tile={metrics._TILE} numpy={np.__version__}")
+        assert metrics.self_distance_key(np.asfortranarray(b)) == key
+        assert metrics.self_distance_key(b.tolist()) == key
+        edited = b.copy()
+        edited[5, 2] = np.nextafter(edited[5, 2], np.inf)
+        assert metrics.self_distance_key(edited) != key
+        assert metrics.self_distance_key(b.reshape(30, 4)).startswith("n=30 d=4 ")
+
 
 def _naive_mean_distance(a, b):
     # Every pair at once: the (n, m, d) difference array the tiles avoid.

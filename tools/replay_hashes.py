@@ -18,7 +18,10 @@ In a temporary directory it
 - runs ``--n 200`` of the same command on ``w1/ckpt_final.bin`` at eta 1,
   0.5 and 0, each with and without ``--trajectories``;
 - runs ``bridgediff eval --k 5`` on the eta 1 samples against ``pairs.csv``
-  and writes the report to ``eval_w1_n200_eta1.csv``;
+  and writes the report to ``eval_w1_n200_eta1.csv``, which also writes the
+  reference's self term to ``pairs.csv.selfdist``; then runs it again, now
+  reading that file, into ``eval_w1_n200_eta1_warm.csv``, and stops unless
+  the two reports are the same bytes;
 - runs ``--n 500`` of the sample command on ``w1/ckpt_final.bin`` (2,500
   chains, which the CLI runs 256 at a time);
 - copies ``w0`` to ``w0_resume`` and resumes that copy in place from its
@@ -269,9 +272,12 @@ def replay(root: Path) -> None:
         _sample(root, "w1/ckpt_final.bin", f"w1_n200_eta{eta}", "--n", "200", "--eta", eta)
         _sample(root, "w1/ckpt_final.bin", f"w1_n200_eta{eta}_traj", "--n", "200", "--eta", eta,
                 "--trajectories")
-    _run(["eval", "--samples", str(root / "w1_n200_eta1" / "samples.csv"),
-          "--reference", str(root / "pairs.csv"), "--k", "5",
-          "--out", str(root / "eval_w1_n200_eta1.csv")])
+    reports = [root / "eval_w1_n200_eta1.csv", root / "eval_w1_n200_eta1_warm.csv"]
+    for report in reports:  # the second run reads pairs.csv.selfdist
+        _run(["eval", "--samples", str(root / "w1_n200_eta1" / "samples.csv"),
+              "--reference", str(root / "pairs.csv"), "--k", "5", "--out", str(report)])
+    if reports[0].read_bytes() != reports[1].read_bytes():
+        raise SystemExit(f"{reports[1].name} differs from {reports[0].name}")
     _sample(root, "w1/ckpt_final.bin", "w1_n500", "--n", "500")
     shutil.copytree(root / "w0", root / "w0_resume")
     run_training(configs["w0"], pairs, root / "w0_resume",
