@@ -182,54 +182,77 @@ def cmd_sample(args) -> int:
     return 0
 
 
-def _read_samples_csv(path, k: int, seen: set):
-    """Metadata, conditioning indices and sample rows of a samples CSV.
-    Metadata lines that ``data.parse_metadata`` rejects are an error that
-    names the file. A malformed row, a non-finite value, a sample index
-    outside 0..k-1 or a (y_index, sample_index) pair already in ``seen``
-    is a usage error that names the file and the line. Adds each row's
-    pair to ``seen``."""
-    path = Path(path)
-    if not path.exists():
-        raise UsageError(f"samples file not found: {path}")
-    meta_lines: list[str] = []
-    header = None
-    y_idx, values = [], []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if header is None:
-                if line.startswith("#"):
-                    meta_lines.append(line)
+def _read_sample_set(paths, k: int):
+    """The first file's metadata, the conditioning indices and the float64
+    rows of the sample set whose shards are ``paths``; each rule it breaks
+    is a one-line ``UsageError``. Per file, in order: the metadata must pass
+    ``data.parse_metadata``; each row must be well formed and finite, with
+    a sample index in 0..k-1 and a (y_index, sample_index) pair no earlier
+    row of any shard had (naming the line); ``SHARD_KEYS`` must equal the
+    first file's; its own ``dim`` and ``k``, when present, must equal its
+    value columns and ``k``; and its value columns, even with no rows, must
+    number the first file's. Then the set must hold a row."""
+    seen: set = set()
+    y_idx, parts = [], []
+    for i, p in enumerate(paths):
+        path = Path(p)
+        if not path.exists():
+            raise UsageError(f"samples file not found: {path}")
+        meta_lines: list[str] = []
+        header = None
+        values = []
+        with open(path, "r", encoding="utf-8") as f:
+            for lineno, line in enumerate(f, start=1):
+                line = line.rstrip("\n")
+                if header is None:
+                    if line.startswith("#"):
+                        meta_lines.append(line)
+                        continue
+                    meta = parse_metadata(meta_lines, path, SAMPLES_FORMAT, SAMPLES_VERSION)
+                    header = line.split(",")
+                    if header[:2] != ["y_index", "sample_index"]:
+                        raise UsageError(f"not a samples CSV: {path}")
                     continue
-                meta = parse_metadata(meta_lines, path, SAMPLES_FORMAT, SAMPLES_VERSION)
-                header = line.split(",")
-                if header[:2] != ["y_index", "sample_index"]:
-                    raise UsageError(f"not a samples CSV: {path}")
-                continue
-            fields = line.split(",")
-            if len(fields) != len(header):
-                raise UsageError(
-                    f"{path} line {lineno}: {len(fields)} fields, the header has {len(header)}"
-                )
-            try:
-                pair = int(fields[0]), int(fields[1])
-                row = [float(v) for v in fields[2:]]
-            except ValueError as exc:
-                raise UsageError(f"{path} line {lineno}: {exc}") from exc
-            if not 0 <= pair[1] < k:
-                raise UsageError(f"{path} line {lineno}: sample_index {pair[1]} outside 0..{k - 1}")
-            if pair in seen:
-                raise UsageError(f"{path} line {lineno}: (y_index, sample_index) = {pair} appears twice")
-            seen.add(pair)
-            y_idx.append(pair[0])
-            if not all(map(math.isfinite, row)):
-                raise UsageError(f"{path} line {lineno}: non-finite sample value")
-            values.append(row)
-    if header is None:
-        raise UsageError(f"not a samples CSV: {path}")
-    values = np.array(values, dtype=np.float64).reshape(len(values), len(header) - 2)
-    return meta, np.array(y_idx, dtype=int), values
+                fields = line.split(",")
+                if len(fields) != len(header):
+                    raise UsageError(
+                        f"{path} line {lineno}: {len(fields)} fields, the header has {len(header)}"
+                    )
+                try:
+                    pair = int(fields[0]), int(fields[1])
+                    row = [float(v) for v in fields[2:]]
+                except ValueError as exc:
+                    raise UsageError(f"{path} line {lineno}: {exc}") from exc
+                if not 0 <= pair[1] < k:
+                    raise UsageError(f"{path} line {lineno}: sample_index {pair[1]} outside 0..{k - 1}")
+                if pair in seen:
+                    raise UsageError(f"{path} line {lineno}: (y_index, sample_index) = {pair} appears twice")
+                seen.add(pair)
+                y_idx.append(pair[0])
+                if not all(map(math.isfinite, row)):
+                    raise UsageError(f"{path} line {lineno}: non-finite sample value")
+                values.append(row)
+        if header is None:
+            raise UsageError(f"not a samples CSV: {path}")
+        width = len(header) - 2
+        if i == 0:
+            set_meta, set_width = meta, width
+        for key in SHARD_KEYS:
+            if meta.get(key) != set_meta.get(key):
+                raise UsageError(f"samples files disagree on {key}: {paths[0]} has "
+                                 f"{set_meta.get(key)!r}, {p} has {meta.get(key)!r}")
+        for key, actual, source in (("dim", width, "value columns"), ("k", k, "--k")):
+            if key in meta and meta[key] != str(actual):
+                raise UsageError(f"{p}: metadata {key}={meta[key]!r} does not match "
+                                 f"{source} ({actual})")
+        if width != set_width:
+            raise UsageError(f"samples files disagree on value columns: {paths[0]} has "
+                             f"{set_width}, {p} has {width}")
+        # Only one shard's rows are held as Python lists at a time.
+        parts.append(np.array(values, dtype=np.float64).reshape(len(values), width))
+    if not y_idx:
+        raise UsageError("samples files contain no rows")
+    return set_meta, np.array(y_idx, dtype=int), np.concatenate(parts)
 
 
 def _reference_self_sum(ref_path: Path, x0: np.ndarray) -> float:
@@ -269,27 +292,7 @@ def _reference_self_sum(ref_path: Path, x0: np.ndarray) -> float:
 def cmd_eval(args) -> int:
     if args.k < 1:
         raise UsageError(f"k must be >= 1, got {args.k}")
-    y_parts, v_parts = [], []
-    seen: set = set()
-    for p in args.samples:
-        meta, y_idx, values = _read_samples_csv(p, args.k, seen)
-        if not y_parts:
-            first, set_meta = p, meta
-        for key in SHARD_KEYS:
-            if meta.get(key) != set_meta.get(key):
-                raise UsageError(f"samples files disagree on {key}: {first} has "
-                                 f"{set_meta.get(key)!r}, {p} has {meta.get(key)!r}")
-        for key, actual, source in (("dim", values.shape[1], "value columns"),
-                                    ("k", args.k, "--k")):
-            if key in meta and meta[key] != str(actual):
-                raise UsageError(f"{p}: metadata {key}={meta[key]!r} does not match "
-                                 f"{source} ({actual})")
-        y_parts.append(y_idx)
-        v_parts.append(values)
-    y_idx = np.concatenate(y_parts)
-    samples = np.vstack([v for v in v_parts if v.size]) if any(v.size for v in v_parts) else np.empty((0, 0))
-    if samples.shape[0] == 0:
-        raise UsageError("samples files contain no rows")
+    set_meta, y_idx, samples = _read_sample_set(args.samples, args.k)
 
     ref_path = Path(args.reference)
     if not ref_path.exists():
@@ -300,16 +303,16 @@ def cmd_eval(args) -> int:
             f"dimension mismatch: samples {samples.shape[1]}, reference {reference.dim}"
         )
 
-    # Each input's rows in file order, inputs in ascending order: a stable
-    # sort by y_index, cut where the index changes.
-    order = np.argsort(y_idx, kind="stable")
-    uids, starts, counts = np.unique(y_idx[order], return_index=True, return_counts=True)
+    uids, counts = np.unique(y_idx, return_counts=True)
     bad = np.flatnonzero(counts != args.k)
     if bad.size:
         raise UsageError(
             f"conditioning input {uids[bad[0]]} has {counts[bad[0]]} samples, expected k={args.k}"
         )
-    groups = np.split(samples[order], starts[1:])
+    # Each input's k rows in file order, inputs in ascending order: a stable
+    # sort by y_index.
+    order = np.argsort(y_idx, kind="stable")
+    groups = list(samples[order].reshape(len(uids), args.k, samples.shape[1]))
     div = diversity(groups, k=args.k)
     ed = energy_distance(samples, reference.x0, _reference_self_sum(ref_path, reference.x0))
     mom = moments(samples)

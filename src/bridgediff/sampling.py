@@ -107,16 +107,11 @@ class SamplerPlan:
 
 
 def make_grid(T: int, S: int) -> tuple[int, ...]:
-    """S strictly increasing steps, evenly spaced by rounding, ending at T."""
+    """S strictly increasing steps, evenly spaced by rounding, ending at T.
+    As T/S >= 1, the rounded i*T/S are distinct and >= 1, and S*T/S is T."""
     if not 1 <= S <= T:
         raise ValueError(f"steps must lie in 1..T={T}, got {S}")
-    steps = [int(math.floor(i * T / S + 0.5)) for i in range(1, S + 1)]
-    steps[-1] = T
-    out = [max(1, steps[0])]
-    for v in steps[1:]:
-        if v > out[-1]:
-            out.append(v)
-    return tuple(out)
+    return tuple(int(math.floor(i * T / S + 0.5)) for i in range(1, S + 1))
 
 
 class NonFiniteState(FloatingPointError):

@@ -25,8 +25,8 @@ with
 coefficients singular. Those slots, and slot 0 of every transition-level
 array (no transition enters ``t = 0``), hold NaN: that is the one way a
 degenerate slot is represented, and ``bridgediff info`` prints it as an
-empty field. The sampler leaves ``t = T`` through a special-cased move and
-never reads them.
+empty field. The sampler never reads them: its move out of ``t = T`` is
+its loop's first iteration, with bridge scale 0.
 """
 
 from __future__ import annotations

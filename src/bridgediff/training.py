@@ -283,9 +283,6 @@ def run_training(
     with open(metrics_path, mode, encoding="utf-8", newline="\n") as log:
         if mode == "w":
             log.write(METRICS_HEADER + "\n")
-        if config.max_steps == 0:
-            save_checkpoint(final_path, checkpoint_at(start_step))
-            return TrainResult(final_path, metrics_path, start_step, None)
 
         batch = config.batch_size
         # A step's rows, step indices and loss weights, and its noise, pairs,

@@ -643,13 +643,17 @@ class TestEvalCommand:
 
     SHARD_META = {"seed": "1", "steps": "200", "eta": "1.0", "k": "1", "n": "1", "dim": "2"}
 
-    def _eval_shards(self, tmp_path, moons_file, capsys, *metas):
-        # One input per shard, each shard with its own metadata lines.
+    def _eval_shards(self, tmp_path, moons_file, capsys, *metas, widths=None, empty=()):
+        # One input per shard, each shard with its own metadata lines,
+        # widths[i] value columns (default 2) and no rows if i is in empty.
         files = []
         for i, meta in enumerate(metas):
+            width = 2 if widths is None else widths[i]
+            row = ",".join([str(i), "0", *(str(0.5 ** j) for j in range(1, width + 1))])
             lines = ["# format=samples-csv", "# version=1",
                      *(f"# {k}={v}" for k, v in meta.items()),
-                     "y_index,sample_index,dim_0,dim_1", f"{i},0,0.5,0.25"]
+                     ",".join(["y_index", "sample_index", *(f"dim_{j}" for j in range(width))]),
+                     *([] if i in empty else [row])]
             files.append(tmp_path / f"s{i}.csv")
             files[-1].write_text("\n".join(lines) + "\n", encoding="utf-8")
         report = tmp_path / "r.csv"
@@ -669,6 +673,18 @@ class TestEvalCommand:
         assert code == 2
         assert err == (f"error: samples files disagree on {key}: {files[0]} has "
                        f"{self.SHARD_META[key]!r}, {files[2]} has {other!r}\n")
+        assert not report.exists()
+
+    @pytest.mark.parametrize("empty", [(), (1,)], ids=["rows", "header_only"])
+    def test_shards_with_different_widths_exit_two(self, tmp_path, moons_file, capsys, empty):
+        # Without dim metadata, only the column counts can tell the shards
+        # apart; an empty shard must agree too, not be dropped.
+        meta = {k: v for k, v in self.SHARD_META.items() if k != "dim"}
+        code, err, report, files = self._eval_shards(
+            tmp_path, moons_file, capsys, meta, meta, widths=(2, 3), empty=empty)
+        assert code == 2
+        assert err == (f"error: samples files disagree on value columns: {files[0]} has 2, "
+                       f"{files[1]} has 3\n")
         assert not report.exists()
 
     def test_shards_may_differ_in_n(self, tmp_path, moons_file, capsys):

@@ -44,7 +44,8 @@ class TestMakeGrid:
         assert make_grid(10, 5) == (2, 4, 6, 8, 10)
 
     def test_always_ends_at_T(self):
-        for T, S in [(7, 3), (100, 7), (1000, 200), (2, 2)]:
+        pairs = [(T, S) for T in range(1, 301) for S in range(1, T + 1)]
+        for T, S in [(7, 3), (100, 7), (1000, 200), (2, 2), *pairs]:
             grid = make_grid(T, S)
             assert grid[-1] == T
             assert grid[0] >= 1

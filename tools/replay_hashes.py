@@ -20,8 +20,10 @@ In a temporary directory it
 - runs ``bridgediff eval --k 5`` on the eta 1 samples against ``pairs.csv``
   and writes the report to ``eval_w1_n200_eta1.csv``, which also writes the
   reference's self term to ``pairs.csv.selfdist``; then runs it again, now
-  reading that file, into ``eval_w1_n200_eta1_warm.csv``, and stops unless
-  the two reports are the same bytes;
+  reading that file, into ``eval_w1_n200_eta1_warm.csv``; then scores the
+  same samples split at an input boundary into the two shard files of
+  ``w1_n200_eta1_shards/`` into ``eval_w1_n200_eta1_shards.csv``; and stops
+  unless all three reports are the same bytes;
 - runs ``--n 500`` of the sample command on ``w1/ckpt_final.bin`` (2,500
   chains, which the CLI runs 256 at a time);
 - copies ``w0`` to ``w0_resume`` and resumes that copy in place from its
@@ -272,12 +274,22 @@ def replay(root: Path) -> None:
         _sample(root, "w1/ckpt_final.bin", f"w1_n200_eta{eta}", "--n", "200", "--eta", eta)
         _sample(root, "w1/ckpt_final.bin", f"w1_n200_eta{eta}_traj", "--n", "200", "--eta", eta,
                 "--trajectories")
-    reports = [root / "eval_w1_n200_eta1.csv", root / "eval_w1_n200_eta1_warm.csv"]
-    for report in reports:  # the second run reads pairs.csv.selfdist
-        _run(["eval", "--samples", str(root / "w1_n200_eta1" / "samples.csv"),
-              "--reference", str(root / "pairs.csv"), "--k", "5", "--out", str(report)])
-    if reports[0].read_bytes() != reports[1].read_bytes():
-        raise SystemExit(f"{reports[1].name} differs from {reports[0].name}")
+    samples = root / "w1_n200_eta1" / "samples.csv"
+    lines = samples.read_text(encoding="utf-8").splitlines(keepends=True)
+    head = next(i for i, line in enumerate(lines) if not line.startswith("#")) + 1
+    cut = head + 73 * 5  # rows run input by input, k = 5 rows each
+    shards = [root / "w1_n200_eta1_shards" / f"s{i}.csv" for i in range(2)]
+    shards[0].parent.mkdir()
+    shards[0].write_text("".join(lines[:cut]), encoding="utf-8")
+    shards[1].write_text("".join(lines[:head] + lines[cut:]), encoding="utf-8")
+    reports = [root / f"eval_w1_n200_eta1{suffix}.csv" for suffix in ("", "_warm", "_shards")]
+    # The second and third runs read pairs.csv.selfdist.
+    for report, files in zip(reports, ([samples], [samples], shards)):
+        _run(["eval", "--samples", *map(str, files), "--reference", str(root / "pairs.csv"),
+              "--k", "5", "--out", str(report)])
+    for report in reports[1:]:
+        if report.read_bytes() != reports[0].read_bytes():
+            raise SystemExit(f"{report.name} differs from {reports[0].name}")
     _sample(root, "w1/ckpt_final.bin", "w1_n500", "--n", "500")
     shutil.copytree(root / "w0", root / "w0_resume")
     run_training(configs["w0"], pairs, root / "w0_resume",
