@@ -136,7 +136,7 @@ def cmd_sample(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     samples_path = out_dir / "samples.csv"
-    chains = [(row, rep) for row in range(n) for rep in range(args.k)]
+    chains = n * args.k  # chain i is (row, rep) = divmod(i, k)
     # Rows go to a temp file that replaces samples.csv only once every chain
     # has finished, and trajectories take their final names only after that,
     # so a failed run never leaves a complete-looking file.
@@ -148,8 +148,9 @@ def cmd_sample(args) -> int:
             f.write(f"# seed={args.seed}\n# steps={args.steps}\n# eta={_fmt(args.eta)}\n")
             f.write(f"# k={args.k}\n# n={n}\n# dim={dataset.dim}\n")
             f.write("y_index,sample_index," + ",".join(f"dim_{i}" for i in range(dataset.dim)) + "\n")
-            for start in range(0, len(chains), SAMPLE_BLOCK):
-                block = chains[start : start + SAMPLE_BLOCK]
+            for start in range(0, chains, SAMPLE_BLOCK):
+                # Each block lists only its own pairs: memory stays flat in n * k.
+                block = [divmod(i, args.k) for i in range(start, min(start + SAMPLE_BLOCK, chains))]
                 seeds = [int(rng_for(args.seed, "sample", row, rep).integers(2**62))
                          for row, rep in block]
                 try:

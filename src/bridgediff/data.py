@@ -220,17 +220,47 @@ _PARSE_ROWS = 256
 _READ_BYTES = 1 << 16
 
 
+def _meta_int(meta: dict, key: str, path, least: int | None = None) -> int:
+    value = meta[key]
+    try:
+        number = int(value)
+    except ValueError:
+        raise ValueError(f"metadata {key} in {path} must be an integer, got {value!r}") from None
+    if least is not None and number < least:
+        raise ValueError(f"metadata {key} in {path} must be at least {least}, got {number}")
+    return number
+
+
+def _meta_param(meta: dict, key: str, path) -> int | float:
+    value = meta[key]
+    for convert in (int, float):
+        try:
+            return convert(value)
+        except ValueError:
+            pass
+    raise ValueError(f"metadata {key} in {path} must be an int or a float, got {value!r}")
+
+
 def load(path) -> PairedDataset:
     """Read a dataset, verifying the CRC32 of the data section.
 
-    The file is read twice, in pieces, and never held whole: once for the
-    checksum, the row count and whether it is all ASCII, then once to parse
-    the rows a block at a time.
+    Every metadata value is checked first, before the data section is read:
+    ``seed``, ``n``, ``dim`` and ``crc32`` must be integers, ``n`` and
+    ``dim`` at least 1, and each ``param.*`` an int or a float; a failure is
+    a ``ValueError`` naming the file and the key. The file is read twice,
+    in pieces, and never held whole: once for the checksum, the row count
+    and whether it is all ASCII, then once to parse the rows a block at a
+    time.
     """
     meta = read_header(path)
     missing = [k for k in ("generator", "seed", "n", "dim", "crc32") if k not in meta]
     if missing:
         raise ValueError(f"{path} lacks metadata line(s): {', '.join(missing)}")
+    seed = _meta_int(meta, "seed", path)
+    n = _meta_int(meta, "n", path, least=1)
+    dim = _meta_int(meta, "dim", path, least=1)
+    crc32 = _meta_int(meta, "crc32", path)
+    params = {key[6:]: _meta_param(meta, key, path) for key in meta if key.startswith("param.")}
     with open(path, "rb") as f:
         line = f.readline()
         while line.startswith(b"#"):
@@ -243,7 +273,7 @@ def load(path) -> PairedDataset:
             newlines += piece.count(b"\n")
             last = piece[-1:]
             ascii_only = ascii_only and piece.isascii()
-        if crc != int(meta["crc32"]):
+        if crc != crc32:
             raise ValueError(f"checksum mismatch in {path} (truncated or corrupted file)")
         f.seek(data_start)
         if not ascii_only:
@@ -252,8 +282,6 @@ def load(path) -> PairedDataset:
             # UTF-8 decodes block by block too.
             str(f.read(), "utf-8")
             f.seek(data_start)
-        n = int(meta["n"])
-        dim = int(meta["dim"])
         rows = newlines - (last == b"\n")  # lines, less the column header
         if rows != n:
             raise ValueError(f"expected {n} rows in {path}, found {rows}")
@@ -271,17 +299,10 @@ def load(path) -> PairedDataset:
             fields = ",".join(block).split(",")
             flat[start * width : start * width + len(fields)] = list(map(float, fields))
 
-    params: dict = {}
-    for key, value in meta.items():
-        if key.startswith("param."):
-            try:
-                params[key[6:]] = int(value)
-            except ValueError:
-                params[key[6:]] = float(value)
     return PairedDataset(
         x0=values[:, :dim],
         y=values[:, dim:],
         generator=meta["generator"],
-        seed=int(meta["seed"]),
+        seed=seed,
         params=params,
     )

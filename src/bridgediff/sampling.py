@@ -28,29 +28,35 @@ ran in (within 1e-12; ``verify`` checks both).
 Everything in a move that does not depend on the state is planned once
 per call: the mixing weights of both ends, the bridge scale and sigma for
 every move come from the grid and eta (``coarse_posterior_var`` takes the
-whole grid's index arrays) and are read as Python floats, and the
-pre-drawn normals are scaled by sigma in one multiply, so a move draws
-sigma z ready-made. Each planned value is the float a move would compute
-for itself, and the update keeps its operation order, so outputs are bit
-for bit those of computing every move's coefficients at that move. The
-gap check (noise variance within the target marginal) runs over the
-whole plan before the first move and names the offending step.
+whole grid's index arrays) as float64 arrays, which a move reads as 0-d
+views (``keep_prev[j, ...]``); a Python float or numpy scalar would be
+converted to an array at every multiply. The pre-drawn normals are
+scaled by sigma in one multiply, so a move draws sigma z ready-made.
+Each planned value is the float a move would compute for itself, and the
+update keeps its operation order, so outputs are bit for bit those of
+computing every move's coefficients at that move. The gap check (noise
+variance within the target marginal) runs over the whole plan before the
+first move and names the offending step.
 
 A move's ``mix_cur y`` is the product the move before formed as its
 ``mix_prev y`` (one move's prev is the next one's cur), so it is carried
-over and each move multiplies ``y`` once. Each move checks one array for
-finiteness, its new state. That is exact: prev < T, so the weight
-``1 - mix_prev`` on ``x0_hat`` is positive and a non-finite reconstruction
-always makes the state non-finite. Only when the check fails are the
-reconstruction and the state checked in turn, which names the step and
-row that checking both at every move would. The moves, their ``eps_fn``
-calls included, run under one ``np.errstate(over="ignore",
-invalid="ignore")``: a non-finite prediction, or a move whose arithmetic
-overflows, ends in ``NonFiniteState`` without a numpy ``RuntimeWarning``.
-The final reconstruction checks its own array. On 2 cores with 1 BLAS
-thread and numpy 2.4.6, this raised the benchmark's ``chain`` throughput
-(one chain per call, analytic predictor) from 30,712 to 35,960 reverse
-steps/s, medians of 10 alternated pairs.
+over and each move multiplies ``y`` once. Each move guards its new state
+with one reduction, ``math.isfinite(x.sum())``. A finite sum proves every
+entry finite, since an inf or NaN entry makes the sum inf or NaN. A
+non-finite sum runs the exact checks, of the reconstruction and then of
+the state, which raise only for a non-finite entry: a state whose entries
+are finite but whose sum overflows runs on. Checking the state alone is
+exact too: prev < T, so the weight ``1 - mix_prev`` on ``x0_hat`` is
+positive and a non-finite reconstruction always makes the state
+non-finite. The two checks name the step and row that checking both at
+every move would. The moves, their ``eps_fn`` calls included, run under
+one ``np.errstate(over="ignore", invalid="ignore")``: a non-finite
+prediction, or a move whose arithmetic overflows, ends in
+``NonFiniteState`` without a numpy ``RuntimeWarning``. The final
+reconstruction checks its own array. On 2 cores with 1 BLAS thread and
+numpy 2.4.6, the 0-d views and the sum guard raised the benchmark's
+``chain`` throughput (one chain per call, analytic predictor) from
+36,352 to 38,952 reverse steps/s, medians of 10 alternated pairs.
 
 Endpoints: the state at t = T is the conditioning input itself and carries
 no extra information. The move from T is iteration 0 of the one loop, with
@@ -168,13 +174,14 @@ def _run_chain(
 
     # The per-move plan depends only on the grid and eta, so it is built
     # once, elementwise with the float operations a single move would use,
-    # and read as Python floats (numpy scalars cost more per use). Move j
-    # goes from curs[j] to prevs[j]. Move 0 leaves T, where x = y makes the
-    # bridge term zero: its scale is 0.0 (mv[T] = 0 would make it inf) and
-    # its noise the whole step-grid[-2] marginal.
+    # and read as 0-d views, which multiply without the conversion a
+    # Python float or numpy scalar takes. Move j goes from curs[j] to
+    # prevs[j]. Move 0 leaves T, where x = y makes the bridge term zero:
+    # its scale is 0.0 (mv[T] = 0 would make it inf) and its noise the
+    # whole step-grid[-2] marginal.
     mix, mv = schedule.mix, schedule.marginal_var
-    curs = np.array(grid[:0:-1], dtype=np.intp)
-    prevs = np.array(grid[-2::-1], dtype=np.intp)
+    steps = np.array(grid, dtype=np.intp)
+    curs, prevs = steps[:0:-1], steps[-2::-1]
     sigma2 = np.empty(moves)
     sigma2[:1] = eta * mv[prevs[:1]]
     sigma2[1:] = eta * coarse_posterior_var(schedule, prevs[1:], curs[1:])
@@ -187,28 +194,31 @@ def _run_chain(
             f"noise scale exceeded the marginal variance at step {curs[j]}->{prevs[j]}"
         )
     gap[gap < 0.0] = 0.0
-    scale = [0.0] + np.sqrt(gap[1:] / mv[curs[1:]]).tolist()
+    scale = np.zeros(moves)
+    scale[1:] = np.sqrt(gap[1:] / mv[curs[1:]])
     # sigma z for every move and row in one multiply.
     noise *= np.sqrt(sigma2)[:, None, None]
-    keep_prev, mix_prev = (1.0 - mix[prevs]).tolist(), mix[prevs].tolist()
-    keep_cur = (1.0 - mix[curs]).tolist()
+    keep_prev, mix_prev = 1.0 - mix[prevs], mix[prevs]
+    keep_cur = 1.0 - mix[curs]
 
     # mix_cur[j] is mix_prev[j - 1] (one move's prev is the next one's
     # cur), so a move's mix_cur y is the product the move before made; at
-    # T it is y itself. One guard per move, on x alone. It is exact: prev
-    # < T, so keep_prev > 0 and a non-finite x0_hat makes x non-finite
-    # (inf * c, inf - inf and NaN all propagate). A failed guard checks
-    # x0_hat, then x, naming the step and row that checking both would.
-    # The errstate keeps the arithmetic before the guard from warning.
+    # T it is y itself. One guard per move, the sum of x alone: a finite
+    # sum proves every entry finite. Checking x alone is exact: prev < T,
+    # so keep_prev > 0 and a non-finite x0_hat makes x non-finite (inf *
+    # c, inf - inf and NaN all propagate). A non-finite sum checks x0_hat,
+    # then x, naming the step and row that checking both would; when the
+    # sum overflowed from finite entries neither raises. The errstate
+    # keeps the arithmetic before the guard, and that sum, from warning.
     mix_y = y
     with np.errstate(over="ignore", invalid="ignore"):
         for j, (cur, prev) in enumerate(zip(grid[:0:-1], grid[-2::-1])):
             eps = np.asarray(eps_fn(x, cur), dtype=np.float64)
             x0_hat = x - eps
-            mix_y_cur, mix_y = mix_y, mix_prev[j] * y
-            x = (keep_prev[j] * x0_hat + mix_y
-                 + scale[j] * (x - keep_cur[j] * x0_hat - mix_y_cur) + noise[j])
-            if not np.isfinite(x).all():
+            mix_y_cur, mix_y = mix_y, mix_prev[j, ...] * y
+            x = (keep_prev[j, ...] * x0_hat + mix_y
+                 + scale[j, ...] * (x - keep_cur[j, ...] * x0_hat - mix_y_cur) + noise[j])
+            if not math.isfinite(x.sum()):
                 _check_state(x0_hat, cur)
                 _check_state(x, prev)
             if record:

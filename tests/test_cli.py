@@ -3,6 +3,7 @@ import errno
 import json
 import os
 import struct
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -223,6 +224,30 @@ class TestSampleCommand:
         data_lines = [l for l in lines if not l.startswith("#")]
         assert data_lines[0] == "y_index,sample_index,dim_0,dim_1"
         assert len(data_lines) == 1 + 4 * 2
+
+    def test_memory_does_not_grow_with_chain_count(self, tmp_path, moons_file, trained,
+                                                   monkeypatch):
+        # 40 rows x k = 250 is 10,000 chains; with sampling stubbed out the
+        # traced peak is about 0.2 MB, where a list of every (row, rep) pair
+        # built up front added about 0.6 MB.
+        def zeros(schedule, eps_fn, y, plan):
+            return np.zeros_like(y), None
+
+        monkeypatch.setattr(cli, "accelerated_sample", zeros)
+        out_dir = tmp_path / "samples"
+        tracemalloc.start()
+        try:
+            code = cli.main([
+                "sample", "--checkpoint", str(trained), "--data", str(moons_file),
+                "--k", "250", "--steps", "10", "--out", str(out_dir),
+            ])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        lines = (out_dir / "samples.csv").read_text(encoding="utf-8").splitlines()
+        assert lines[-1].startswith("39,249,") and len(lines) == 9 + 10000
+        assert peak < 512 * 1024
 
     def test_zero_rows_header_only(self, tmp_path, moons_file, trained):
         out_dir = tmp_path / "empty"

@@ -169,6 +169,36 @@ class TestPersistence:
         with pytest.raises(ValueError, match=key):
             load(path)
 
+    @pytest.mark.parametrize("key,value,problem", [
+        ("dim", "-1", "must be at least 1, got -1"),
+        ("dim", "0", "must be at least 1, got 0"),
+        ("dim", "abc", "must be an integer, got 'abc'"),
+        ("dim", "1.0", "must be an integer, got '1.0'"),
+        ("n", "abc", "must be an integer, got 'abc'"),
+        ("n", "0", "must be at least 1, got 0"),
+        ("seed", "x", "must be an integer, got 'x'"),
+        ("crc32", "abc", "must be an integer, got 'abc'"),
+        ("param.noise_sd", "zz", "must be an int or a float, got 'zz'"),
+    ])
+    def test_bad_metadata_value_names_file_and_key(self, tmp_path, monkeypatch, key, value, problem):
+        # The checksum stays valid (but for crc32 itself), and n=0 comes with
+        # no rows; the value is rejected before any array is allocated.
+        path = tmp_path / "pairs.csv"
+        save(gen_two_moons_paired(n=30, noise_sd=0.05, seed=19), path)
+        if key == "n":
+            self._with_data(path, lambda b: b[: b.index(b"\n") + 1])
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join(f"# {key}={value}\n" if l.startswith(f"# {key}=") else l
+                                for l in lines), encoding="utf-8")
+
+        def no_arrays(*args, **kwargs):
+            raise AssertionError("an array was allocated")
+
+        monkeypatch.setattr(data.np, "empty", no_arrays)
+        with pytest.raises(ValueError) as info:
+            load(path)
+        assert str(info.value) == f"metadata {key} in {path} {problem}"
+
     @pytest.mark.parametrize("row", [0, 1030])
     def test_ragged_rows_name_the_first(self, tmp_path, row):
         # Rows of 3 and 5 fields side by side keep the block's field total;

@@ -179,14 +179,19 @@ class TestTiledPairSums:
             # An untraced call first: whatever a first call leaves allocated
             # for later ones (which earlier tests may or may not have done)
             # stays out of the traced peak, so the bounds do not depend on
-            # the test order.
+            # the test order. Then the least peak of three traced calls: how
+            # many workers hold numpy's 64 KiB reduction buffer at the peak
+            # varies from call to call.
             energy_distance(a, b)
-            tracemalloc.start()
-            try:
-                energy_distance(a, b)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+            traced = []
+            for _ in range(3):
+                tracemalloc.start()
+                try:
+                    energy_distance(a, b)
+                    traced.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            peaks.append(min(traced))
         assert peaks[0] < 8e6
         assert peaks[1] <= peaks[0] + 65536
 

@@ -349,6 +349,29 @@ class TestNonFiniteGuard:
                 accelerated_sample(schedule, eps_fn, np.zeros((4, 2)), plan)
         assert (info.value.step, info.value.chain) == (grid[-2], 2)
 
+    def test_finite_state_whose_sum_overflows_runs_on(self, schedule):
+        # Every entry stays near 1e308, so the state's sum is inf at every
+        # move: the sum alone must not end the chain, the exact check does.
+        grid, _ = self.GRIDS["coarse"]
+        y = np.full((4, 2), 1e308)
+        seeds = [5, 6, 7, 8]
+
+        def eps_fn(x, t):
+            return np.zeros_like(x)
+
+        plan = SamplerPlan(grid=grid, eta=0.0, seed=seeds, record_trajectory=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out, traj = accelerated_sample(schedule, eps_fn, y, plan)
+        assert np.isfinite(out).all() and all(np.isfinite(state).all() for _, state in traj)
+        with np.errstate(over="ignore"):
+            assert np.sum(traj[-2][1]) == math.inf
+        ref_out, ref_traj = _reference_chain(schedule, eps_fn, y, grid, 0.0, seeds)
+        np.testing.assert_array_equal(out, ref_out)
+        for (t, state), (ref_t, ref_state) in zip(traj, ref_traj, strict=True):
+            assert t == ref_t
+            np.testing.assert_array_equal(state, ref_state)
+
     def test_peak_memory_is_about_the_noise_block(self):
         # 256 chains of d = 16 over 200 steps: the pre-drawn noise is the one
         # large array; no other per-move array of that size is planned.
