@@ -14,6 +14,7 @@ report is the same bytes either way.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -32,7 +33,7 @@ from .configfile import (
     resolve_dataset,
 )
 from .data import load as load_dataset, parse_metadata
-from .fileio import temp_beside, write_atomic
+from .fileio import format_float, temp_beside, write_atomic
 from .metrics import diversity, energy_distance, moments, self_distance_key, self_distance_sum
 from .sampling import (
     NonFiniteState,
@@ -62,10 +63,6 @@ SHARD_KEYS = ("seed", "steps", "eta", "k", "dim")
 # ``metrics.self_distance_sum`` of it as ``float.hex``.
 SELF_SUM_FORMAT = "bridgediff-selfdist 1"
 SELF_SUM_SUFFIX = ".selfdist"
-
-
-def _fmt(v: float) -> str:
-    return repr(float(v))
 
 
 def cmd_verify(args) -> int:
@@ -136,18 +133,22 @@ def cmd_sample(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     samples_path = out_dir / "samples.csv"
+    traj_path = out_dir / "trajectories.csv"
     chains = n * args.k  # chain i is (row, rep) = divmod(i, k)
-    # Rows go to a temp file that replaces samples.csv only once every chain
-    # has finished, and trajectories take their final names only after that,
-    # so a failed run never leaves a complete-looking file.
-    samples_tmp = temp_beside(samples_path)
-    trajectories = []  # (temp path, final path) per written trajectory
+    dims = ",".join(f"dim_{i}" for i in range(dataset.dim))
+    # Rows go to temp files that replace samples.csv, then trajectories.csv,
+    # only once every chain has finished, so a failed run leaves neither.
+    samples_tmp, traj_tmp = temp_beside(samples_path), temp_beside(traj_path)
     try:
-        with open(samples_tmp, "x", encoding="utf-8", newline="\n") as f:
+        with contextlib.ExitStack() as files:
+            f = files.enter_context(open(samples_tmp, "x", encoding="utf-8", newline="\n"))
             f.write(f"# format={SAMPLES_FORMAT}\n# version={SAMPLES_VERSION}\n")
-            f.write(f"# seed={args.seed}\n# steps={args.steps}\n# eta={_fmt(args.eta)}\n")
+            f.write(f"# seed={args.seed}\n# steps={args.steps}\n# eta={format_float(args.eta)}\n")
             f.write(f"# k={args.k}\n# n={n}\n# dim={dataset.dim}\n")
-            f.write("y_index,sample_index," + ",".join(f"dim_{i}" for i in range(dataset.dim)) + "\n")
+            f.write(f"y_index,sample_index,{dims}\n")
+            if args.trajectories:
+                traj_f = files.enter_context(open(traj_tmp, "x", encoding="utf-8", newline="\n"))
+                traj_f.write(f"y_index,sample_index,t,{dims}\n")  # no metadata
             for start in range(0, chains, SAMPLE_BLOCK):
                 # Each block lists only its own pairs: memory stays flat in n * k.
                 block = [divmod(i, args.k) for i in range(start, min(start + SAMPLE_BLOCK, chains))]
@@ -166,19 +167,15 @@ def cmd_sample(args) -> int:
                 except FloatingPointError as exc:
                     raise UsageError(f"sampling failed: {exc}") from exc
                 for (row, rep), x in zip(block, x0):
-                    f.write(f"{row},{rep}," + ",".join(_fmt(v) for v in x) + "\n")
+                    f.write(f"{row},{rep}," + ",".join(format_float(v) for v in x) + "\n")
                 if args.trajectories:
-                    for b, (row, rep) in enumerate(block):
-                        traj_path = out_dir / f"trajectory_{row}_{rep}.csv"
-                        traj_tmp = temp_beside(traj_path)
-                        trajectories.append((traj_tmp, traj_path))
-                        write_trajectory_csv([(t, state[b]) for t, state in traj], traj_tmp)
+                    write_trajectory_csv(traj_f, traj, block)
         os.replace(samples_tmp, samples_path)
-        for traj_tmp, traj_path in trajectories:
+        if args.trajectories:
             os.replace(traj_tmp, traj_path)
     finally:
-        for tmp in [samples_tmp, *(traj_tmp for traj_tmp, _ in trajectories)]:
-            tmp.unlink(missing_ok=True)
+        samples_tmp.unlink(missing_ok=True)
+        traj_tmp.unlink(missing_ok=True)
     print(f"samples: {samples_path}")
     return 0
 
@@ -318,14 +315,12 @@ def cmd_eval(args) -> int:
     ed = energy_distance(samples, reference.x0, _reference_self_sum(ref_path, reference.x0))
     mom = moments(samples)
 
-    seed = set_meta.get("seed", "")
-    lines = ["metric,value,n,seed"]
-    lines.append(f"diversity,{_fmt(div)},{len(groups)},{seed}")
-    lines.append(f"energy_distance,{_fmt(ed)},{samples.shape[0]},{seed}")
-    for i in range(samples.shape[1]):
-        lines.append(f"mean_{i},{_fmt(mom.mean[i])},{samples.shape[0]},{seed}")
-        lines.append(f"var_{i},{_fmt(mom.var[i])},{samples.shape[0]},{seed}")
-    report = "\n".join(lines) + "\n"
+    n, seed = samples.shape[0], set_meta.get("seed", "")
+    rows = [("diversity", div, len(groups)), ("energy_distance", ed, n)]
+    rows += [(f"{name}_{i}", v[i], n) for i in range(samples.shape[1])
+             for name, v in (("mean", mom.mean), ("var", mom.var))]
+    lines = [f"{name},{format_float(v)},{count},{seed}" for name, v, count in rows]
+    report = "\n".join(["metric,value,n,seed", *lines]) + "\n"
     write_atomic(Path(args.out), report)
     print(report, end="")
     return 0
@@ -338,7 +333,7 @@ def cmd_info(args) -> int:
     lines = [",".join(("t", *columns))]
     # A degenerate slot holds NaN in the schedule and prints as an empty field.
     for t, row in enumerate(zip(*(getattr(schedule, c) for c in columns))):
-        lines.append(",".join((str(t), *("" if math.isnan(v) else _fmt(v) for v in row))))
+        lines.append(",".join((str(t), *("" if math.isnan(v) else format_float(v) for v in row))))
     table = "\n".join(lines) + "\n"
     if args.out:
         write_atomic(Path(args.out), table)
@@ -379,7 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--raw-params", action="store_true",
                    help="use raw parameters instead of the EMA shadow")
-    p.add_argument("--trajectories", action="store_true", help="export per-sample trajectories")
+    p.add_argument("--trajectories", action="store_true", help="also write every chain's "
+                   "reverse path, t = T down to 0, to trajectories.csv beside samples.csv")
     p.add_argument("--out", type=str, required=True, help="output directory")
     p.set_defaults(fn=cmd_sample)
 

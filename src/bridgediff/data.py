@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fileio import write_atomic
+from .fileio import format_float, write_atomic
 from .oracle import JointGaussianSpec
 from .seeding import rng_for
 
@@ -155,7 +155,7 @@ GENERATORS = {
 def _format_value(v) -> str:
     if isinstance(v, (bool, int, np.integer)):
         return str(int(v))
-    return repr(float(v))
+    return format_float(v)
 
 
 def save(dataset: PairedDataset, path) -> None:
@@ -166,8 +166,7 @@ def save(dataset: PairedDataset, path) -> None:
     columns = [f"x_{i}" for i in range(d)] + [f"y_{i}" for i in range(d)]
     lines = [",".join(columns)]
     for i in range(dataset.n):
-        row = [repr(float(v)) for v in dataset.x0[i]] + [repr(float(v)) for v in dataset.y[i]]
-        lines.append(",".join(row))
+        lines.append(",".join(map(format_float, (*dataset.x0[i], *dataset.y[i]))))
     data_text = "\n".join(lines) + "\n"
 
     meta = [

@@ -1,9 +1,14 @@
-"""Atomic file replacement: write beside the target, then ``os.replace``."""
+"""Text files: the float spelling of every CSV, and atomic replacement."""
 
 from __future__ import annotations
 
 import os
 from pathlib import Path
+
+
+def format_float(v) -> str:
+    """``v`` as every CSV writes it: the shortest text with the same bits."""
+    return repr(float(v))
 
 
 def temp_beside(path: Path) -> Path:

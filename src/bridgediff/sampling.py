@@ -83,6 +83,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fileio import format_float
 from .schedule import BridgeSchedule, coarse_posterior_var
 from .seeding import rng_for
 
@@ -269,12 +270,12 @@ def accelerated_sample(
     )
 
 
-def write_trajectory_csv(traj: Trajectory, path) -> None:
-    """One row per visited step: t, dim_0, ..., dim_{d-1}."""
-    if not traj:
-        raise ValueError("empty trajectory")
-    d = traj[0][1].shape[0]
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("t," + ",".join(f"dim_{i}" for i in range(d)) + "\n")
-        for t, state in traj:
-            f.write(str(int(t)) + "," + ",".join(repr(float(v)) for v in state) + "\n")
+def write_trajectory_csv(f, traj: Trajectory, chains) -> None:
+    """Append to the open text file ``f`` the rows of a recorded trajectory
+    of ``len(chains)`` chains, chain by chain: ``row,rep,t,dim_0,...`` for
+    each step visited (t = T down to 0), ``(row, rep) = chains[b]``."""
+    steps = [int(t) for t, _ in traj]
+    states = np.array([state for _, state in traj]).reshape(len(traj), len(chains), -1)
+    for b, (row, rep) in enumerate(chains):
+        f.writelines(f"{row},{rep},{t}," + ",".join(map(format_float, x)) + "\n"
+                     for t, x in zip(steps, states[:, b].tolist()))

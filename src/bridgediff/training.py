@@ -19,6 +19,7 @@ import numpy as np
 
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .data import PairedDataset
+from .fileio import format_float
 from .nn import NoisePredictor, layer_shapes
 from .optim import (
     AdamState,
@@ -160,10 +161,6 @@ def _noised(schedule: BridgeSchedule, x0: np.ndarray, y: np.ndarray, t_idx: np.n
         target = x_t - x0
     weights = schedule.coef_noise[t_idx][:, None] if weighted else None
     return x_t, target, weights
-
-
-def _format_float(v: float) -> str:
-    return repr(float(v))
 
 
 class _Validator:
@@ -327,9 +324,9 @@ def run_training(
                 ):
                     final_val = validator.loss(model)
                     plateau_lr_step(plateau, final_val)
-                    val_field = _format_float(final_val)
+                    val_field = format_float(final_val)
                 log.write(
-                    f"{step},{_format_float(loss)},{_format_float(plateau.current_lr)},{val_field}\n"
+                    f"{step},{format_float(loss)},{format_float(plateau.current_lr)},{val_field}\n"
                 )
 
                 if step % config.checkpoint_interval == 0 and step != config.max_steps:

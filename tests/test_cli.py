@@ -249,6 +249,31 @@ class TestSampleCommand:
         assert lines[-1].startswith("39,249,") and len(lines) == 9 + 10000
         assert peak < 512 * 1024
 
+    def test_trajectory_memory_does_not_grow_with_chain_count(self, tmp_path, moons_file,
+                                                              trained, monkeypatch):
+        # 10,000 chains with --trajectories and sampling stubbed out: the
+        # file is streamed block by block and the traced peak is about
+        # 0.2 MB, where a file and a kept (temp path, final path) pair per
+        # chain peaked at about 11 MB.
+        def zeros(schedule, eps_fn, y, plan):
+            return np.zeros_like(y), [(t, np.zeros_like(y)) for t in (plan.grid[-1], 0)]
+
+        monkeypatch.setattr(cli, "accelerated_sample", zeros)
+        out_dir = tmp_path / "samples"
+        tracemalloc.start()
+        try:
+            code = cli.main([
+                "sample", "--checkpoint", str(trained), "--data", str(moons_file),
+                "--k", "250", "--steps", "10", "--trajectories", "--out", str(out_dir),
+            ])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 512 * 1024
+        lines = (out_dir / "trajectories.csv").read_text(encoding="utf-8").splitlines()
+        assert lines[-1] == "39,249,0,0.0,0.0" and len(lines) == 1 + 2 * 10000
+
     def test_zero_rows_header_only(self, tmp_path, moons_file, trained):
         out_dir = tmp_path / "empty"
         code = cli.main([
@@ -431,8 +456,52 @@ class TestSampleCommand:
                                seed=int(rng_for(11, "sample", row, rep).integers(2**62)))
             ref, _ = accelerated_sample(schedule, model.eps_fn(ckpt.T), pairs.y[row], plan)
             np.testing.assert_allclose(value, ref, rtol=0, atol=1e-12)
-            last = (out_dir / f"trajectory_{row}_{rep}.csv").read_text(encoding="utf-8").splitlines()[-1]
-            assert last.split(",") == ["0"] + r[2:]
+
+        # trajectories.csv: each chain's rows in (row, rep) order, t = T down
+        # to 0, values within 1e-12 of the chain run alone, and the t = 0 row
+        # holds the chain's samples.csv row exactly.
+        lines = (out_dir / "trajectories.csv").read_text(encoding="utf-8").splitlines()
+        assert lines[0] == "y_index,sample_index,t,dim_0,dim_1"
+        grid = make_grid(ckpt.T, 15)
+        per_chain = len(grid) + 1
+        assert len(lines) == 1 + len(rows) * per_chain
+        for i, r in enumerate(rows):
+            row, rep = int(r[0]), int(r[1])
+            plan = SamplerPlan(grid=grid, eta=1.0, record_trajectory=True,
+                               seed=int(rng_for(11, "sample", row, rep).integers(2**62)))
+            _, ref = accelerated_sample(schedule, model.eps_fn(ckpt.T), pairs.y[row], plan)
+            chain = [l.split(",") for l in lines[1 + i * per_chain : 1 + (i + 1) * per_chain]]
+            assert [c[:3] for c in chain] == [[str(row), str(rep), str(t)] for t, _ in ref]
+            np.testing.assert_allclose([[float(v) for v in c[3:]] for c in chain],
+                                       [state for _, state in ref], rtol=0, atol=1e-12)
+            assert chain[-1] == r[:2] + ["0"] + r[2:]
+
+    def test_raw_params_sample_the_raw_weights(self, tmp_path, moons_file, trained):
+        # The fixture's EMA shadow (30 steps, updated every 2) is not the raw
+        # weights, so --raw-params must give other samples than the default.
+        runs = {}
+        for name, extra in (("raw", ["--raw-params"]), ("ema", [])):
+            out_dir = tmp_path / name
+            assert cli.main([
+                "sample", "--checkpoint", str(trained), "--data", str(moons_file),
+                "--n", "3", "--k", "2", "--steps", "15", "--seed", "5", *extra,
+                "--out", str(out_dir),
+            ]) == 0
+            rows = [l.split(",") for l in (out_dir / "samples.csv").read_text(encoding="utf-8")
+                    .splitlines() if not l.startswith("#")][1:]
+            runs[name] = np.array([[float(v) for v in r[2:]] for r in rows])
+
+        ckpt = load_checkpoint(trained)
+        assert not np.array_equal(ckpt.model.flat, ckpt.ema.shadow)
+        schedule = build_schedule(ckpt.T, ckpt.s)
+        pairs = load_dataset(moons_file)
+        chains = [(row, rep) for row in range(3) for rep in range(2)]
+        for (row, rep), value in zip(chains, runs["raw"]):
+            plan = SamplerPlan(grid=make_grid(ckpt.T, 15), eta=1.0,
+                               seed=int(rng_for(5, "sample", row, rep).integers(2**62)))
+            ref, _ = accelerated_sample(schedule, ckpt.model.eps_fn(ckpt.T), pairs.y[row], plan)
+            np.testing.assert_allclose(value, ref, rtol=0, atol=1e-12)
+        assert np.abs(runs["raw"] - runs["ema"]).max() > 1e-3
 
     def test_rerun_byte_identical(self, tmp_path, moons_file, trained):
         for name in ("s1", "s2"):
@@ -448,24 +517,27 @@ class TestSampleCommand:
     def test_failed_run_leaves_no_trajectories(self, tmp_path, moons_file, trained, monkeypatch, capsys):
         # 8 chains in blocks of 4: the first block's trajectories are written,
         # then every prediction of the second block is NaN.
-        from bridgediff.nn import NoisePredictor
-
         monkeypatch.setattr(cli, "SAMPLE_BLOCK", 4)
-        written = []
-        write = cli.write_trajectory_csv
-        monkeypatch.setattr(cli, "write_trajectory_csv",
-                            lambda traj, path: (written.append(path), write(traj, path)))
-        forward = NoisePredictor.forward
-        monkeypatch.setattr(NoisePredictor, "forward",
-                            lambda self, x, t, T: forward(self, x, t, T) * (np.nan if written else 1.0))
         out_dir = tmp_path / "traj"
+        open_files = []
+        sample = cli.accelerated_sample
+
+        def nan_second_block(schedule, eps_fn, y, plan):
+            if open_files:
+                return sample(schedule, lambda x, t: eps_fn(x, t) * np.nan, y, plan)
+            x0, traj = sample(schedule, eps_fn, y, plan)
+            open_files.extend(sorted(p.name.split("-")[0] for p in out_dir.iterdir()))
+            return x0, traj
+
+        monkeypatch.setattr(cli, "accelerated_sample", nan_second_block)
         code = cli.main([
             "sample", "--checkpoint", str(trained), "--data", str(moons_file),
             "--n", "4", "--k", "2", "--steps", "15", "--trajectories", "--out", str(out_dir),
         ])
         assert code == 2
-        assert capsys.readouterr().err.count("\n") == 1
-        assert len(written) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: non-finite state") and err.count("\n") == 1
+        assert open_files == [".samples.csv", ".trajectories.csv"]
         assert list(out_dir.iterdir()) == []
 
     def test_outputs_get_umask_permissions(self, tmp_path, moons_file, trained):
@@ -482,20 +554,49 @@ class TestSampleCommand:
             "--out", str(out_dir / "report.csv"),
         ]) == 0
         modes = {p.name: p.stat().st_mode & 0o777 for p in out_dir.iterdir()}
-        assert len(modes) == 1 + 5 + 1
+        assert set(modes) == {"samples.csv", "trajectories.csv", "report.csv"}
         assert set(modes.values()) == {0o666 & ~umask}
 
-    def test_trajectories_exported(self, tmp_path, moons_file, trained):
+    def test_trajectories_exported(self, tmp_path, moons_file, trained, capsys):
         out_dir = tmp_path / "traj"
         code = cli.main([
             "sample", "--checkpoint", str(trained), "--data", str(moons_file),
             "--n", "2", "--steps", "8", "--trajectories", "--out", str(out_dir),
         ])
         assert code == 0
-        traj = (out_dir / "trajectory_0_0.csv").read_text(encoding="utf-8").splitlines()
-        assert traj[0] == "t,dim_0,dim_1"
-        assert traj[1].startswith("60,")  # starts at t = T with the conditioning input
-        assert traj[-1].startswith("0,")
+        assert sorted(p.name for p in out_dir.iterdir()) == ["samples.csv", "trajectories.csv"]
+        traj = (out_dir / "trajectories.csv").read_text(encoding="utf-8").splitlines()
+        assert traj[0] == "y_index,sample_index,t,dim_0,dim_1"  # no metadata
+        steps = [60, *reversed(make_grid(60, 8)[:-1]), 0]  # t = T down to 0
+        assert [l.split(",")[:3] for l in traj[1:]] == [
+            [str(row), "0", str(t)] for row in range(2) for t in steps
+        ]
+        # The chain starts at t = T with the conditioning input.
+        y = load_dataset(moons_file).y
+        assert [float(v) for v in traj[1].split(",")[3:]] == list(y[0])
+        assert [float(v) for v in traj[1 + len(steps)].split(",")[3:]] == list(y[1])
+
+        capsys.readouterr()
+        assert cli.main([
+            "eval", "--samples", str(out_dir / "trajectories.csv"), "--reference", str(moons_file),
+            "--k", "1", "--out", str(tmp_path / "report.csv"),
+        ]) == 2
+        assert "not a samples-csv file" in capsys.readouterr().err
+
+    def test_rerun_with_fewer_chains_leaves_no_stale_rows(self, tmp_path, moons_file, trained):
+        out_dir = tmp_path / "traj"
+        for n, k in (("7", "3"), ("2", "3")):
+            assert cli.main([
+                "sample", "--checkpoint", str(trained), "--data", str(moons_file),
+                "--n", n, "--k", k, "--steps", "5", "--trajectories", "--out", str(out_dir),
+            ]) == 0
+        assert sorted(p.name for p in out_dir.iterdir()) == ["samples.csv", "trajectories.csv"]
+        chains = [(row, rep) for row in range(2) for rep in range(3)]
+        samples = [l for l in (out_dir / "samples.csv").read_text(encoding="utf-8").splitlines()
+                   if not l.startswith("#")][1:]
+        assert [tuple(map(int, l.split(",")[:2])) for l in samples] == chains
+        traj = (out_dir / "trajectories.csv").read_text(encoding="utf-8").splitlines()[1:]
+        assert sorted({tuple(map(int, l.split(",")[:2])) for l in traj}) == chains
 
 
 class TestEvalCommand:

@@ -1,3 +1,4 @@
+import io
 import math
 import tracemalloc
 import warnings
@@ -194,19 +195,26 @@ class TestAccelerated:
 
 
 class TestTrajectoryExport:
-    def test_csv_round_values(self, schedule, model, tmp_path):
-        y = np.array([0.4, 0.7])
-        plan = SamplerPlan(grid=make_grid(30, 4), eta=1.0, seed=6, record_trajectory=True)
+    def test_csv_round_values(self, schedule, model):
+        # Two chains in one batch, named (3, 0) and (3, 1): chain by chain,
+        # one row per visited step, values that read back to the same bits.
+        y = np.array([[0.4, 0.7], [0.4, 0.7]])
+        plan = SamplerPlan(grid=make_grid(30, 4), eta=1.0, seed=(6, 7), record_trajectory=True)
         _, traj = accelerated_sample(schedule, model.eps_fn(30), y, plan)
-        path = tmp_path / "traj.csv"
-        write_trajectory_csv(traj, path)
-        lines = path.read_text(encoding="utf-8").splitlines()
-        assert lines[0] == "t,dim_0,dim_1"
-        assert len(lines) == len(traj) + 1
-        for (t, state), line in zip(traj, lines[1:]):
-            fields = line.split(",")
-            assert int(fields[0]) == t
-            assert [float(f) for f in fields[1:]] == list(state)
+        f = io.StringIO()
+        write_trajectory_csv(f, traj, [(3, 0), (3, 1)])
+        lines = f.getvalue().splitlines()
+        assert len(lines) == 2 * len(traj)
+        for b in range(2):
+            for (t, state), line in zip(traj, lines[b * len(traj) : (b + 1) * len(traj)]):
+                fields = line.split(",")
+                assert fields[:3] == ["3", str(b), str(t)]
+                assert [float(v) for v in fields[3:]] == list(state[b])
+
+        # A lone chain's (d,) trajectory gives the same rows.
+        f = io.StringIO()
+        write_trajectory_csv(f, [(t, state[1]) for t, state in traj], [(3, 1)])
+        assert f.getvalue().splitlines() == lines[len(traj):]
 
 
 class TestBatch:

@@ -16,7 +16,10 @@ In a temporary directory it
 - runs ``bridgediff sample --n 8 --k 5 --steps 200 --seed 7`` on
   ``w0/ckpt_final.bin``;
 - runs ``--n 200`` of the same command on ``w1/ckpt_final.bin`` at eta 1,
-  0.5 and 0, each with and without ``--trajectories``;
+  0.5 and 0, each with and without ``--trajectories`` (which writes
+  ``trajectories.csv`` beside ``samples.csv``), and stops unless, for each
+  eta, the two runs' ``samples.csv`` are the same bytes and every chain's
+  t = 0 row in ``trajectories.csv`` is that chain's ``samples.csv`` row;
 - runs ``bridgediff eval --k 5`` on the eta 1 samples against ``pairs.csv``
   and writes the report to ``eval_w1_n200_eta1.csv``, which also writes the
   reference's self term to ``pairs.csv.selfdist``; then runs it again, now
@@ -236,6 +239,22 @@ def _sample(root: Path, ckpt: str, out: str, *extra: str) -> None:
           "--k", "5", "--steps", "200", "--seed", "7", "--out", str(root / out), *extra])
 
 
+def _check_trajectories(plain: Path, traj: Path) -> None:
+    """Stop unless the ``--trajectories`` run in ``traj`` wrote the plain
+    run's ``samples.csv`` bytes and each chain's t = 0 row in its
+    ``trajectories.csv`` is that chain's ``samples.csv`` row."""
+    samples = (traj / "samples.csv").read_bytes()
+    if samples != (plain / "samples.csv").read_bytes():
+        raise SystemExit(f"{traj.name}/samples.csv differs from {plain.name}/samples.csv")
+    rows = [line for line in samples.decode("utf-8").splitlines() if not line.startswith("#")][1:]
+    with open(traj / "trajectories.csv", encoding="utf-8") as f:
+        next(f)  # the column header
+        ends = [f"{row},{rep},{values}" for row, rep, t, values in
+                (line.rstrip("\n").split(",", 3) for line in f) if t == "0"]
+    if ends != rows:
+        raise SystemExit(f"{traj.name}/trajectories.csv: the t = 0 rows are not samples.csv's rows")
+
+
 def _process_ops(path: Path) -> None:
     """Write the bytes of the four ``process`` functions on a seeded grid."""
     out = []
@@ -274,6 +293,7 @@ def replay(root: Path) -> None:
         _sample(root, "w1/ckpt_final.bin", f"w1_n200_eta{eta}", "--n", "200", "--eta", eta)
         _sample(root, "w1/ckpt_final.bin", f"w1_n200_eta{eta}_traj", "--n", "200", "--eta", eta,
                 "--trajectories")
+        _check_trajectories(root / f"w1_n200_eta{eta}", root / f"w1_n200_eta{eta}_traj")
     samples = root / "w1_n200_eta1" / "samples.csv"
     lines = samples.read_text(encoding="utf-8").splitlines(keepends=True)
     head = next(i for i, line in enumerate(lines) if not line.startswith("#")) + 1
