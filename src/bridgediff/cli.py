@@ -32,7 +32,7 @@ from .configfile import (
     parse_kv_file,
     resolve_dataset,
 )
-from .data import load as load_dataset, parse_metadata
+from .data import load as load_dataset, parse_metadata, read_rows
 from .fileio import format_float, temp_beside, write_atomic
 from .metrics import diversity, energy_distance, moments, self_distance_key, self_distance_sum
 from .sampling import (
@@ -58,10 +58,10 @@ SAMPLES_VERSION = 1
 # inputs and may differ.
 SHARD_KEYS = ("seed", "steps", "eta", "k", "dim")
 
-# ``eval`` keeps a reference's self term in ``<reference>`` + SELF_SUM_SUFFIX,
-# three lines: SELF_SUM_FORMAT, ``metrics.self_distance_key`` of its x0 and
-# ``metrics.self_distance_sum`` of it as ``float.hex``.
-SELF_SUM_FORMAT = "bridgediff-selfdist 1"
+# ``eval`` keeps a reference's self term in ``<reference>`` + SELF_SUM_SUFFIX:
+# SELF_SUM_FORMAT (format 1 summed narrow tiles in another layout), then
+# ``metrics.self_distance_key`` of its x0, then the sum as ``float.hex``.
+SELF_SUM_FORMAT = "bridgediff-selfdist 2"
 SELF_SUM_SUFFIX = ".selfdist"
 
 
@@ -136,8 +136,9 @@ def cmd_sample(args) -> int:
     traj_path = out_dir / "trajectories.csv"
     chains = n * args.k  # chain i is (row, rep) = divmod(i, k)
     dims = ",".join(f"dim_{i}" for i in range(dataset.dim))
-    # Rows go to temp files that replace samples.csv, then trajectories.csv,
-    # only once every chain has finished, so a failed run leaves neither.
+    # Rows go to temp files that replace samples.csv, then trajectories.csv
+    # (or remove an earlier run's), only once every chain has finished, so a
+    # failed run leaves neither.
     samples_tmp, traj_tmp = temp_beside(samples_path), temp_beside(traj_path)
     try:
         with contextlib.ExitStack() as files:
@@ -173,6 +174,8 @@ def cmd_sample(args) -> int:
         os.replace(samples_tmp, samples_path)
         if args.trajectories:
             os.replace(traj_tmp, traj_path)
+        else:
+            traj_path.unlink(missing_ok=True)
     finally:
         samples_tmp.unlink(missing_ok=True)
         traj_tmp.unlink(missing_ok=True)
@@ -184,73 +187,63 @@ def _read_sample_set(paths, k: int):
     """The first file's metadata, the conditioning indices and the float64
     rows of the sample set whose shards are ``paths``; each rule it breaks
     is a one-line ``UsageError``. Per file, in order: the metadata must pass
-    ``data.parse_metadata``; each row must be well formed and finite, with
-    a sample index in 0..k-1 and a (y_index, sample_index) pair no earlier
-    row of any shard had (naming the line); ``SHARD_KEYS`` must equal the
-    first file's; its own ``dim`` and ``k``, when present, must equal its
-    value columns and ``k``; and its value columns, even with no rows, must
-    number the first file's. Then the set must hold a row."""
-    seen: set = set()
-    y_idx, parts = [], []
+    ``data.parse_metadata``; ``SHARD_KEYS`` must equal the first file's;
+    its own ``dim`` and ``k``, when present, must equal its value columns
+    and ``k``; its value columns, even with no rows, must number the first
+    file's; its rows must pass ``data.read_rows``, every sample index lie
+    in 0..k-1 and every value be finite. Then the set must hold a row, and
+    no row repeat an earlier row's (y_index, sample_index) pair. Each row
+    rule names the first line that breaks it."""
+    shards = []  # (path, line number of its first row, rows) per file
     for i, p in enumerate(paths):
         path = Path(p)
         if not path.exists():
             raise UsageError(f"samples file not found: {path}")
-        meta_lines: list[str] = []
-        header = None
-        values = []
-        with open(path, "r", encoding="utf-8") as f:
-            for lineno, line in enumerate(f, start=1):
-                line = line.rstrip("\n")
-                if header is None:
-                    if line.startswith("#"):
-                        meta_lines.append(line)
-                        continue
-                    meta = parse_metadata(meta_lines, path, SAMPLES_FORMAT, SAMPLES_VERSION)
-                    header = line.split(",")
-                    if header[:2] != ["y_index", "sample_index"]:
-                        raise UsageError(f"not a samples CSV: {path}")
-                    continue
-                fields = line.split(",")
-                if len(fields) != len(header):
-                    raise UsageError(
-                        f"{path} line {lineno}: {len(fields)} fields, the header has {len(header)}"
-                    )
-                try:
-                    pair = int(fields[0]), int(fields[1])
-                    row = [float(v) for v in fields[2:]]
-                except ValueError as exc:
-                    raise UsageError(f"{path} line {lineno}: {exc}") from exc
-                if not 0 <= pair[1] < k:
-                    raise UsageError(f"{path} line {lineno}: sample_index {pair[1]} outside 0..{k - 1}")
-                if pair in seen:
-                    raise UsageError(f"{path} line {lineno}: (y_index, sample_index) = {pair} appears twice")
-                seen.add(pair)
-                y_idx.append(pair[0])
-                if not all(map(math.isfinite, row)):
-                    raise UsageError(f"{path} line {lineno}: non-finite sample value")
-                values.append(row)
-        if header is None:
-            raise UsageError(f"not a samples CSV: {path}")
-        width = len(header) - 2
-        if i == 0:
-            set_meta, set_width = meta, width
-        for key in SHARD_KEYS:
-            if meta.get(key) != set_meta.get(key):
-                raise UsageError(f"samples files disagree on {key}: {paths[0]} has "
-                                 f"{set_meta.get(key)!r}, {p} has {meta.get(key)!r}")
-        for key, actual, source in (("dim", width, "value columns"), ("k", k, "--k")):
-            if key in meta and meta[key] != str(actual):
-                raise UsageError(f"{p}: metadata {key}={meta[key]!r} does not match "
-                                 f"{source} ({actual})")
-        if width != set_width:
-            raise UsageError(f"samples files disagree on value columns: {paths[0]} has "
-                             f"{set_width}, {p} has {width}")
-        # Only one shard's rows are held as Python lists at a time.
-        parts.append(np.array(values, dtype=np.float64).reshape(len(values), width))
-    if not y_idx:
+        with open(path, "rb") as f:
+            meta_lines, line = [], f.readline()
+            while line.startswith(b"#"):
+                meta_lines.append(line.decode("utf-8").rstrip("\n"))
+                line = f.readline()
+            meta = parse_metadata(meta_lines, path, SAMPLES_FORMAT, SAMPLES_VERSION)
+            header = line.decode("utf-8").rstrip("\r\n").split(",")
+            if header[:2] != ["y_index", "sample_index"]:
+                raise UsageError(f"not a samples CSV: {path}")
+            width = len(header) - 2
+            if i == 0:
+                set_meta, set_width = meta, width
+            for key in SHARD_KEYS:
+                if meta.get(key) != set_meta.get(key):
+                    raise UsageError(f"samples files disagree on {key}: {paths[0]} has "
+                                     f"{set_meta.get(key)!r}, {p} has {meta.get(key)!r}")
+            for key, actual, source in (("dim", width, "value columns"), ("k", k, "--k")):
+                if key in meta and meta[key] != str(actual):
+                    raise UsageError(f"{p}: metadata {key}={meta[key]!r} does not match "
+                                     f"{source} ({actual})")
+            if width != set_width:
+                raise UsageError(f"samples files disagree on value columns: {paths[0]} has "
+                                 f"{set_width}, {p} has {width}")
+            first = len(meta_lines) + 2
+            rows = read_rows(f, path, np.dtype([("index", "i8", 2), ("value", "f8", width)]), first)
+        rep = rows["index"][:, 1]
+        if (bad := np.flatnonzero((rep < 0) | (rep >= k))).size:
+            raise UsageError(f"{path} line {first + bad[0]}: sample_index {rep[bad[0]]} "
+                             f"outside 0..{k - 1}")
+        if (bad := np.flatnonzero(~np.isfinite(rows["value"]).all(axis=1))).size:
+            raise UsageError(f"{path} line {first + bad[0]}: non-finite sample value")
+        shards.append((path, first, rows))
+    if not any(len(rows) for *_, rows in shards):
         raise UsageError("samples files contain no rows")
-    return set_meta, np.array(y_idx, dtype=int), np.concatenate(parts)
+    y_idx, rep = (np.concatenate([rows["index"][:, c] for *_, rows in shards]) for c in (0, 1))
+    order = np.lexsort((rep, y_idx))  # stable: equal pairs keep their row order
+    repeats = order[1:][(np.diff(y_idx[order]) == 0) & (np.diff(rep[order]) == 0)]
+    if repeats.size:
+        row = int(repeats.min())
+        for path, first, rows in shards:
+            if row < len(rows):
+                raise UsageError(f"{path} line {first + row}: (y_index, sample_index) = "
+                                 f"{tuple(map(int, rows['index'][row]))} appears twice")
+            row -= len(rows)
+    return set_meta, y_idx, np.concatenate([rows["value"] for *_, rows in shards])
 
 
 def _reference_self_sum(ref_path: Path, x0: np.ndarray) -> float:

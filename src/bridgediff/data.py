@@ -5,14 +5,17 @@ per line), then a column header ``x_0..x_{d-1},y_0..y_{d-1}``, then one row
 per pair. Floats are written with repr so the round trip is bit-exact, and
 the header carries a decimal CRC32 over the data section (column header
 plus rows) so truncation or corruption fails loudly instead of silently.
+``read_rows`` parses its rows, and the samples CSV's, with ``np.loadtxt``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import warnings
 import zlib
 from dataclasses import dataclass, field
-from itertools import islice, repeat, takewhile
+from itertools import count, islice, takewhile
 from pathlib import Path
 
 import numpy as np
@@ -210,11 +213,6 @@ def read_header(path) -> dict:
         return parse_metadata(lines, path)
 
 
-# Rows parsed per block in load(). Each block is joined, split and converted
-# at once, which is fast; small blocks keep those temporaries small, where
-# one pass over the whole file would raise the peak memory of every load.
-_PARSE_ROWS = 256
-
 # Bytes read at a time while load() checks the data section's CRC32.
 _READ_BYTES = 1 << 16
 
@@ -240,16 +238,50 @@ def _meta_param(meta: dict, key: str, path) -> int | float:
     raise ValueError(f"metadata {key} in {path} must be an int or a float, got {value!r}")
 
 
+def read_rows(f, path, dtype: np.dtype, first_line: int) -> np.ndarray:
+    """The rows left in binary file ``f`` as a 1-d array of the structured
+    ``dtype``, one column per entry, parsed by ``np.loadtxt`` as strict
+    UTF-8 with the values ``int`` and ``float`` give. A row it cannot read
+    is a ``ValueError`` naming ``path`` and the line, ``f``'s next being
+    line ``first_line``: the first that does not decode, is blank, has
+    another field count or a field ``int``/``float`` rejects, else the last
+    line loadtxt read (an index beyond int64, say)."""
+    start, taken, rows = f.tell(), count(), None
+    # loadtxt warns when there are no rows, and its errors count rows from 0
+    # or from 1; zip advances ``taken`` once per line read, not at the end.
+    with warnings.catch_warnings(), contextlib.suppress(ValueError):
+        warnings.simplefilter("ignore", UserWarning)
+        rows = np.loadtxt((line for line, _ in zip(f, taken)), dtype, delimiter=",",
+                          comments=None, encoding="utf-8", ndmin=1)
+    read = next(taken)  # the lines loadtxt read
+    if rows is not None and len(rows) == read:
+        return rows
+    kinds = [int if dtype[name].base.kind == "i" else float
+             for name in dtype.names for _ in range(math.prod(dtype[name].shape))]
+    f.seek(start)
+    for lineno, line in enumerate(islice(f, read), first_line):
+        try:
+            fields = line.decode("utf-8").rstrip("\r\n").split(",")
+            if len(fields) != len(kinds):
+                raise ValueError("blank line" if fields == [""] else
+                                 f"{len(fields)} fields, expected {len(kinds)}")
+            [kind(text) for kind, text in zip(kinds, fields)]  # raises on a bad field
+        except ValueError as exc:  # UnicodeDecodeError included
+            raise ValueError(f"{path} line {lineno}: {exc}") from None
+    raise ValueError(f"{path} line {first_line + read - 1}: a field is out of range "
+                     "or not a plain number")
+
+
 def load(path) -> PairedDataset:
     """Read a dataset, verifying the CRC32 of the data section.
 
     Every metadata value is checked first, before the data section is read:
     ``seed``, ``n``, ``dim`` and ``crc32`` must be integers, ``n`` and
     ``dim`` at least 1, and each ``param.*`` an int or a float; a failure is
-    a ``ValueError`` naming the file and the key. The file is read twice,
-    in pieces, and never held whole: once for the checksum, the row count
-    and whether it is all ASCII, then once to parse the rows a block at a
-    time.
+    a ``ValueError`` naming the file and the key. The file is then read in
+    pieces, for the checksum, the row count and whether it is all ASCII,
+    then by ``read_rows``; of several faults, the first of these wins: a
+    metadata value, the checksum, non-UTF-8 bytes, the row count, a row.
     """
     meta = read_header(path)
     missing = [k for k in ("generator", "seed", "n", "dim", "crc32") if k not in meta]
@@ -261,9 +293,9 @@ def load(path) -> PairedDataset:
     crc32 = _meta_int(meta, "crc32", path)
     params = {key[6:]: _meta_param(meta, key, path) for key in meta if key.startswith("param.")}
     with open(path, "rb") as f:
-        line = f.readline()
+        line, first_row = f.readline(), 2  # the line number of the first row
         while line.startswith(b"#"):
-            line = f.readline()
+            line, first_row = f.readline(), first_row + 1
         data_start = f.tell() - len(line)
         f.seek(data_start)
         crc, newlines, last, ascii_only = 0, 0, b"\n", True
@@ -277,30 +309,18 @@ def load(path) -> PairedDataset:
         f.seek(data_start)
         if not ascii_only:
             # Raises the whole section's UnicodeDecodeError, with its offset,
-            # for bytes that are not UTF-8; blocks end at newlines, so valid
-            # UTF-8 decodes block by block too.
+            # for bytes that are not UTF-8.
             str(f.read(), "utf-8")
             f.seek(data_start)
         rows = newlines - (last == b"\n")  # lines, less the column header
         if rows != n:
             raise ValueError(f"expected {n} rows in {path}, found {rows}")
-        width = 2 * dim
-        values = np.empty((n, width))
-        flat = values.reshape(-1)
         f.readline()  # the column header
-        for start in range(0, n, _PARSE_ROWS):
-            block = b"".join(islice(f, _PARSE_ROWS)).decode("utf-8").splitlines()
-            if set(map(str.count, block, repeat(","))) != {width - 1}:
-                for i, text in enumerate(block, start):
-                    count = text.count(",") + 1
-                    if count != width:
-                        raise ValueError(f"row {i} of {path} has {count} fields, expected {width}")
-            fields = ",".join(block).split(",")
-            flat[start * width : start * width + len(fields)] = list(map(float, fields))
+        values = read_rows(f, path, np.dtype([("x0", "f8", dim), ("y", "f8", dim)]), first_row)
 
     return PairedDataset(
-        x0=values[:, :dim],
-        y=values[:, dim:],
+        x0=values["x0"],
+        y=values["y"],
         generator=meta["generator"],
         seed=seed,
         params=params,

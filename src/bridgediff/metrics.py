@@ -1,15 +1,9 @@
 """Sample-quality metrics: per-input diversity, energy distance, moments.
 
-The energy distance sums pair distances in fixed-size tiles, so its memory
-does not depend on the set sizes and a full 40k-row reference works. The
-tiles run on the workers ``parallel.run`` picks, each worker holding 1 MiB
-of tile buffers and about 8 KiB of BLAS operands. A tile's differences
-come from one BLAS product per coordinate, ``[a_ik, 1] @ [1; -b_jk]``,
-whose two products are exact, so each entry is ``a_ik - b_jk`` rounded
-once, as ``np.subtract`` rounds it. Every pass over a tile then runs on a
-contiguous buffer, where numpy needs no transient buffers. The tile sums
-are combined exactly, so the result is the same float for any worker
-count.
+The energy distance sums pair distances in fixed-size tiles on the
+workers ``parallel.run`` picks (``_pair_distance_sum``), so its memory does
+not depend on the set sizes, a full 40k-row reference works, and the result
+is the same float for any worker count.
 
 The reference's own term depends on the reference alone, so a caller that
 scores many sample sets against one reference can compute it once with
@@ -88,12 +82,8 @@ def _pair_distance_sum(a: np.ndarray, b: np.ndarray) -> float:
     that of ``a_ik - b_jk`` in any summation order, with or without FMA.
     Only the sign of an exact zero can differ from ``np.subtract``'s, and
     squaring erases it. Only real pairs are computed, so no stale buffer
-    entry can overflow. The squares are added and rooted in place. A full
-    tile, or one as wide as the buffer, is then summed as it lies. A
-    narrower one is first copied into the ``[:nr, :nc]`` corner of the other
-    buffer and summed there: numpy sums a strided layout in another order
-    than a contiguous one, and the corner is the layout every tile sum has
-    always come from, so the sums keep their bits.
+    entry can overflow. The squares are added, rooted and summed in place,
+    contiguous, so numpy needs no buffered reduction for any tile shape.
 
     The tiles are spread over workers with ``parallel.run``: each worker
     claims the next tile from one shared generator. Each keeps its tile
@@ -133,9 +123,6 @@ def _pair_distance_sum(a: np.ndarray, b: np.ndarray) -> float:
                 if k:
                     np.add(dist, sq, out=dist)
             np.sqrt(dist, out=dist)
-            if nc < acc.shape[1]:  # narrow: sum in the strided corner
-                tmp[:nr, :nc] = dist
-                dist = tmp[:nr, :nc]
             total = float(dist.sum())
             if same and j > i:
                 total *= 2.0

@@ -599,6 +599,15 @@ class TestSampleCommand:
         assert sorted({tuple(map(int, l.split(",")[:2])) for l in traj}) == chains
 
 
+    def test_rerun_without_trajectories_removes_the_old_file(self, tmp_path, moons_file, trained):
+        # The earlier run's chains would no longer match samples.csv.
+        out_dir = tmp_path / "traj"
+        for extra in (["--n", "3", "--k", "2", "--trajectories"], ["--n", "1", "--k", "2"]):
+            assert cli.main(["sample", "--checkpoint", str(trained), "--data", str(moons_file),
+                             "--steps", "5", *extra, "--out", str(out_dir)]) == 0
+        assert [p.name for p in out_dir.iterdir()] == ["samples.csv"]
+
+
 class TestEvalCommand:
     def test_eval_report(self, tmp_path, moons_file, trained):
         out_dir = tmp_path / "samples"
@@ -850,6 +859,49 @@ class TestEvalCommand:
         assert code == 2
         assert err == "error: k must be >= 1, got 0\n"
 
+    @pytest.mark.parametrize("row,message", [
+        ("", "line 6: blank line"),
+        ("99999999999999999999,0,0.5,0.25", "line 6: a field is out of range or not a plain number"),
+        ("1,0,3.0,0.25,", "line 6: 5 fields, expected 4"),
+        ("1.0,0,0.5,0.25", "line 6: invalid literal for int() with base 10: '1.0'"),
+    ], ids=["blank", "beyond-int64", "trailing-comma", "float-index"])
+    def test_unreadable_row_names_the_line(self, tmp_path, moons_file, capsys, row, message):
+        code, err = self._eval_rows(tmp_path, moons_file, capsys,
+                                    ["0,0,0.5,0.25", row, "2,0,0.5,0.25"])
+        assert code == 2
+        assert err == f"error: {tmp_path / 'bad_samples.csv'} {message}\n"
+
+    def test_non_utf8_value_names_the_line(self, tmp_path, moons_file, capsys):
+        # A lone 0xa0 byte is not read as Latin-1 (a space, where the value
+        # would parse).
+        path = tmp_path / "s.csv"
+        path.write_bytes(b"# format=samples-csv\n# version=1\ny_index,sample_index,dim_0,dim_1\n"
+                         b"0,0,0.5,0.25\n1,0,\xa00.5,0.25\n")
+        code = cli.main(["eval", "--samples", str(path), "--reference", str(moons_file),
+                         "--k", "1", "--out", str(tmp_path / "r.csv")])
+        err = capsys.readouterr().err
+        assert code == 2 and err.count("\n") == 1
+        assert err.startswith(f"error: {path} line 5: 'utf-8' codec can't decode byte 0xa0")
+
+    def test_reader_memory_is_bounded_by_its_arrays(self, tmp_path):
+        # 20,000 rows: the peak stays under 6 times the arrays returned,
+        # where a Python list per row and a set of pairs took about 16.
+        values = rng_for(6, "reader").normal(size=(20000, 2))
+        path = tmp_path / "s.csv"
+        lines = ["# format=samples-csv", "# version=1", "y_index,sample_index,dim_0,dim_1"]
+        lines += [f"{i // 5},{i % 5},{a!r},{b!r}" for i, (a, b) in enumerate(values.tolist())]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        cli._read_sample_set([path], 5)
+        tracemalloc.start()
+        try:
+            _, y_idx, samples = cli._read_sample_set([path], 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(samples, values)
+        np.testing.assert_array_equal(y_idx, np.arange(20000) // 5)
+        assert peak < 6 * (y_idx.nbytes + samples.nbytes)
+
 
 class TestReferenceSelfSum:
     """``eval`` keeps the reference's self term in ``<reference>.selfdist``
@@ -896,7 +948,7 @@ class TestReferenceSelfSum:
         assert len(calls) == 3
         text = self._selfdist(reference).read_text(encoding="ascii")
         x0 = load_dataset(reference).x0
-        assert text == (f"bridgediff-selfdist 1\n{metrics.self_distance_key(x0)}\n"
+        assert text == (f"bridgediff-selfdist 2\n{metrics.self_distance_key(x0)}\n"
                         f"{metrics.self_distance_sum(x0).hex()}\n")
         calls.clear()
         warm = self._eval(samples, reference, tmp_path / "warm.csv")
@@ -927,7 +979,7 @@ class TestReferenceSelfSum:
         lambda text, head: "",
         lambda text, head: text[: len(text) // 2],
         lambda text, head: text[:-1],
-        lambda text, head: text.replace("bridgediff-selfdist 1", "bridgediff-selfdist 2"),
+        lambda text, head: text.replace("bridgediff-selfdist 2", "bridgediff-selfdist 3"),
         lambda text, head: head + "1.5e3\n",  # float.fromhex reads it as 0x1.5e3
         lambda text, head: head + "0x1.8p+3 \n",
         lambda text, head: head + "nan\n",
@@ -948,6 +1000,21 @@ class TestReferenceSelfSum:
         path = self._selfdist(reference)
         good = path.read_text(encoding="ascii")
         path.write_bytes(edit(good, "".join(good.splitlines(True)[:2])).encode("latin-1"))
+        calls = self._count_pair_sums(monkeypatch)
+        assert self._eval(samples, reference, tmp_path / "r.csv") == expected
+        assert len(calls) == 3
+        assert path.read_text(encoding="ascii") == good
+
+    def test_old_layout_file_is_recomputed_and_rewritten(self, tmp_path, monkeypatch):
+        # A format 1 file holds a sum whose narrow tiles were summed in
+        # another layout; its key would still match, so only the format line
+        # tells it apart.
+        samples, reference, _ = self._inputs(tmp_path)
+        expected = self._eval(samples, reference, tmp_path / "expected.csv")
+        path = self._selfdist(reference)
+        good = path.read_text(encoding="ascii")
+        _, key, value = good.splitlines()
+        path.write_text(f"bridgediff-selfdist 1\n{key}\n{value}\n", encoding="ascii")
         calls = self._count_pair_sums(monkeypatch)
         assert self._eval(samples, reference, tmp_path / "r.csv") == expected
         assert len(calls) == 3

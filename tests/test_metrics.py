@@ -179,19 +179,15 @@ class TestTiledPairSums:
             # An untraced call first: whatever a first call leaves allocated
             # for later ones (which earlier tests may or may not have done)
             # stays out of the traced peak, so the bounds do not depend on
-            # the test order. Then the least peak of three traced calls: how
-            # many workers hold numpy's 64 KiB reduction buffer at the peak
-            # varies from call to call.
+            # the test order. Every tile is summed contiguously, so no
+            # worker holds a numpy reduction buffer and one traced call does.
             energy_distance(a, b)
-            traced = []
-            for _ in range(3):
-                tracemalloc.start()
-                try:
-                    energy_distance(a, b)
-                    traced.append(tracemalloc.get_traced_memory()[1])
-                finally:
-                    tracemalloc.stop()
-            peaks.append(min(traced))
+            tracemalloc.start()
+            try:
+                energy_distance(a, b)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
         assert peaks[0] < 8e6
         assert peaks[1] <= peaks[0] + 65536
 
@@ -207,8 +203,11 @@ def _serial_pair_sum(a, b):
         rows = a[i : i + 256]
         for j in range(i if same else 0, b.shape[0], 256):
             cols = b[j : j + 256]
-            dist = acc[: rows.shape[0], : cols.shape[0]]
-            sq = tmp[: rows.shape[0], : cols.shape[0]]
+            # Each tile contiguous in the buffers' first entries, as the
+            # kernel lays it out.
+            nr, nc = rows.shape[0], cols.shape[0]
+            dist = acc.reshape(-1)[: nr * nc].reshape(nr, nc)
+            sq = tmp.reshape(-1)[: nr * nc].reshape(nr, nc)
             np.subtract(rows[:, 0, None], cols[None, :, 0], out=dist)
             np.multiply(dist, dist, out=dist)
             for k in range(1, a.shape[1]):
