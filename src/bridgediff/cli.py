@@ -32,7 +32,7 @@ from .configfile import (
     parse_kv_file,
     resolve_dataset,
 )
-from .data import load as load_dataset, parse_metadata, read_rows
+from .data import format_metadata, load as load_dataset, read_line, read_metadata, read_rows
 from .fileio import format_float, temp_beside, write_atomic
 from .metrics import diversity, energy_distance, moments, self_distance_key, self_distance_sum
 from .sampling import (
@@ -143,9 +143,9 @@ def cmd_sample(args) -> int:
     try:
         with contextlib.ExitStack() as files:
             f = files.enter_context(open(samples_tmp, "x", encoding="utf-8", newline="\n"))
-            f.write(f"# format={SAMPLES_FORMAT}\n# version={SAMPLES_VERSION}\n")
-            f.write(f"# seed={args.seed}\n# steps={args.steps}\n# eta={format_float(args.eta)}\n")
-            f.write(f"# k={args.k}\n# n={n}\n# dim={dataset.dim}\n")
+            f.write(format_metadata({"format": SAMPLES_FORMAT, "version": SAMPLES_VERSION,
+                                     "seed": args.seed, "steps": args.steps, "eta": args.eta,
+                                     "k": args.k, "n": n, "dim": dataset.dim}))
             f.write(f"y_index,sample_index,{dims}\n")
             if args.trajectories:
                 traj_f = files.enter_context(open(traj_tmp, "x", encoding="utf-8", newline="\n"))
@@ -186,26 +186,24 @@ def cmd_sample(args) -> int:
 def _read_sample_set(paths, k: int):
     """The first file's metadata, the conditioning indices and the float64
     rows of the sample set whose shards are ``paths``; each rule it breaks
-    is a one-line ``UsageError``. Per file, in order: the metadata must pass
-    ``data.parse_metadata``; ``SHARD_KEYS`` must equal the first file's;
-    its own ``dim`` and ``k``, when present, must equal its value columns
-    and ``k``; its value columns, even with no rows, must number the first
-    file's; its rows must pass ``data.read_rows``, every sample index lie
-    in 0..k-1 and every value be finite. Then the set must hold a row, and
-    no row repeat an earlier row's (y_index, sample_index) pair. Each row
-    rule names the first line that breaks it."""
+    is a one-line ``UsageError`` or ``ValueError``. Per file, in order: the
+    metadata lines must pass ``data.read_metadata`` and the column header,
+    read by ``data.read_line``, start ``y_index,sample_index`` (both name a
+    line that is not UTF-8); ``SHARD_KEYS`` must equal the first file's; its
+    own ``dim`` and ``k``, when present, must equal its value columns and
+    ``k``; its value columns, even with no rows, must number the first
+    file's; its rows must pass ``data.read_rows``, every sample index lie in
+    0..k-1 and every value be finite. Then the set must hold a row, and no
+    row repeat an earlier row's (y_index, sample_index) pair. Each row rule
+    names the first line that breaks it."""
     shards = []  # (path, line number of its first row, rows) per file
     for i, p in enumerate(paths):
         path = Path(p)
         if not path.exists():
             raise UsageError(f"samples file not found: {path}")
         with open(path, "rb") as f:
-            meta_lines, line = [], f.readline()
-            while line.startswith(b"#"):
-                meta_lines.append(line.decode("utf-8").rstrip("\n"))
-                line = f.readline()
-            meta = parse_metadata(meta_lines, path, SAMPLES_FORMAT, SAMPLES_VERSION)
-            header = line.decode("utf-8").rstrip("\r\n").split(",")
+            meta, header_line = read_metadata(f, path, SAMPLES_FORMAT, SAMPLES_VERSION)
+            header = read_line(f, path, header_line).split(",")
             if header[:2] != ["y_index", "sample_index"]:
                 raise UsageError(f"not a samples CSV: {path}")
             width = len(header) - 2
@@ -222,7 +220,7 @@ def _read_sample_set(paths, k: int):
             if width != set_width:
                 raise UsageError(f"samples files disagree on value columns: {paths[0]} has "
                                  f"{set_width}, {p} has {width}")
-            first = len(meta_lines) + 2
+            first = header_line + 1
             rows = read_rows(f, path, np.dtype([("index", "i8", 2), ("value", "f8", width)]), first)
         rep = rows["index"][:, 1]
         if (bad := np.flatnonzero((rep < 0) | (rep >= k))).size:

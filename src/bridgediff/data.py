@@ -5,7 +5,10 @@ per line), then a column header ``x_0..x_{d-1},y_0..y_{d-1}``, then one row
 per pair. Floats are written with repr so the round trip is bit-exact, and
 the header carries a decimal CRC32 over the data section (column header
 plus rows) so truncation or corruption fails loudly instead of silently.
-``read_rows`` parses its rows, and the samples CSV's, with ``np.loadtxt``.
+The samples CSV of ``bridgediff sample`` has the same layout and shares
+the writer of the metadata lines, ``format_metadata``, and the readers:
+``read_metadata`` of those lines, ``read_line`` of the column header and
+``read_rows`` of the rows, with ``np.loadtxt``.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import math
 import warnings
 import zlib
 from dataclasses import dataclass, field
-from itertools import count, islice, takewhile
+from itertools import count
 from pathlib import Path
 
 import numpy as np
@@ -158,59 +161,68 @@ GENERATORS = {
 def _format_value(v) -> str:
     if isinstance(v, (bool, int, np.integer)):
         return str(int(v))
-    return format_float(v)
+    return v if isinstance(v, str) else format_float(v)
+
+
+def format_metadata(meta: dict) -> str:
+    """One ``# key=value`` line per entry of ``meta``, in its order: a str
+    value as it is, an int as a decimal and a float in its round-trip
+    spelling (``fileio.format_float``)."""
+    return "".join(f"# {key}={_format_value(value)}\n" for key, value in meta.items())
 
 
 def save(dataset: PairedDataset, path) -> None:
     """Write the dataset; the round trip through load() is bit-exact. The
     file is written beside ``path`` and moved into place once complete, so
     a failed write leaves any earlier file at ``path`` as it was."""
-    d = dataset.dim
-    columns = [f"x_{i}" for i in range(d)] + [f"y_{i}" for i in range(d)]
-    lines = [",".join(columns)]
-    for i in range(dataset.n):
-        lines.append(",".join(map(format_float, (*dataset.x0[i], *dataset.y[i]))))
-    data_text = "\n".join(lines) + "\n"
-
-    meta = [
-        f"# format={FORMAT_NAME}",
-        f"# version={FORMAT_VERSION}",
-        f"# generator={dataset.generator}",
-    ]
-    for key in sorted(dataset.params):
-        meta.append(f"# param.{key}={_format_value(dataset.params[key])}")
-    meta += [
-        f"# seed={dataset.seed}",
-        f"# n={dataset.n}",
-        f"# dim={dataset.dim}",
-        f"# crc32={zlib.crc32(data_text.encode('utf-8'))}",
-    ]
-    write_atomic(Path(path), "\n".join(meta) + "\n", data_text)
+    rows = (",".join(map(format_float, (*x0, *y))) for x0, y in zip(dataset.x0, dataset.y))
+    data_text = "\n".join([",".join(_columns(dataset.dim)), *rows]) + "\n"
+    meta = {"format": FORMAT_NAME, "version": FORMAT_VERSION, "generator": dataset.generator,
+            **{f"param.{key}": dataset.params[key] for key in sorted(dataset.params)},
+            "seed": dataset.seed, "n": dataset.n, "dim": dataset.dim,
+            "crc32": zlib.crc32(data_text.encode("utf-8"))}
+    write_atomic(Path(path), format_metadata(meta), data_text)
 
 
-def parse_metadata(lines, path, name: str = FORMAT_NAME, version: int = FORMAT_VERSION) -> dict:
-    """The entries of a file's '#'-prefixed ``key=value`` metadata lines; a
-    line without '=', or a format or version other than ``name`` and
-    ``version``, is a ``ValueError`` naming ``path``."""
+def _columns(dim: int) -> list[str]:
+    return [f"{c}_{i}" for c in "xy" for i in range(dim)]
+
+
+def read_line(f, path, lineno: int) -> str:
+    """The next line of binary file ``f``, line ``lineno`` of ``path``, less
+    its line end; a byte that is not UTF-8 is a ``ValueError`` naming it."""
+    try:
+        return f.readline().decode("utf-8").rstrip("\r\n")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path} line {lineno}: {exc}") from None
+
+
+def read_metadata(f, path, name: str = FORMAT_NAME, version: int = FORMAT_VERSION) -> tuple[dict, int]:
+    """The entries of the '#'-prefixed ``key=value`` lines that open binary
+    file ``f`` (``read_line`` reads each), and the number of the line after
+    them, the column header, at which ``f`` is left. A line without '=', or
+    a format or version other than ``name`` and ``version``, is a
+    ``ValueError`` naming ``path``."""
     meta: dict[str, str] = {}
-    for line in lines:
+    lineno = 1
+    while f.peek(1)[:1] == b"#":
+        line = read_line(f, path, lineno)
         key, sep, value = line[1:].strip().partition("=")
         if not sep:
             raise ValueError(f"malformed metadata line in {path}: {line!r}")
         meta[key.strip()] = value
+        lineno += 1
     if meta.get("format") != name:
         raise ValueError(f"not a {name} file: {path}")
     if meta.get("version") != str(version):
         raise ValueError(f"unsupported {name} version {meta.get('version')!r} in {path}")
-    return meta
+    return meta, lineno
 
 
 def read_header(path) -> dict:
     """Parse only the metadata block; rows are not touched."""
     with open(path, "rb") as f:
-        lines = takewhile(lambda line: line.startswith("#"),
-                          (raw.decode("utf-8").rstrip("\n") for raw in f))
-        return parse_metadata(lines, path)
+        return read_metadata(f, path)[0]
 
 
 # Bytes read at a time while load() checks the data section's CRC32.
@@ -259,14 +271,14 @@ def read_rows(f, path, dtype: np.dtype, first_line: int) -> np.ndarray:
     kinds = [int if dtype[name].base.kind == "i" else float
              for name in dtype.names for _ in range(math.prod(dtype[name].shape))]
     f.seek(start)
-    for lineno, line in enumerate(islice(f, read), first_line):
+    for lineno in range(first_line, first_line + read):
+        fields = read_line(f, path, lineno).split(",")
         try:
-            fields = line.decode("utf-8").rstrip("\r\n").split(",")
             if len(fields) != len(kinds):
                 raise ValueError("blank line" if fields == [""] else
                                  f"{len(fields)} fields, expected {len(kinds)}")
             [kind(text) for kind, text in zip(kinds, fields)]  # raises on a bad field
-        except ValueError as exc:  # UnicodeDecodeError included
+        except ValueError as exc:
             raise ValueError(f"{path} line {lineno}: {exc}") from None
     raise ValueError(f"{path} line {first_line + read - 1}: a field is out of range "
                      "or not a plain number")
@@ -275,53 +287,41 @@ def read_rows(f, path, dtype: np.dtype, first_line: int) -> np.ndarray:
 def load(path) -> PairedDataset:
     """Read a dataset, verifying the CRC32 of the data section.
 
-    Every metadata value is checked first, before the data section is read:
-    ``seed``, ``n``, ``dim`` and ``crc32`` must be integers, ``n`` and
-    ``dim`` at least 1, and each ``param.*`` an int or a float; a failure is
-    a ``ValueError`` naming the file and the key. The file is then read in
-    pieces, for the checksum, the row count and whether it is all ASCII,
-    then by ``read_rows``; of several faults, the first of these wins: a
-    metadata value, the checksum, non-UTF-8 bytes, the row count, a row.
+    The file is read once, in this order, the first fault being one
+    ``ValueError`` naming the file: the metadata lines (``read_metadata``);
+    their values (``seed``, ``n``, ``dim``, ``crc32`` integers, ``n`` and
+    ``dim`` at least 1, each ``param.*`` an int or a float; the key named);
+    the data section in pieces, for the checksum, then the row count; the
+    column header, exactly ``x_0..x_{d-1},y_0..y_{d-1}`` for ``dim`` = d;
+    the rows (``read_rows``). A line that is not UTF-8 is named.
     """
-    meta = read_header(path)
-    missing = [k for k in ("generator", "seed", "n", "dim", "crc32") if k not in meta]
-    if missing:
-        raise ValueError(f"{path} lacks metadata line(s): {', '.join(missing)}")
-    seed = _meta_int(meta, "seed", path)
-    n = _meta_int(meta, "n", path, least=1)
-    dim = _meta_int(meta, "dim", path, least=1)
-    crc32 = _meta_int(meta, "crc32", path)
-    params = {key[6:]: _meta_param(meta, key, path) for key in meta if key.startswith("param.")}
     with open(path, "rb") as f:
-        line, first_row = f.readline(), 2  # the line number of the first row
-        while line.startswith(b"#"):
-            line, first_row = f.readline(), first_row + 1
-        data_start = f.tell() - len(line)
-        f.seek(data_start)
-        crc, newlines, last, ascii_only = 0, 0, b"\n", True
+        meta, header_line = read_metadata(f, path)
+        missing = [k for k in ("generator", "seed", "n", "dim", "crc32") if k not in meta]
+        if missing:
+            raise ValueError(f"{path} lacks metadata line(s): {', '.join(missing)}")
+        seed = _meta_int(meta, "seed", path)
+        n = _meta_int(meta, "n", path, least=1)
+        dim = _meta_int(meta, "dim", path, least=1)
+        crc32 = _meta_int(meta, "crc32", path)
+        params = {key[6:]: _meta_param(meta, key, path) for key in meta if key.startswith("param.")}
+        data_start = f.tell()
+        crc, newlines, last = 0, 0, b"\n"
         while piece := f.read(_READ_BYTES):
             crc = zlib.crc32(piece, crc)
             newlines += piece.count(b"\n")
             last = piece[-1:]
-            ascii_only = ascii_only and piece.isascii()
         if crc != crc32:
             raise ValueError(f"checksum mismatch in {path} (truncated or corrupted file)")
-        f.seek(data_start)
-        if not ascii_only:
-            # Raises the whole section's UnicodeDecodeError, with its offset,
-            # for bytes that are not UTF-8.
-            str(f.read(), "utf-8")
-            f.seek(data_start)
         rows = newlines - (last == b"\n")  # lines, less the column header
         if rows != n:
             raise ValueError(f"expected {n} rows in {path}, found {rows}")
-        f.readline()  # the column header
-        values = read_rows(f, path, np.dtype([("x0", "f8", dim), ("y", "f8", dim)]), first_row)
-
-    return PairedDataset(
-        x0=values["x0"],
-        y=values["y"],
-        generator=meta["generator"],
-        seed=seed,
-        params=params,
-    )
+        f.seek(data_start)
+        columns = read_line(f, path, header_line).split(",")
+        # The length goes first: a large dim builds no list of names.
+        if len(columns) != 2 * dim or columns != _columns(dim):
+            raise ValueError(f"{path} line {header_line}: the column header must be "
+                             f"x_0..x_{dim - 1},y_0..y_{dim - 1} for dim={dim}")
+        values = read_rows(f, path, np.dtype([("x0", "f8", dim), ("y", "f8", dim)]), header_line + 1)
+    return PairedDataset(x0=values["x0"], y=values["y"], generator=meta["generator"],
+                         seed=seed, params=params)

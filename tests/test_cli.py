@@ -883,6 +883,30 @@ class TestEvalCommand:
         assert code == 2 and err.count("\n") == 1
         assert err.startswith(f"error: {path} line 5: 'utf-8' codec can't decode byte 0xa0")
 
+    @pytest.mark.parametrize("head,line,position", [
+        (b"# format=samples-csv\n# version=1\n# seed=\xff\ny_index,sample_index,dim_0,dim_1\n", 3, 7),
+        (b"# format=samples-csv\n# version=1\n# seed=0\ny_index,sample_index,dim_\xff,dim_1\n",
+         4, 25),
+    ], ids=["metadata", "column-header"])
+    def test_undecodable_head_byte_names_the_line(self, tmp_path, moons_file, capsys, head, line,
+                                                   position):
+        path = tmp_path / "s.csv"
+        path.write_bytes(head + b"0,0,0.5,0.25\n")
+        code = cli.main(["eval", "--samples", str(path), "--reference", str(moons_file),
+                         "--k", "1", "--out", str(tmp_path / "r.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == (f"error: {path} line {line}: 'utf-8' codec can't decode "
+                                           f"byte 0xff in position {position}: invalid start byte\n")
+
+    def test_undecodable_reference_metadata_names_the_line(self, tmp_path, moons_file, capsys):
+        samples = self._fake_samples(tmp_path, moons_file)
+        moons_file.write_bytes(moons_file.read_bytes().replace(b"# seed=77\n", b"# seed=\xff\n"))
+        code = cli.main(["eval", "--samples", str(samples),
+                         "--reference", str(moons_file), "--k", "1", "--out", str(tmp_path / "r.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == (f"error: {moons_file} line 5: 'utf-8' codec can't decode "
+                                           "byte 0xff in position 7: invalid start byte\n")
+
     def test_reader_memory_is_bounded_by_its_arrays(self, tmp_path):
         # 20,000 rows: the peak stays under 6 times the arrays returned,
         # where a Python list per row and a set of pairs took about 16.

@@ -252,6 +252,50 @@ class TestPersistence:
             load(path)
         assert str(info.value).startswith(message.format(path=path))
 
+    def test_undecodable_metadata_byte_names_the_line(self, tmp_path):
+        path = tmp_path / "pairs.csv"
+        save(gen_two_moons_paired(n=30, noise_sd=0.05, seed=19), path)
+        path.write_bytes(path.read_bytes().replace(b"# seed=19\n", b"# seed=\xff\n"))
+        with pytest.raises(ValueError) as info:
+            load(path)
+        assert str(info.value) == (f"{path} line 5: 'utf-8' codec can't decode byte 0xff "
+                                   "in position 7: invalid start byte")
+
+    @pytest.mark.parametrize("header,problem", [
+        (b"a,b,c,d", "the column header must be x_0..x_1,y_0..y_1 for dim=2"),
+        (b"x_0,y_0,x_1,y_1", "the column header must be x_0..x_1,y_0..y_1 for dim=2"),
+        (b"x_0,x_1,y_0", "the column header must be x_0..x_1,y_0..y_1 for dim=2"),
+        (b"x_0,x_1,y_0,y_1,", "the column header must be x_0..x_1,y_0..y_1 for dim=2"),
+        (b"x_0,x_1,y_0,y_\xff", "'utf-8' codec can't decode byte 0xff in position 14: "
+                                "invalid start byte"),
+    ], ids=["names", "order", "short", "trailing-comma", "not-utf8"])
+    def test_column_header_is_checked(self, tmp_path, header, problem):
+        # 50 rows under another header, the checksum valid: a mismatch is
+        # one line naming the file and the header's line.
+        path = tmp_path / "pairs.csv"
+        save(gen_two_moons_paired(n=50, noise_sd=0.05, seed=19), path)
+        self._with_data(path, lambda b: header + b[b.index(b"\n") :])
+        with pytest.raises(ValueError) as info:
+            load(path)
+        assert str(info.value) == f"{path} line 9: {problem}"
+
+    @pytest.mark.parametrize("checksum_valid,message", [
+        (False, "checksum mismatch in {path}"),
+        (True, "expected 50 rows in {path}, found 51"),
+    ], ids=["checksum", "row-count"])
+    def test_column_header_is_checked_after_the_row_count(self, tmp_path, checksum_valid, message):
+        # A header that is not UTF-8 loses to a checksum or row-count fault.
+        path = tmp_path / "pairs.csv"
+        save(gen_two_moons_paired(n=50, noise_sd=0.05, seed=19), path)
+        extra = b"1.0,2.0,3.0,4.0\n"
+        self._with_data(path, lambda b: b"a,b,c,\xff" + b[b.index(b"\n") :]
+                        + (extra if checksum_valid else b""))
+        if not checksum_valid:
+            path.write_bytes(path.read_bytes() + extra)
+        with pytest.raises(ValueError) as info:
+            load(path)
+        assert str(info.value).startswith(message.format(path=path))
+
     def test_missing_final_newline_loads(self, tmp_path):
         ds = gen_two_moons_paired(n=300, noise_sd=0.05, seed=19)
         path = tmp_path / "pairs.csv"
@@ -261,21 +305,22 @@ class TestPersistence:
 
     @pytest.mark.parametrize("bad", [b"\xff", "\u00e9".encode("utf-8")])
     def test_non_ascii_bytes_fail_as_when_decoded_whole(self, tmp_path, bad):
-        # Invalid UTF-8 raises the error of decoding the whole data section,
-        # offset included; valid non-ASCII text fails as an unparsable value
-        # on its line (8 metadata lines and the column header come first).
+        # Invalid UTF-8 fails as its line's decode error; valid non-ASCII
+        # text as an unparsable value on its line (8 metadata lines and the
+        # column header come first). The id is kept from when invalid UTF-8
+        # raised the error of decoding the whole data section.
         path = tmp_path / "pairs.csv"
         save(gen_two_moons_paired(n=600, noise_sd=0.05, seed=20), path)
         data_bytes = self._with_data(path, lambda b: b"\n".join(
             bad + line if i == 401 else line for i, line in enumerate(b.split(b"\n"))))
         try:
-            field = data_bytes.decode("utf-8").splitlines()[401].split(",")[0]
-            expected = ValueError(f"{path} line 410: could not convert string to float: {field!r}")
+            field = data_bytes.split(b"\n")[401].decode("utf-8").split(",")[0]
+            expected = f"{path} line 410: could not convert string to float: {field!r}"
         except UnicodeDecodeError as exc:
-            expected = exc
-        with pytest.raises(type(expected)) as info:
+            expected = f"{path} line 410: {exc}"
+        with pytest.raises(ValueError) as info:
             load(path)
-        assert str(info.value) == str(expected)
+        assert str(info.value) == expected
 
     def test_load_does_not_hold_the_file(self, tmp_path):
         # Streaming in blocks: the peak is the arrays plus a block, well
@@ -290,6 +335,23 @@ class TestPersistence:
         finally:
             tracemalloc.stop()
         assert peak < ds.x0.nbytes * 2 + 512 * 1024 < path.stat().st_size
+
+    def test_invalid_utf8_row_does_not_hold_the_file(self, tmp_path):
+        # One invalid byte in the last row, the checksum valid: finding and
+        # naming that row stays within the bound above.
+        path = tmp_path / "pairs.csv"
+        ds = gen_two_moons_paired(n=20000, noise_sd=0.05, seed=21)
+        save(ds, path)
+        self._with_data(path, lambda b: b[:-2] + b"\xe9\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as info:
+                load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < ds.x0.nbytes * 2 + 512 * 1024 < path.stat().st_size
+        assert str(info.value).startswith(f"{path} line 20009: 'utf-8' codec can't decode byte 0xe9")
 
     def test_save_is_deterministic(self, tmp_path):
         ds = gen_two_moons_paired(n=20, noise_sd=0.05, seed=16)

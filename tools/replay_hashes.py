@@ -239,6 +239,12 @@ def _sample(root: Path, ckpt: str, out: str, *extra: str) -> None:
           "--k", "5", "--steps", "200", "--seed", "7", "--out", str(root / out), *extra])
 
 
+def _head_lines(samples: Path) -> int:
+    """The lines of ``samples``' head: its metadata lines and column header."""
+    with open(samples, "rb") as f:
+        return data.read_metadata(f, samples, cli.SAMPLES_FORMAT, cli.SAMPLES_VERSION)[1]
+
+
 def _check_trajectories(plain: Path, traj: Path) -> None:
     """Stop unless the ``--trajectories`` run in ``traj`` wrote the plain
     run's ``samples.csv`` bytes and each chain's t = 0 row in its
@@ -246,7 +252,7 @@ def _check_trajectories(plain: Path, traj: Path) -> None:
     samples = (traj / "samples.csv").read_bytes()
     if samples != (plain / "samples.csv").read_bytes():
         raise SystemExit(f"{traj.name}/samples.csv differs from {plain.name}/samples.csv")
-    rows = [line for line in samples.decode("utf-8").splitlines() if not line.startswith("#")][1:]
+    rows = samples.decode("utf-8").splitlines()[_head_lines(traj / "samples.csv") :]
     with open(traj / "trajectories.csv", encoding="utf-8") as f:
         next(f)  # the column header
         ends = [f"{row},{rep},{values}" for row, rep, t, values in
@@ -296,7 +302,7 @@ def replay(root: Path) -> None:
         _check_trajectories(root / f"w1_n200_eta{eta}", root / f"w1_n200_eta{eta}_traj")
     samples = root / "w1_n200_eta1" / "samples.csv"
     lines = samples.read_text(encoding="utf-8").splitlines(keepends=True)
-    head = next(i for i, line in enumerate(lines) if not line.startswith("#")) + 1
+    head = _head_lines(samples)
     cut = head + 73 * 5  # rows run input by input, k = 5 rows each
     shards = [root / "w1_n200_eta1_shards" / f"s{i}.csv" for i in range(2)]
     shards[0].parent.mkdir()
