@@ -32,15 +32,14 @@ from .data import (
     gen_two_moons_paired,
     load,
     moons_map,
-    read_header,
     save,
+    write_trajectory_csv,
 )
 from .sampling import (
     SamplerPlan,
     accelerated_sample,
     ancestral_sample,
     make_grid,
-    write_trajectory_csv,
 )
 from .training import TrainConfig, TrainResult, run_training, train_step
 from .metrics import Moments, diversity, energy_distance, moments
@@ -86,7 +85,6 @@ __all__ = [
     "plateau_lr_step",
     "posterior",
     "posterior_grid_bounds",
-    "read_header",
     "reverse_mean",
     "rng_for",
     "run_training",

@@ -5,6 +5,10 @@ configuration error. All randomness flows from explicit integer seeds, so
 every subcommand is replayable; reruns with identical inputs and seeds
 produce byte-identical CSV outputs.
 
+The commands check flags, sample and score; ``data`` owns the samples
+CSV, which ``sample`` streams to (``data.write_samples``) and ``eval``
+reads (``data.read_sample_set``).
+
 ``eval`` keeps each reference's energy-distance self term in a file beside
 it (``<reference>.selfdist``, see ``_reference_self_sum``), so scoring
 further sample sets against the same reference skips that term; the
@@ -14,7 +18,6 @@ report is the same bytes either way.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import math
 import os
 import sys
@@ -32,16 +35,10 @@ from .configfile import (
     parse_kv_file,
     resolve_dataset,
 )
-from .data import format_metadata, load as load_dataset, read_line, read_metadata, read_rows
-from .fileio import format_float, temp_beside, write_atomic
+from .data import load as load_dataset, read_sample_set, write_samples
+from .fileio import format_float, write_atomic
 from .metrics import diversity, energy_distance, moments, self_distance_key, self_distance_sum
-from .sampling import (
-    NonFiniteState,
-    SamplerPlan,
-    accelerated_sample,
-    make_grid,
-    write_trajectory_csv,
-)
+from .sampling import NonFiniteState, SamplerPlan, accelerated_sample, make_grid
 from .schedule import build_schedule
 from .training import TrainingDiverged, run_training
 from .seeding import rng_for
@@ -50,13 +47,6 @@ from .seeding import rng_for
 # Chains ``sample`` advances together: one MLP forward per step covers a
 # block, and the block's state, noise and trajectories bound its memory.
 SAMPLE_BLOCK = 256
-
-# The format and version lines of the samples CSV ``sample`` writes.
-SAMPLES_FORMAT = "samples-csv"
-SAMPLES_VERSION = 1
-# Metadata every shard of one sample set shares; ``n`` counts a shard's own
-# inputs and may differ.
-SHARD_KEYS = ("seed", "steps", "eta", "k", "dim")
 
 # ``eval`` keeps a reference's self term in ``<reference>`` + SELF_SUM_SUFFIX:
 # SELF_SUM_FORMAT (format 1 summed narrow tiles in another layout), then
@@ -100,17 +90,12 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_model(args):
+def cmd_sample(args) -> int:
     try:
         ckpt = load_checkpoint(args.checkpoint)
     except FileNotFoundError as exc:
         raise UsageError(f"checkpoint not found: {args.checkpoint}") from exc
     model = ckpt.model if args.raw_params else ckpt.ema_model()
-    return ckpt, model
-
-
-def cmd_sample(args) -> int:
-    ckpt, model = _load_model(args)
     try:
         dataset = load_dataset(args.data)
     except FileNotFoundError as exc:
@@ -130,118 +115,29 @@ def cmd_sample(args) -> int:
 
     schedule = build_schedule(ckpt.T, ckpt.s)
     eps_fn = model.eps_fn(ckpt.T)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    samples_path = out_dir / "samples.csv"
-    traj_path = out_dir / "trajectories.csv"
     chains = n * args.k  # chain i is (row, rep) = divmod(i, k)
-    dims = ",".join(f"dim_{i}" for i in range(dataset.dim))
-    # Rows go to temp files that replace samples.csv, then trajectories.csv
-    # (or remove an earlier run's), only once every chain has finished, so a
-    # failed run leaves neither.
-    samples_tmp, traj_tmp = temp_beside(samples_path), temp_beside(traj_path)
-    try:
-        with contextlib.ExitStack() as files:
-            f = files.enter_context(open(samples_tmp, "x", encoding="utf-8", newline="\n"))
-            f.write(format_metadata({"format": SAMPLES_FORMAT, "version": SAMPLES_VERSION,
-                                     "seed": args.seed, "steps": args.steps, "eta": args.eta,
-                                     "k": args.k, "n": n, "dim": dataset.dim}))
-            f.write(f"y_index,sample_index,{dims}\n")
-            if args.trajectories:
-                traj_f = files.enter_context(open(traj_tmp, "x", encoding="utf-8", newline="\n"))
-                traj_f.write(f"y_index,sample_index,t,{dims}\n")  # no metadata
-            for start in range(0, chains, SAMPLE_BLOCK):
-                # Each block lists only its own pairs: memory stays flat in n * k.
-                block = [divmod(i, args.k) for i in range(start, min(start + SAMPLE_BLOCK, chains))]
-                seeds = [int(rng_for(args.seed, "sample", row, rep).integers(2**62))
-                         for row, rep in block]
-                try:
-                    x0, traj = accelerated_sample(
-                        schedule, eps_fn, dataset.y[[row for row, _ in block]],
-                        replace(plan, seed=seeds),
-                    )
-                except NonFiniteState as exc:
-                    row, rep = block[exc.chain]
-                    raise UsageError(
-                        f"non-finite state at step t={exc.step} in chain (row {row}, rep {rep})"
-                    ) from exc
-                except FloatingPointError as exc:
-                    raise UsageError(f"sampling failed: {exc}") from exc
-                for (row, rep), x in zip(block, x0):
-                    f.write(f"{row},{rep}," + ",".join(format_float(v) for v in x) + "\n")
-                if args.trajectories:
-                    write_trajectory_csv(traj_f, traj, block)
-        os.replace(samples_tmp, samples_path)
-        if args.trajectories:
-            os.replace(traj_tmp, traj_path)
-        else:
-            traj_path.unlink(missing_ok=True)
-    finally:
-        samples_tmp.unlink(missing_ok=True)
-        traj_tmp.unlink(missing_ok=True)
-    print(f"samples: {samples_path}")
+
+    def blocks():
+        for start in range(0, chains, SAMPLE_BLOCK):
+            # Each block lists only its own pairs: memory stays flat in n * k.
+            block = [divmod(i, args.k) for i in range(start, min(start + SAMPLE_BLOCK, chains))]
+            seeds = [int(rng_for(args.seed, "sample", row, rep).integers(2**62))
+                     for row, rep in block]
+            try:
+                x0, traj = accelerated_sample(schedule, eps_fn, dataset.y[[row for row, _ in block]],
+                                              replace(plan, seed=seeds))
+            except NonFiniteState as exc:
+                row, rep = block[exc.chain]
+                raise UsageError(f"non-finite state at step t={exc.step} in chain "
+                                 f"(row {row}, rep {rep})") from exc
+            except FloatingPointError as exc:
+                raise UsageError(f"sampling failed: {exc}") from exc
+            yield block, x0, traj
+
+    meta = {"seed": args.seed, "steps": args.steps, "eta": args.eta, "k": args.k, "n": n,
+            "dim": dataset.dim}
+    print(f"samples: {write_samples(Path(args.out), meta, blocks(), args.trajectories)}")
     return 0
-
-
-def _read_sample_set(paths, k: int):
-    """The first file's metadata, the conditioning indices and the float64
-    rows of the sample set whose shards are ``paths``; each rule it breaks
-    is a one-line ``UsageError`` or ``ValueError``. Per file, in order: the
-    metadata lines must pass ``data.read_metadata`` and the column header,
-    read by ``data.read_line``, start ``y_index,sample_index`` (both name a
-    line that is not UTF-8); ``SHARD_KEYS`` must equal the first file's; its
-    own ``dim`` and ``k``, when present, must equal its value columns and
-    ``k``; its value columns, even with no rows, must number the first
-    file's; its rows must pass ``data.read_rows``, every sample index lie in
-    0..k-1 and every value be finite. Then the set must hold a row, and no
-    row repeat an earlier row's (y_index, sample_index) pair. Each row rule
-    names the first line that breaks it."""
-    shards = []  # (path, line number of its first row, rows) per file
-    for i, p in enumerate(paths):
-        path = Path(p)
-        if not path.exists():
-            raise UsageError(f"samples file not found: {path}")
-        with open(path, "rb") as f:
-            meta, header_line = read_metadata(f, path, SAMPLES_FORMAT, SAMPLES_VERSION)
-            header = read_line(f, path, header_line).split(",")
-            if header[:2] != ["y_index", "sample_index"]:
-                raise UsageError(f"not a samples CSV: {path}")
-            width = len(header) - 2
-            if i == 0:
-                set_meta, set_width = meta, width
-            for key in SHARD_KEYS:
-                if meta.get(key) != set_meta.get(key):
-                    raise UsageError(f"samples files disagree on {key}: {paths[0]} has "
-                                     f"{set_meta.get(key)!r}, {p} has {meta.get(key)!r}")
-            for key, actual, source in (("dim", width, "value columns"), ("k", k, "--k")):
-                if key in meta and meta[key] != str(actual):
-                    raise UsageError(f"{p}: metadata {key}={meta[key]!r} does not match "
-                                     f"{source} ({actual})")
-            if width != set_width:
-                raise UsageError(f"samples files disagree on value columns: {paths[0]} has "
-                                 f"{set_width}, {p} has {width}")
-            first = header_line + 1
-            rows = read_rows(f, path, np.dtype([("index", "i8", 2), ("value", "f8", width)]), first)
-        rep = rows["index"][:, 1]
-        if (bad := np.flatnonzero((rep < 0) | (rep >= k))).size:
-            raise UsageError(f"{path} line {first + bad[0]}: sample_index {rep[bad[0]]} "
-                             f"outside 0..{k - 1}")
-        if (bad := np.flatnonzero(~np.isfinite(rows["value"]).all(axis=1))).size:
-            raise UsageError(f"{path} line {first + bad[0]}: non-finite sample value")
-        shards.append((path, first, rows))
-    if not any(len(rows) for *_, rows in shards):
-        raise UsageError("samples files contain no rows")
-    y_idx, rep = (np.concatenate([rows["index"][:, c] for *_, rows in shards]) for c in (0, 1))
-    order = np.lexsort((rep, y_idx))  # stable: equal pairs keep their row order
-    repeats = order[1:][(np.diff(y_idx[order]) == 0) & (np.diff(rep[order]) == 0)]
-    if repeats.size:
-        row = int(repeats.min())
-        for path, first, rows in shards:
-            if row < len(rows):
-                raise UsageError(f"{path} line {first + row}: (y_index, sample_index) = "
-                                 f"{tuple(map(int, rows['index'][row]))} appears twice")
-            row -= len(rows)
-    return set_meta, y_idx, np.concatenate([rows["value"] for *_, rows in shards])
 
 
 def _reference_self_sum(ref_path: Path, x0: np.ndarray) -> float:
@@ -281,7 +177,7 @@ def _reference_self_sum(ref_path: Path, x0: np.ndarray) -> float:
 def cmd_eval(args) -> int:
     if args.k < 1:
         raise UsageError(f"k must be >= 1, got {args.k}")
-    set_meta, y_idx, samples = _read_sample_set(args.samples, args.k)
+    set_meta, y_idx, samples = read_sample_set(args.samples, args.k)
 
     ref_path = Path(args.reference)
     if not ref_path.exists():

@@ -1,8 +1,9 @@
 """Flat ``key = value`` run configuration files.
 
 UTF-8 text, one assignment per line, ``#`` starts a comment, blank lines
-ignored. Unknown keys are rejected so typos fail loudly. The same format
-feeds ``--set key=value`` command-line overrides, applied after the file.
+ignored. Unknown keys, and a key set twice in one file, are rejected so
+typos fail loudly. The same format feeds ``--set key=value`` command-line
+overrides, applied after the file.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from dataclasses import MISSING, fields
 from pathlib import Path
 from typing import get_type_hints
 
-from .data import GENERATORS, PairedDataset, load as load_dataset
+from .data import GENERATORS, PairedDataset, load as load_dataset, read_line
 from .training import TrainConfig
 
 
@@ -77,14 +78,19 @@ def parse_kv_file(path) -> dict[str, str]:
     if not path.exists():
         raise UsageError(f"config file not found: {path}")
     out: dict[str, str] = {}
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise UsageError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        out[key.strip()] = value.strip()
+    first: dict[str, int] = {}  # key -> the line that set it
+    with open(path, "rb") as f:
+        for lineno, _ in enumerate(iter(lambda: f.peek(1), b""), start=1):
+            raw = read_line(f, path, lineno)  # names a line that is not UTF-8
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            key, sep, value = line.partition("=")
+            if not sep:
+                raise UsageError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+            if (key := key.strip()) in first:
+                raise UsageError(f"{path}:{lineno}: {key!r} is already set on line {first[key]}")
+            out[key], first[key] = value.strip(), lineno
     return out
 
 

@@ -1,14 +1,16 @@
-"""Paired desk-scale translation datasets: generation, persistence, loading.
+"""Paired desk-scale translation datasets and the package's CSV formats.
 
-File format: UTF-8 CSV with a '#'-prefixed metadata header (one key=value
-per line), then a column header ``x_0..x_{d-1},y_0..y_{d-1}``, then one row
+Paired CSV: UTF-8 with a '#'-prefixed metadata header (one key=value per
+line), then a column header ``x_0..x_{d-1},y_0..y_{d-1}``, then one row
 per pair. Floats are written with repr so the round trip is bit-exact, and
 the header carries a decimal CRC32 over the data section (column header
 plus rows) so truncation or corruption fails loudly instead of silently.
-The samples CSV of ``bridgediff sample`` has the same layout and shares
-the writer of the metadata lines, ``format_metadata``, and the readers:
-``read_metadata`` of those lines, ``read_line`` of the column header and
-``read_rows`` of the rows, with ``np.loadtxt``.
+
+The samples CSV of ``bridgediff sample`` has the same layout and lives
+here too: ``write_samples`` streams it (``write_trajectory_csv`` the
+trajectories beside it) and ``read_sample_set`` reads a set's shards. Both
+formats share ``format_metadata`` and ``read_metadata`` (the metadata
+lines), ``read_line`` (column headers) and ``read_rows`` (``np.loadtxt``).
 """
 
 from __future__ import annotations
@@ -23,12 +25,19 @@ from pathlib import Path
 
 import numpy as np
 
-from .fileio import format_float, write_atomic
+from .fileio import format_float, replacing, write_atomic
 from .oracle import JointGaussianSpec
 from .seeding import rng_for
 
 FORMAT_NAME = "paired-csv"
 FORMAT_VERSION = 1
+
+# The format and version lines of the samples CSV ``write_samples`` writes.
+SAMPLES_FORMAT = "samples-csv"
+SAMPLES_VERSION = 1
+# Metadata every shard of one sample set shares; ``n`` counts a shard's own
+# inputs and may differ.
+SHARD_KEYS = ("seed", "steps", "eta", "k", "dim")
 
 
 @dataclass(frozen=True)
@@ -219,12 +228,6 @@ def read_metadata(f, path, name: str = FORMAT_NAME, version: int = FORMAT_VERSIO
     return meta, lineno
 
 
-def read_header(path) -> dict:
-    """Parse only the metadata block; rows are not touched."""
-    with open(path, "rb") as f:
-        return read_metadata(f, path)[0]
-
-
 # Bytes read at a time while load() checks the data section's CRC32.
 _READ_BYTES = 1 << 16
 
@@ -325,3 +328,101 @@ def load(path) -> PairedDataset:
         values = read_rows(f, path, np.dtype([("x0", "f8", dim), ("y", "f8", dim)]), header_line + 1)
     return PairedDataset(x0=values["x0"], y=values["y"], generator=meta["generator"],
                          seed=seed, params=params)
+
+
+def _row(index, values) -> str:
+    """A samples or trajectories row: ``index``'s integers, then ``values``."""
+    return ",".join(map(str, index)) + "," + ",".join(map(format_float, values)) + "\n"
+
+
+def write_trajectory_csv(f, traj, chains) -> None:
+    """Append to the open text file ``f`` the rows of a recorded trajectory
+    of ``len(chains)`` chains, chain by chain: ``row,rep,t,dim_0,...`` for
+    each step visited (t = T down to 0), ``(row, rep) = chains[b]``."""
+    steps = [int(t) for t, _ in traj]
+    states = np.array([state for _, state in traj]).reshape(len(traj), len(chains), -1)
+    for b, (row, rep) in enumerate(chains):
+        f.writelines(_row((row, rep, t), x) for t, x in zip(steps, states[:, b].tolist()))
+
+
+def write_samples(out_dir: Path, meta: dict, blocks, trajectories: bool) -> Path:
+    """Write ``out_dir/samples.csv``, ``meta`` after its format and version,
+    and return its path. ``blocks`` yields ``(chains, x0, traj)`` per block:
+    its (row, rep) pairs, their samples and, with ``trajectories``, their
+    recorded trajectory for ``trajectories.csv``. Both files replace their
+    paths (with no ``trajectories``, an earlier run's is removed) only once
+    ``blocks`` is exhausted, so a failed run, ``blocks`` raising included,
+    leaves neither (``fileio.replacing``)."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    samples_path, traj_path = out_dir / "samples.csv", out_dir / "trajectories.csv"
+    dims = ",".join(f"dim_{i}" for i in range(meta["dim"]))
+    with replacing(samples_path, *([traj_path] if trajectories else [])) as (f, *traj_f):
+        f.write(format_metadata({"format": SAMPLES_FORMAT, "version": SAMPLES_VERSION, **meta})
+                + f"y_index,sample_index,{dims}\n")
+        if trajectories:
+            traj_f[0].write(f"y_index,sample_index,t,{dims}\n")  # no metadata
+        for chains, x0, traj in blocks:
+            f.writelines(_row(chain, x) for chain, x in zip(chains, x0))
+            if trajectories:
+                write_trajectory_csv(traj_f[0], traj, chains)
+    if not trajectories:
+        traj_path.unlink(missing_ok=True)
+    return samples_path
+
+
+def read_sample_set(paths, k: int):
+    """The first file's metadata, the conditioning indices and the float64
+    rows of the sample set whose shards are ``paths``. Each rule broken is
+    a one-line ``ValueError``; per file, in order: ``read_metadata``, a
+    column header (``read_line``) that starts ``y_index,sample_index``,
+    ``SHARD_KEYS`` equal to the first file's, its own ``dim`` and ``k`` (if
+    present) equal to its value columns and ``k``, the first file's value
+    columns, ``read_rows``, sample indices in 0..k-1, finite values. Then
+    the set must hold a row and repeat no (y_index, sample_index) pair.
+    Each row rule names the first line that breaks it."""
+    shards = []  # (path, line number of its first row, rows) per file
+    for i, p in enumerate(paths):
+        path = Path(p)
+        if not path.exists():
+            raise ValueError(f"samples file not found: {path}")
+        with open(path, "rb") as f:
+            meta, header_line = read_metadata(f, path, SAMPLES_FORMAT, SAMPLES_VERSION)
+            header = read_line(f, path, header_line).split(",")
+            if header[:2] != ["y_index", "sample_index"]:
+                raise ValueError(f"not a samples CSV: {path}")
+            width = len(header) - 2
+            if i == 0:
+                set_meta, set_width = meta, width
+            for key in SHARD_KEYS:
+                if meta.get(key) != set_meta.get(key):
+                    raise ValueError(f"samples files disagree on {key}: {paths[0]} has "
+                                     f"{set_meta.get(key)!r}, {p} has {meta.get(key)!r}")
+            for key, actual, source in (("dim", width, "value columns"), ("k", k, "--k")):
+                if key in meta and meta[key] != str(actual):
+                    raise ValueError(f"{p}: metadata {key}={meta[key]!r} does not match "
+                                     f"{source} ({actual})")
+            if width != set_width:
+                raise ValueError(f"samples files disagree on value columns: {paths[0]} has "
+                                 f"{set_width}, {p} has {width}")
+            first = header_line + 1
+            rows = read_rows(f, path, np.dtype([("index", "i8", 2), ("value", "f8", width)]), first)
+        rep = rows["index"][:, 1]
+        if (bad := np.flatnonzero((rep < 0) | (rep >= k))).size:
+            raise ValueError(f"{path} line {first + bad[0]}: sample_index {rep[bad[0]]} "
+                             f"outside 0..{k - 1}")
+        if (bad := np.flatnonzero(~np.isfinite(rows["value"]).all(axis=1))).size:
+            raise ValueError(f"{path} line {first + bad[0]}: non-finite sample value")
+        shards.append((path, first, rows))
+    if not any(len(rows) for *_, rows in shards):
+        raise ValueError("samples files contain no rows")
+    y_idx, rep = (np.concatenate([rows["index"][:, c] for *_, rows in shards]) for c in (0, 1))
+    order = np.lexsort((rep, y_idx))  # stable: equal pairs keep their row order
+    repeats = order[1:][(np.diff(y_idx[order]) == 0) & (np.diff(rep[order]) == 0)]
+    if repeats.size:
+        row = int(repeats.min())
+        for path, first, rows in shards:
+            if row < len(rows):
+                raise ValueError(f"{path} line {first + row}: (y_index, sample_index) = "
+                                 f"{tuple(map(int, rows['index'][row]))} appears twice")
+            row -= len(rows)
+    return set_meta, y_idx, np.concatenate([rows["value"] for *_, rows in shards])

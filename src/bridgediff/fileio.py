@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import os
 from pathlib import Path
 
@@ -11,22 +12,29 @@ def format_float(v) -> str:
     return repr(float(v))
 
 
-def temp_beside(path: Path) -> Path:
-    """Unused hidden name in ``path``'s directory for a file that replaces
-    ``path`` once complete. Opened with mode ``"x"`` it gets the permissions
-    a plain write of ``path`` would (``mkstemp`` would force 0600)."""
-    return path.with_name(f".{path.name}-{os.urandom(8).hex()}.tmp")
+@contextlib.contextmanager
+def replacing(*paths: Path, binary: bool = False):
+    """Yield a list of new files, one beside each of ``paths`` under an
+    unused hidden name, and once the block has run without error move each
+    over its path, in order. Whatever fails leaves the paths not yet
+    replaced as they were, and no temp file. Text is UTF-8 with ``\\n``
+    line ends. Opened with mode ``"x"``, a file gets the permissions a
+    plain write of its path would (``mkstemp`` would force 0600)."""
+    temps = [path.with_name(f".{path.name}-{os.urandom(8).hex()}.tmp") for path in paths]
+    try:
+        with contextlib.ExitStack() as files:
+            yield [files.enter_context(open(tmp, "xb") if binary else
+                                       open(tmp, "x", encoding="utf-8", newline="\n"))
+                   for tmp in temps]
+        for tmp, path in zip(temps, paths):
+            os.replace(tmp, path)
+    finally:
+        for tmp in temps:
+            tmp.unlink(missing_ok=True)
 
 
 def write_atomic(path: Path, *parts: str | bytes) -> None:
-    """Write ``parts``, all text (UTF-8, ``\\n`` line ends) or all bytes, in
-    turn to ``path`` through a temp file beside it, so a failed write leaves
-    an earlier file at ``path`` as it was and no temp file."""
-    tmp = temp_beside(path)
-    text = bool(parts) and isinstance(parts[0], str)
-    try:
-        with open(tmp, "x", encoding="utf-8", newline="\n") if text else open(tmp, "xb") as f:
-            f.writelines(parts)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    """Write ``parts``, all text or all bytes, in turn to ``path`` through
+    ``replacing``: a failed write leaves ``path`` as it was."""
+    with replacing(path, binary=not (parts and isinstance(parts[0], str))) as (f,):
+        f.writelines(parts)

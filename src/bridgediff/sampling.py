@@ -13,6 +13,8 @@ deterministic at eta = 0. On the dense grid 1..T with eta = 1 the update is
 algebraically the coefficient-form recursion (coef_state x + coef_cond y -
 coef_noise eps + sqrt(pv) z), so ancestral sampling is exactly the
 full-grid instance; tests pin the agreement with ``process.reverse_mean``.
+The module writes no file: ``data.write_samples`` streams the samples
+and recorded trajectories of ``bridgediff sample`` to their CSVs.
 
 The stepper advances a (B, d) batch of chains: each grid step makes one
 ``eps_fn`` call for all B rows, and a (d,) input is a batch of one on the
@@ -83,7 +85,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fileio import format_float
 from .schedule import BridgeSchedule, coarse_posterior_var
 from .seeding import rng_for
 
@@ -268,14 +269,3 @@ def accelerated_sample(
     return _run_chain(
         schedule, eps_fn, y, plan.grid, plan.eta, plan.seed, plan.record_trajectory,
     )
-
-
-def write_trajectory_csv(f, traj: Trajectory, chains) -> None:
-    """Append to the open text file ``f`` the rows of a recorded trajectory
-    of ``len(chains)`` chains, chain by chain: ``row,rep,t,dim_0,...`` for
-    each step visited (t = T down to 0), ``(row, rep) = chains[b]``."""
-    steps = [int(t) for t, _ in traj]
-    states = np.array([state for _, state in traj]).reshape(len(traj), len(chains), -1)
-    for b, (row, rep) in enumerate(chains):
-        f.writelines(f"{row},{rep},{t}," + ",".join(map(format_float, x)) + "\n"
-                     for t, x in zip(steps, states[:, b].tolist()))

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bridgediff import cli, fileio, metrics
+from bridgediff import cli, data, fileio, metrics
 from bridgediff.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from bridgediff.data import gen_two_moons_paired, save
 from bridgediff.data import load as load_dataset
@@ -105,6 +105,31 @@ class TestTrainCommand:
         code = cli.main(["train", "--config", str(config), "--out", str(tmp_path / "o")])
         assert code == 2
         assert "typo_key" in capsys.readouterr().err
+
+    def test_config_line_not_utf8_names_the_line(self, tmp_path, moons_file, capsys):
+        config = write_config(tmp_path, moons_file)
+        lines = config.read_bytes().split(b"\n")
+        lines[2] = b"\xff" + lines[2]
+        config.write_bytes(b"\n".join(lines))
+        out_dir = tmp_path / "o"
+        code = cli.main(["train", "--config", str(config), "--out", str(out_dir)])
+        assert code == 2
+        assert capsys.readouterr().err == (f"error: {config} line 3: 'utf-8' codec can't decode "
+                                           "byte 0xff in position 0: invalid start byte\n")
+        assert not out_dir.exists()
+
+    def test_key_set_twice_names_both_lines(self, tmp_path, moons_file, capsys):
+        config = write_config(tmp_path, moons_file, max_steps=2)
+        text = config.read_text(encoding="utf-8")
+        first = text.splitlines().index("max_steps = 2") + 1
+        config.write_text(text + "max_steps = 3\n", encoding="utf-8")
+        out_dir = tmp_path / "o"
+        code = cli.main(["train", "--config", str(config), "--out", str(out_dir)])
+        assert code == 2
+        again = len(text.splitlines()) + 1
+        assert capsys.readouterr().err == (f"error: {config}:{again}: 'max_steps' is already set "
+                                           f"on line {first}\n")
+        assert not out_dir.exists()
 
     def test_override_flag(self, tmp_path, moons_file):
         config = write_config(tmp_path, moons_file)
@@ -915,10 +940,10 @@ class TestEvalCommand:
         lines = ["# format=samples-csv", "# version=1", "y_index,sample_index,dim_0,dim_1"]
         lines += [f"{i // 5},{i % 5},{a!r},{b!r}" for i, (a, b) in enumerate(values.tolist())]
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        cli._read_sample_set([path], 5)
+        data.read_sample_set([path], 5)
         tracemalloc.start()
         try:
-            _, y_idx, samples = cli._read_sample_set([path], 5)
+            _, y_idx, samples = data.read_sample_set([path], 5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

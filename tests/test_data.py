@@ -13,7 +13,6 @@ from bridgediff.data import (
     gen_two_moons_paired,
     load,
     moons_map,
-    read_header,
     save,
 )
 from bridgediff.metrics import energy_distance
@@ -125,7 +124,8 @@ class TestPersistence:
         ds = gen_two_moons_paired(n=44, noise_sd=0.05, seed=14)
         path = tmp_path / "pairs.csv"
         save(ds, path)
-        meta = read_header(path)
+        with open(path, "rb") as f:
+            meta, _ = data.read_metadata(f, path)
         assert meta["generator"] == "two_moons"
         assert int(meta["n"]) == 44
         assert int(meta["dim"]) == 2
@@ -394,3 +394,47 @@ class TestPairedDatasetValidation:
         ds = gen_binary_patterns(n=4, side=2, flip_prob=0.0, seed=1)
         with pytest.raises(ValueError):
             ds.x0[0, 0] = 5.0
+
+
+class TestSamplesCsv:
+    def test_write_then_read_round_trip(self, tmp_path):
+        # 5 inputs x k = 3 in blocks of 4, 7 and 4 chains, with trajectories:
+        # the set reader gets back every pair, every bit and the metadata,
+        # and each chain's t = 0 trajectory row is its samples row.
+        k, T = 3, 9
+        chains = [divmod(i, k) for i in range(5 * k)]
+        x0 = np.random.default_rng(8).normal(size=(len(chains), 2)) * [1e-300, 1e300]
+        x0[3, 1] = -0.0
+        bounds = [(0, 4), (4, 11), (11, 15)]
+
+        def blocks():
+            for lo, hi in bounds:
+                states = x0[lo:hi] + 1.0
+                yield chains[lo:hi], x0[lo:hi], [(T, states), (4, 2.0 * states), (0, x0[lo:hi])]
+
+        meta = {"seed": 7, "steps": 2, "eta": 0.5, "k": k, "n": 5, "dim": 2}
+        out = tmp_path / "run"
+        path = data.write_samples(out, meta, blocks(), True)
+        assert path == out / "samples.csv"
+        assert sorted(p.name for p in out.iterdir()) == ["samples.csv", "trajectories.csv"]
+
+        set_meta, y_idx, values = data.read_sample_set([path], k)
+        assert set_meta == {"format": data.SAMPLES_FORMAT, "version": str(data.SAMPLES_VERSION),
+                            "seed": "7", "steps": "2", "eta": "0.5", "k": "3", "n": "5",
+                            "dim": "2"}
+        np.testing.assert_array_equal(y_idx, [row for row, _ in chains])
+        np.testing.assert_array_equal(values.view(np.uint64), x0.view(np.uint64))
+
+        with open(path, "rb") as f:
+            _, header_line = data.read_metadata(f, path, data.SAMPLES_FORMAT, data.SAMPLES_VERSION)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines[header_line - 1] == "y_index,sample_index,dim_0,dim_1"
+        rows = lines[header_line:]
+        assert [tuple(map(int, row.split(",")[:2])) for row in rows] == chains
+
+        traj = (out / "trajectories.csv").read_text(encoding="utf-8").splitlines()
+        assert traj[0] == "y_index,sample_index,t,dim_0,dim_1"
+        fields = [line.split(",", 3) for line in traj[1:]]
+        assert [(int(r), int(s), int(t)) for r, s, t, _ in fields] == [
+            (row, rep, t) for row, rep in chains for t in (T, 4, 0)]
+        assert [f"{r},{s},{v}" for r, s, t, v in fields if t == "0"] == rows

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from bridgediff.data import write_trajectory_csv
 from bridgediff.nn import NoisePredictor
 from bridgediff.process import reverse_mean
 from bridgediff.sampling import (
@@ -14,7 +15,6 @@ from bridgediff.sampling import (
     accelerated_sample,
     ancestral_sample,
     make_grid,
-    write_trajectory_csv,
 )
 from bridgediff.schedule import build_schedule, coarse_posterior_var
 from bridgediff.seeding import rng_for

@@ -242,7 +242,7 @@ def _sample(root: Path, ckpt: str, out: str, *extra: str) -> None:
 def _head_lines(samples: Path) -> int:
     """The lines of ``samples``' head: its metadata lines and column header."""
     with open(samples, "rb") as f:
-        return data.read_metadata(f, samples, cli.SAMPLES_FORMAT, cli.SAMPLES_VERSION)[1]
+        return data.read_metadata(f, samples, data.SAMPLES_FORMAT, data.SAMPLES_VERSION)[1]
 
 
 def _check_trajectories(plain: Path, traj: Path) -> None:
