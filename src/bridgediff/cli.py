@@ -7,24 +7,22 @@ produce byte-identical CSV outputs.
 
 The commands check flags, sample and score; ``data`` owns the samples
 CSV, which ``sample`` streams to (``data.write_samples``) and ``eval``
-reads (``data.read_sample_set``).
+reads, checked and grouped by conditioning input
+(``data.read_sample_set``).
 
 ``eval`` keeps each reference's energy-distance self term in a file beside
-it (``<reference>.selfdist``, see ``_reference_self_sum``), so scoring
-further sample sets against the same reference skips that term; the
-report is the same bytes either way.
+it (``<reference>.selfdist``, see ``metrics.reference_self_sum``), so
+scoring further sample sets against the same reference skips that term;
+the report is the same bytes either way.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
-
-import numpy as np
 
 from . import verify as verify_mod
 from .checkpoint import load_checkpoint
@@ -37,7 +35,7 @@ from .configfile import (
 )
 from .data import load as load_dataset, read_sample_set, write_samples
 from .fileio import format_float, write_atomic
-from .metrics import diversity, energy_distance, moments, self_distance_key, self_distance_sum
+from .metrics import diversity, energy_distance, moments, reference_self_sum
 from .sampling import NonFiniteState, SamplerPlan, accelerated_sample, make_grid
 from .schedule import build_schedule
 from .training import TrainingDiverged, run_training
@@ -47,13 +45,6 @@ from .seeding import rng_for
 # Chains ``sample`` advances together: one MLP forward per step covers a
 # block, and the block's state, noise and trajectories bound its memory.
 SAMPLE_BLOCK = 256
-
-# ``eval`` keeps a reference's self term in ``<reference>`` + SELF_SUM_SUFFIX:
-# SELF_SUM_FORMAT (format 1 summed narrow tiles in another layout), then
-# ``metrics.self_distance_key`` of its x0, then the sum as ``float.hex``.
-SELF_SUM_FORMAT = "bridgediff-selfdist 2"
-SELF_SUM_SUFFIX = ".selfdist"
-
 
 def cmd_verify(args) -> int:
     results = verify_mod.run_all(seed=args.seed)
@@ -140,44 +131,10 @@ def cmd_sample(args) -> int:
     return 0
 
 
-def _reference_self_sum(ref_path: Path, x0: np.ndarray) -> float:
-    """``self_distance_sum(x0)``, kept in the file beside ``ref_path``.
-
-    The file's value is used only when the file holds exactly the format
-    line, ``x0``'s key and a finite, non-negative ``float.hex`` value in its
-    canonical spelling, so the value has the bits a fresh computation would
-    give, and only when the file belongs to the current user or to the
-    reference's owner, so a file planted by anyone else who can create files
-    in that directory is not believed. Otherwise (missing, unreadable,
-    malformed, another key, another owner) the sum is computed and the file
-    rewritten atomically; if that write fails, as in a read-only directory,
-    the sum is still returned and no file is left.
-    """
-    path = ref_path.with_name(ref_path.name + SELF_SUM_SUFFIX)
-    head = f"{SELF_SUM_FORMAT}\n{self_distance_key(x0)}\n"
-    try:
-        with open(path, encoding="ascii") as f:
-            owner = os.fstat(f.fileno()).st_uid
-            text = f.read(4096)  # more than a well-formed file holds
-        value = float.fromhex(text[len(head) : -1])
-        if (owner in (os.geteuid(), ref_path.stat().st_uid)
-                and text == head + value.hex() + "\n" and math.isfinite(value)
-                and math.copysign(1.0, value) > 0):
-            return value
-    except (OSError, ValueError, OverflowError):
-        pass  # no usable file: compute the sum and write one
-    value = self_distance_sum(x0)
-    try:
-        write_atomic(path, head, value.hex() + "\n")
-    except OSError:
-        pass  # the report does not depend on the file
-    return value
-
-
 def cmd_eval(args) -> int:
     if args.k < 1:
         raise UsageError(f"k must be >= 1, got {args.k}")
-    set_meta, y_idx, samples = read_sample_set(args.samples, args.k)
+    set_meta, samples, groups = read_sample_set(args.samples, args.k)
 
     ref_path = Path(args.reference)
     if not ref_path.exists():
@@ -188,18 +145,8 @@ def cmd_eval(args) -> int:
             f"dimension mismatch: samples {samples.shape[1]}, reference {reference.dim}"
         )
 
-    uids, counts = np.unique(y_idx, return_counts=True)
-    bad = np.flatnonzero(counts != args.k)
-    if bad.size:
-        raise UsageError(
-            f"conditioning input {uids[bad[0]]} has {counts[bad[0]]} samples, expected k={args.k}"
-        )
-    # Each input's k rows in file order, inputs in ascending order: a stable
-    # sort by y_index.
-    order = np.argsort(y_idx, kind="stable")
-    groups = list(samples[order].reshape(len(uids), args.k, samples.shape[1]))
-    div = diversity(groups, k=args.k)
-    ed = energy_distance(samples, reference.x0, _reference_self_sum(ref_path, reference.x0))
+    div = diversity(list(groups), k=args.k)
+    ed = energy_distance(samples, reference.x0, reference_self_sum(ref_path, reference.x0))
     mom = moments(samples)
 
     n, seed = samples.shape[0], set_meta.get("seed", "")

@@ -3,7 +3,7 @@
 UTF-8 text, one assignment per line, ``#`` starts a comment, blank lines
 ignored. Unknown keys, and a key set twice in one file, are rejected so
 typos fail loudly. The same format feeds ``--set key=value`` command-line
-overrides, applied after the file.
+overrides, applied after the file; a key given twice there is rejected too.
 """
 
 from __future__ import annotations
@@ -95,12 +95,18 @@ def parse_kv_file(path) -> dict[str, str]:
 
 
 def apply_overrides(raw: dict[str, str], overrides: list[str]) -> dict[str, str]:
-    merged = dict(raw)
+    """``raw`` with each ``key=value`` of ``overrides`` set over it. A key
+    may override the file's value, but given twice in ``overrides`` it is
+    rejected, as a key set twice in the file is."""
+    merged, given = dict(raw), set()
     for item in overrides:
         key, sep, value = item.partition("=")
         if not sep:
             raise UsageError(f"override must be key=value, got {item!r}")
-        merged[key.strip()] = value.strip()
+        if (key := key.strip()) in given:
+            raise UsageError(f"--set {key!r} is given more than once")
+        given.add(key)
+        merged[key] = value.strip()
     return merged
 
 

@@ -371,15 +371,16 @@ def write_samples(out_dir: Path, meta: dict, blocks, trajectories: bool) -> Path
 
 
 def read_sample_set(paths, k: int):
-    """The first file's metadata, the conditioning indices and the float64
-    rows of the sample set whose shards are ``paths``. Each rule broken is
-    a one-line ``ValueError``; per file, in order: ``read_metadata``, a
-    column header (``read_line``) that starts ``y_index,sample_index``,
-    ``SHARD_KEYS`` equal to the first file's, its own ``dim`` and ``k`` (if
-    present) equal to its value columns and ``k``, the first file's value
-    columns, ``read_rows``, sample indices in 0..k-1, finite values. Then
-    the set must hold a row and repeat no (y_index, sample_index) pair.
-    Each row rule names the first line that breaks it."""
+    """The first file's metadata, and the float64 rows of the sample set
+    whose shards are ``paths`` in file order and grouped, (inputs, k, dim),
+    inputs ascending. Each rule broken is a one-line ``ValueError``; per
+    file, in order: ``read_metadata``, a column header (``read_line``) that
+    starts ``y_index,sample_index``, ``SHARD_KEYS`` equal to the first
+    file's, its own ``dim`` and ``k`` (if present) equal to its value
+    columns and ``k``, the first file's value columns, ``read_rows``, sample
+    indices in 0..k-1, finite values. Then the set must hold a row, repeat
+    no (y_index, sample_index) pair and hold k rows for each input (the
+    lowest short one named). Each row rule names the first line breaking it."""
     shards = []  # (path, line number of its first row, rows) per file
     for i, p in enumerate(paths):
         path = Path(p)
@@ -425,4 +426,11 @@ def read_sample_set(paths, k: int):
                 raise ValueError(f"{path} line {first + row}: (y_index, sample_index) = "
                                  f"{tuple(map(int, rows['index'][row]))} appears twice")
             row -= len(rows)
-    return set_meta, y_idx, np.concatenate([rows["value"] for *_, rows in shards])
+    inputs, counts = np.unique(y_idx, return_counts=True)
+    if (bad := np.flatnonzero(counts != k)).size:
+        raise ValueError(f"conditioning input {inputs[bad[0]]} has {counts[bad[0]]} samples, "
+                         f"expected k={k}")
+    values = np.concatenate([rows["value"] for *_, rows in shards])
+    # A stable sort by y_index keeps each input's rows in file order.
+    groups = values[np.argsort(y_idx, kind="stable")].reshape(len(inputs), k, values.shape[1])
+    return set_meta, values, groups

@@ -8,18 +8,22 @@ is the same float for any worker count.
 The reference's own term depends on the reference alone, so a caller that
 scores many sample sets against one reference can compute it once with
 ``self_distance_sum``, keep it under ``self_distance_key`` and pass it to
-``energy_distance``; ``bridgediff eval`` keeps it in a file beside the
-reference.
+``energy_distance``; ``reference_self_sum``, which ``bridgediff eval`` calls,
+holds every rule for keeping it in a file beside the reference.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import zlib
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from . import parallel
+from .fileio import write_atomic
 
 
 def diversity(sets: list[np.ndarray], k: int = 5) -> float:
@@ -159,6 +163,50 @@ def self_distance_key(b) -> str:
     b = np.ascontiguousarray(_point_set(b))
     return (f"n={b.shape[0]} d={b.shape[1]} sha256={hashlib.sha256(b).hexdigest()} "
             f"tile={_TILE} numpy={np.__version__}")
+
+
+SELF_SUM_FORMAT = "bridgediff-selfdist 3"
+SELF_SUM_SUFFIX = ".selfdist"
+
+
+def _self_sum_text(head: str, value: float) -> str:
+    body = f"{head}{value.hex()}\n"
+    return f"{body}crc32={zlib.crc32(body.encode('ascii'))}\n"
+
+
+def reference_self_sum(path, b) -> float:
+    """``self_distance_sum(b)`` for the points ``b`` of the reference file
+    ``path``, kept in ``path`` + SELF_SUM_SUFFIX: SELF_SUM_FORMAT, ``b``'s
+    key, the sum as ``float.hex``, and ``crc32=<decimal>`` of those lines.
+
+    The file is believed only when it is exactly that text for a finite,
+    non-negative value in canonical spelling, so the value has the bits a
+    fresh computation would give, and belongs to the current user or the
+    reference's owner, so a file planted by anyone else who can create
+    files there is not. Otherwise the sum is computed and the file
+    rewritten atomically; if that write fails, as in a read-only directory,
+    the sum is still returned and no file is left. (Format 1 summed narrow
+    tiles in another layout; format 2 had no checksum.)
+    """
+    cache = Path(f"{path}{SELF_SUM_SUFFIX}")
+    head = f"{SELF_SUM_FORMAT}\n{self_distance_key(b)}\n"
+    try:
+        with open(cache, encoding="ascii") as f:
+            owner = os.fstat(f.fileno()).st_uid
+            text = f.read(4096)  # more than a well-formed file holds
+        value = float.fromhex(text[len(head) :].partition("\n")[0])
+        if (owner in (os.geteuid(), os.stat(path).st_uid)
+                and text == _self_sum_text(head, value) and math.isfinite(value)
+                and math.copysign(1.0, value) > 0):
+            return value
+    except (OSError, ValueError, OverflowError):
+        pass  # no usable file: compute the sum and write one
+    value = self_distance_sum(b)
+    try:
+        write_atomic(cache, _self_sum_text(head, value))
+    except OSError:
+        pass  # the caller's result does not depend on the file
+    return value
 
 
 def energy_distance(a, b, b_self_sum: float | None = None) -> float:

@@ -171,10 +171,10 @@ class _Validator:
         T = schedule.T
         ts = sorted({min(max(1, round(i * T / 10)), T - 1) for i in range(1, 10)})
         self.t_idx = np.repeat(np.array(ts), x0.shape[0])
-        self.x0 = np.tile(x0, (len(ts), 1))
+        x0_rep = np.tile(x0, (len(ts), 1))
         y_rep = np.tile(y, (len(ts), 1))
-        eps = rng_for(seed, "val").standard_normal(self.x0.shape)
-        self.x_t, self.target, _ = _noised(schedule, self.x0, y_rep, self.t_idx, eps, False)
+        eps = rng_for(seed, "val").standard_normal(x0_rep.shape)
+        self.x_t, self.target, _ = _noised(schedule, x0_rep, y_rep, self.t_idx, eps, False)
         self.T = T
 
     def loss(self, model: NoisePredictor) -> float:

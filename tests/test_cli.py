@@ -5,6 +5,7 @@ import os
 import struct
 import tracemalloc
 import warnings
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -141,6 +142,16 @@ class TestTrainCommand:
         assert code == 0
         lines = (out_dir / "metrics.csv").read_text(encoding="utf-8").splitlines()
         assert len(lines) == 6
+
+    def test_override_key_given_twice_exits_two(self, tmp_path, moons_file, capsys):
+        # Overriding the file's max_steps is allowed; giving it twice is not.
+        config = write_config(tmp_path, moons_file, max_steps=2)
+        out_dir = tmp_path / "run"
+        code = cli.main(["train", "--config", str(config), "--set", "max_steps=2",
+                         "--set", "lr=1e-3", "--set", " max_steps =3", "--out", str(out_dir)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: --set 'max_steps' is given more than once\n"
+        assert not out_dir.exists()
 
     def test_rerun_byte_identical(self, tmp_path, moons_file):
         config = write_config(tmp_path, moons_file)
@@ -720,7 +731,7 @@ class TestEvalCommand:
         def fail(src, dst):
             raise OSError("disk full")
 
-        monkeypatch.setattr(cli.os, "replace", fail)
+        monkeypatch.setattr(fileio.os, "replace", fail)
         code = cli.main([
             "eval", "--samples", str(self._fake_samples(tmp_path, moons_file)),
             "--reference", str(moons_file), "--k", "1", "--out", str(report),
@@ -933,8 +944,8 @@ class TestEvalCommand:
                                            "byte 0xff in position 7: invalid start byte\n")
 
     def test_reader_memory_is_bounded_by_its_arrays(self, tmp_path):
-        # 20,000 rows: the peak stays under 6 times the arrays returned,
-        # where a Python list per row and a set of pairs took about 16.
+        # 20,000 rows: the peak stays under 9 times the rows' own bytes,
+        # where a Python list per row and a set of pairs took about 24.
         values = rng_for(6, "reader").normal(size=(20000, 2))
         path = tmp_path / "s.csv"
         lines = ["# format=samples-csv", "# version=1", "y_index,sample_index,dim_0,dim_1"]
@@ -943,13 +954,19 @@ class TestEvalCommand:
         data.read_sample_set([path], 5)
         tracemalloc.start()
         try:
-            _, y_idx, samples = data.read_sample_set([path], 5)
+            _, samples, groups = data.read_sample_set([path], 5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         np.testing.assert_array_equal(samples, values)
-        np.testing.assert_array_equal(y_idx, np.arange(20000) // 5)
-        assert peak < 6 * (y_idx.nbytes + samples.nbytes)
+        np.testing.assert_array_equal(groups, values.reshape(4000, 5, 2))
+        assert peak < 9 * samples.nbytes
+
+
+def _sealed(body: str) -> str:
+    """``body``, a ``.selfdist`` file's first three lines, with the checksum
+    line that makes the whole a well-formed file."""
+    return f"{body}crc32={zlib.crc32(body.encode('ascii'))}\n"
 
 
 class TestReferenceSelfSum:
@@ -997,8 +1014,8 @@ class TestReferenceSelfSum:
         assert len(calls) == 3
         text = self._selfdist(reference).read_text(encoding="ascii")
         x0 = load_dataset(reference).x0
-        assert text == (f"bridgediff-selfdist 2\n{metrics.self_distance_key(x0)}\n"
-                        f"{metrics.self_distance_sum(x0).hex()}\n")
+        assert text == _sealed(f"bridgediff-selfdist 3\n{metrics.self_distance_key(x0)}\n"
+                               f"{metrics.self_distance_sum(x0).hex()}\n")
         calls.clear()
         warm = self._eval(samples, reference, tmp_path / "warm.csv")
         assert len(calls) == 2 and (600, 2) not in [shape for shape, _ in calls]
@@ -1028,21 +1045,28 @@ class TestReferenceSelfSum:
         lambda text, head: "",
         lambda text, head: text[: len(text) // 2],
         lambda text, head: text[:-1],
-        lambda text, head: text.replace("bridgediff-selfdist 2", "bridgediff-selfdist 3"),
-        lambda text, head: head + "1.5e3\n",  # float.fromhex reads it as 0x1.5e3
-        lambda text, head: head + "0x1.8p+3 \n",
-        lambda text, head: head + "nan\n",
-        lambda text, head: head + "inf\n",
-        lambda text, head: head + "-0x1.8p+3\n",
-        lambda text, head: head + "-0x0.0p+0\n",
-        lambda text, head: head + "0x1p+99999\n",
+        lambda text, head: _sealed(text.replace("bridgediff-selfdist 3", "bridgediff-selfdist 4")
+                                   .rpartition("crc32=")[0]),
+        lambda text, head: _sealed(head + "1.5e3\n"),  # float.fromhex reads it as 0x1.5e3
+        lambda text, head: _sealed(head + "0x1.8p+3 \n"),
+        lambda text, head: _sealed(head + "nan\n"),
+        lambda text, head: _sealed(head + "inf\n"),
+        lambda text, head: _sealed(head + "-0x1.8p+3\n"),
+        lambda text, head: _sealed(head + "-0x0.0p+0\n"),
+        lambda text, head: _sealed(head + "0x1p+99999\n"),
         lambda text, head: text + "extra line\n",
         lambda text, head: text + "\n",
-        lambda text, head: text.replace("n=600", "n=601"),
+        lambda text, head: _sealed(text.replace("n=600", "n=601").rpartition("crc32=")[0]),
         lambda text, head: "\xe9" + text,
+        # Another canonical value under the old checksum: only the checksum
+        # tells it from the computed one.
+        lambda text, head: head + (1.5).hex() + "\n" + text.splitlines(True)[3],
+        lambda text, head: text.rpartition("crc32=")[0],
+        lambda text, head: text.replace("crc32=", "crc32=1"),
     ], ids=["empty", "truncated", "no-final-newline", "format", "decimal", "whitespace",
             "nan", "inf", "negative", "negative-zero", "overflow", "extra-line",
-            "blank-line", "other-key", "non-ascii"])
+            "blank-line", "other-key", "non-ascii", "other-value", "no-checksum",
+            "wrong-checksum"])
     def test_unusable_file_is_recomputed_and_rewritten(self, tmp_path, monkeypatch, edit):
         samples, reference, _ = self._inputs(tmp_path)
         expected = self._eval(samples, reference, tmp_path / "expected.csv")
@@ -1062,8 +1086,21 @@ class TestReferenceSelfSum:
         expected = self._eval(samples, reference, tmp_path / "expected.csv")
         path = self._selfdist(reference)
         good = path.read_text(encoding="ascii")
-        _, key, value = good.splitlines()
+        _, key, value, _ = good.splitlines()
         path.write_text(f"bridgediff-selfdist 1\n{key}\n{value}\n", encoding="ascii")
+        calls = self._count_pair_sums(monkeypatch)
+        assert self._eval(samples, reference, tmp_path / "r.csv") == expected
+        assert len(calls) == 3
+        assert path.read_text(encoding="ascii") == good
+
+    def test_format_two_file_is_recomputed_and_rewritten(self, tmp_path, monkeypatch):
+        # A format 2 file has the right key and value but no checksum line.
+        samples, reference, _ = self._inputs(tmp_path)
+        expected = self._eval(samples, reference, tmp_path / "expected.csv")
+        path = self._selfdist(reference)
+        good = path.read_text(encoding="ascii")
+        _, key, value, _ = good.splitlines()
+        path.write_text(f"bridgediff-selfdist 2\n{key}\n{value}\n", encoding="ascii")
         calls = self._count_pair_sums(monkeypatch)
         assert self._eval(samples, reference, tmp_path / "r.csv") == expected
         assert len(calls) == 3
@@ -1087,7 +1124,7 @@ class TestReferenceSelfSum:
         good = path.read_text(encoding="ascii")
         head = "".join(good.splitlines(True)[:2])
         # Planted by another user: the right key, a well-formed wrong sum.
-        path.write_text(head + (1.5).hex() + "\n", encoding="ascii")
+        path.write_text(_sealed(head + (1.5).hex() + "\n"), encoding="ascii")
         os.chown(path, 4242, -1)
         calls = self._count_pair_sums(monkeypatch)
         assert self._eval(samples, reference, tmp_path / "r1.csv") == expected
@@ -1157,7 +1194,7 @@ class TestAtomicReports:
         def fail(src, dst):
             raise OSError("disk full")
 
-        monkeypatch.setattr(cli.os, "replace", fail)
+        monkeypatch.setattr(fileio.os, "replace", fail)
         code = cli.main([*argv, str(out)])
         assert code == 2
         assert "disk full" in capsys.readouterr().err

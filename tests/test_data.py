@@ -418,12 +418,12 @@ class TestSamplesCsv:
         assert path == out / "samples.csv"
         assert sorted(p.name for p in out.iterdir()) == ["samples.csv", "trajectories.csv"]
 
-        set_meta, y_idx, values = data.read_sample_set([path], k)
+        set_meta, values, groups = data.read_sample_set([path], k)
         assert set_meta == {"format": data.SAMPLES_FORMAT, "version": str(data.SAMPLES_VERSION),
                             "seed": "7", "steps": "2", "eta": "0.5", "k": "3", "n": "5",
                             "dim": "2"}
-        np.testing.assert_array_equal(y_idx, [row for row, _ in chains])
         np.testing.assert_array_equal(values.view(np.uint64), x0.view(np.uint64))
+        np.testing.assert_array_equal(groups.view(np.uint64), x0.reshape(5, k, 2).view(np.uint64))
 
         with open(path, "rb") as f:
             _, header_line = data.read_metadata(f, path, data.SAMPLES_FORMAT, data.SAMPLES_VERSION)
@@ -438,3 +438,28 @@ class TestSamplesCsv:
         assert [(int(r), int(s), int(t)) for r, s, t, _ in fields] == [
             (row, rep, t) for row, rep in chains for t in (T, 4, 0)]
         assert [f"{r},{s},{v}" for r, s, t, v in fields if t == "0"] == rows
+
+    def _shards(self, tmp_path, pairs):
+        # Two shards of a k = 2 set, split after the third row.
+        values = np.random.default_rng(9).normal(size=(len(pairs), 2))
+        rows = [f"{y},{rep},{a!r},{b!r}" for (y, rep), (a, b) in zip(pairs, values.tolist())]
+        paths = [tmp_path / "s0.csv", tmp_path / "s1.csv"]
+        for path, part in zip(paths, (rows[:3], rows[3:])):
+            path.write_text("\n".join(["# format=samples-csv", "# version=1",
+                                       "y_index,sample_index,dim_0,dim_1", *part]) + "\n",
+                            encoding="utf-8")
+        return paths, values
+
+    def test_groups_keep_each_inputs_file_order(self, tmp_path):
+        pairs = [(2, 1), (0, 1), (2, 0), (1, 0), (0, 0), (1, 1)]
+        paths, values = self._shards(tmp_path, pairs)
+        _, rows, groups = data.read_sample_set(paths, 2)
+        np.testing.assert_array_equal(rows, values)
+        np.testing.assert_array_equal(groups, values[[1, 4, 3, 5, 0, 2]].reshape(3, 2, 2))
+
+    def test_input_short_of_k_is_named(self, tmp_path):
+        # Input 0 is complete, 1 has two rows and 3 one; the lowest is named.
+        pairs = [(1, 0), (3, 0), (0, 0), (1, 1), (0, 1), (0, 2)]
+        paths, _ = self._shards(tmp_path, pairs)
+        with pytest.raises(ValueError, match=r"^conditioning input 1 has 2 samples, expected k=3$"):
+            data.read_sample_set(paths, 3)

@@ -1,7 +1,10 @@
 """Fuzz tests of the CSV heads: the '#' metadata lines and the column
 header of a paired CSV (the ``--reference``) and of a samples CSV, mutated
 and then scored by ``bridgediff eval``. Every run must exit 2 with one
-``error:`` line on stderr, or exit 0 with the unmutated files' report."""
+``error:`` line on stderr, or exit 0 with the unmutated files' report.
+
+The reference's ``.selfdist`` file is fuzzed too: any mutation of it must
+give the report ``eval`` writes with no file there."""
 
 import contextlib
 import io
@@ -13,19 +16,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bridgediff import cli
-from bridgediff.data import gen_two_moons_paired, save
+from bridgediff import cli, metrics
+from bridgediff.data import gen_two_moons_paired, load, save
 
 OPS = ("truncate", "flip", "drop_equals", "drop", "duplicate")
 
 
-def _eval(samples: bytes, reference: bytes):
+def _eval(samples: bytes, reference: bytes, selfdist: bytes | None = None):
     """Exit code, stderr and report of ``eval`` on the two files, each in a
-    fresh directory, so no ``.selfdist`` file is shared between runs."""
+    fresh directory, so no ``.selfdist`` file is shared between runs; with
+    ``selfdist``, the reference's ``.selfdist`` file holds it."""
     with tempfile.TemporaryDirectory() as root:
         root = Path(root)
         (root / "s.csv").write_bytes(samples)
         (root / "ref.csv").write_bytes(reference)
+        if selfdist is not None:
+            (root / ("ref.csv" + metrics.SELF_SUM_SUFFIX)).write_bytes(selfdist)
         err = io.StringIO()
         with warnings.catch_warnings(), contextlib.redirect_stderr(err), \
                 contextlib.redirect_stdout(io.StringIO()):
@@ -46,17 +52,21 @@ def clean(tmp_path_factory):
         ["# format=samples-csv\n# version=1\n# seed=3\n# steps=200\n# eta=1.0\n",
          "# k=2\n# n=3\n# dim=2\ny_index,sample_index,dim_0,dim_1\n",
          *(f"{i // 2},{i % 2},{a!r},{b!r}\n" for i, (a, b) in enumerate(values.tolist()))])
-    files = {"samples": samples.encode("utf-8"), "reference": ref.read_bytes()}
+    metrics.reference_self_sum(ref, load(ref).x0)
+    files = {"samples": samples.encode("utf-8"), "reference": ref.read_bytes(),
+             "selfdist": ref.with_name(ref.name + metrics.SELF_SUM_SUFFIX).read_bytes()}
     code, err, report = _eval(files["samples"], files["reference"])
     assert (code, err) == (0, "")
+    assert _eval(files["samples"], files["reference"], files["selfdist"]) == (0, "", report)
     return files, report
 
 
-def _mutate(data, blob: bytes) -> bytes:
-    """``blob`` with one to three mutations of its head: the '#' lines and
-    the column header after them."""
+def _mutate(data, blob: bytes, whole: bool = False) -> bytes:
+    """``blob`` with one to three mutations of its head, the '#' lines and
+    the column header after them, or with ``whole`` of any of its lines."""
     lines = blob.splitlines(keepends=True)
-    size = next(i for i, line in enumerate(lines) if not line.startswith(b"#")) + 1
+    size = len(lines) if whole else next(
+        i for i, line in enumerate(lines) if not line.startswith(b"#")) + 1
     head, rest = lines[:size], lines[size:]
     for op in data.draw(st.lists(st.sampled_from(OPS), min_size=1, max_size=3)):
         if not head:
@@ -101,3 +111,33 @@ def test_mutated_head_exits_two_or_reports_the_same(clean, target, data):
     else:
         assert code == 2
         assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_mutated_selfdist_gives_the_no_file_report(clean, data):
+    # Truncated, bit-flipped, or with a line dropped, repeated or without
+    # its '=': the file is not believed, so the report is the one a missing
+    # file gives.
+    files, report = clean
+    mutated = _mutate(data, files["selfdist"], whole=True)
+    assert _eval(files["samples"], files["reference"], mutated) == (0, "", report)
+
+
+def test_no_single_bit_flip_of_selfdist_is_believed(tmp_path):
+    # Every bit of the value and checksum lines, where a flipped hex digit
+    # still spells a canonical value: each flip is recomputed and the file
+    # rewritten as it was. (A flip in the first two lines changes the
+    # format or the key, which the file is also checked against.)
+    ref = tmp_path / "ref.csv"
+    save(gen_two_moons_paired(n=40, noise_sd=0.05, seed=77), ref)
+    x0 = load(ref).x0
+    expected = metrics.self_distance_sum(x0)
+    path = ref.with_name(ref.name + metrics.SELF_SUM_SUFFIX)
+    assert metrics.reference_self_sum(ref, x0) == expected
+    good = path.read_bytes()
+    for at in range(good.index(b"\n", good.index(b"\n") + 1) + 1, len(good)):
+        for bit in range(8):
+            path.write_bytes(good[:at] + bytes([good[at] ^ 1 << bit]) + good[at + 1 :])
+            assert metrics.reference_self_sum(ref, x0).hex() == expected.hex()
+            assert path.read_bytes() == good
