@@ -145,7 +145,7 @@ def cmd_eval(args) -> int:
             f"dimension mismatch: samples {samples.shape[1]}, reference {reference.dim}"
         )
 
-    div = diversity(list(groups), k=args.k)
+    div = diversity(groups, k=args.k)
     ed = energy_distance(samples, reference.x0, reference_self_sum(ref_path, reference.x0))
     mom = moments(samples)
 

@@ -26,22 +26,24 @@ from . import parallel
 from .fileio import write_atomic
 
 
-def diversity(sets: list[np.ndarray], k: int = 5) -> float:
+def diversity(sets, k: int = 5) -> float:
     """Average per-dimension spread across k samples of the same input.
 
     For each conditioning input: the standard deviation of its k samples,
     per dimension, averaged over dimensions; then averaged over inputs.
-    Population form (divisor k). Reported in raw data units.
+    Population form (divisor k). Reported in raw data units. ``sets`` is an
+    (inputs, k, d) float64 array, read without a copy, or a list of (k, d)
+    arrays.
     """
-    if not sets:
+    if len(sets) == 0:
         raise ValueError("need at least one sample set")
-    arrays = [np.asarray(arr, dtype=np.float64) for arr in sets]
-    for i, arr in enumerate(arrays):  # set 0's shape is checked first
-        if arr.ndim != 2 or arr.shape[0] != k:
-            raise ValueError(f"set {i} must hold exactly k={k} samples, got shape {arr.shape}")
-        if arr.shape[1] != arrays[0].shape[1]:
-            raise ValueError(f"set {i} has dimension {arr.shape[1]}, expected {arrays[0].shape[1]}")
-    return float(np.mean(np.mean(np.std(np.stack(arrays), axis=1), axis=1)))
+    shapes = [sets.shape[1:]] if isinstance(sets, np.ndarray) else [np.shape(s) for s in sets]
+    for i, shape in enumerate(shapes):  # set 0's shape is checked first
+        if len(shape) != 2 or shape[0] != k:
+            raise ValueError(f"set {i} must hold exactly k={k} samples, got shape {shape}")
+        if shape[1] != shapes[0][1]:
+            raise ValueError(f"set {i} has dimension {shape[1]}, expected {shapes[0][1]}")
+    return float(np.mean(np.mean(np.std(np.asarray(sets, dtype=np.float64), axis=1), axis=1)))
 
 
 # Side of the square tiles the pair sums run in: each worker's two

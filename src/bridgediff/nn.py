@@ -5,14 +5,15 @@ final Linear, over the state concatenated with a sinusoidal embedding of
 the step index; the final layer is zero-initialized so a fresh model
 predicts zero noise everywhere. The embedding is a row of a cached,
 read-only (T+1, embed_dim) table, so training and sampling look steps up
-instead of recomputing sinusoids. A scalar step (the sampler's call)
-stays scalar: its one embedding row and state scale broadcast over the
-batch into the input buffer, which then holds the same values, and gives
-the same output bits, as the same step given once per row. Values are
-float64 numpy arrays. For training, the forward pass keeps each layer's
-input, pre-activation and sigmoid, and ``loss_and_grads`` runs the
-backward of the (optionally weighted) mean squared error through exactly
-that graph.
+instead of recomputing sinusoids. Steps follow ``schedule.step_indices``,
+one per row or one for the batch. A scalar step (the sampler's call)
+stays a Python int: its one embedding row and state scale broadcast over
+the batch into the input buffer, which then holds the same values, and
+gives the same output bits, as the same step given once per row. Values
+are float64 numpy arrays. For training, the forward pass keeps each
+layer's input, pre-activation and sigmoid, and ``loss_and_grads`` runs
+the backward of the (optionally weighted) mean squared error through
+exactly that graph.
 
 Storage: every parameter lives in one contiguous vector,
 ``NoisePredictor.flat``, and the per-layer weights and biases are views
@@ -46,6 +47,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import parallel
+from .schedule import step_indices
 
 
 # Rows per block of a plain forward over more than twice this many rows:
@@ -187,29 +189,18 @@ class NoisePredictor:
         )
 
     def _normalize(self, x, t, T: int) -> tuple[np.ndarray, int | np.ndarray, bool]:
-        """States as (B, d) rows; the step as one integer index in 0..T, or
-        as (B,) indices when an array of steps is given."""
+        """States as (B, d) rows; the step, by ``step_indices`` over 0..T,
+        as one Python int, or as (B,) indices, one per row."""
         xb = np.asarray(x, dtype=np.float64)
         single = xb.ndim == 1
         if single:
             xb = xb[None, :]
         if xb.ndim != 2 or xb.shape[1] != self.data_dim:
             raise ValueError(f"expected states of dimension {self.data_dim}, got shape {np.shape(x)}")
-        ta = np.asarray(t)
-        ti = ta.astype(np.intp)
-        if ta.dtype.kind not in "iu" and np.any(ti != ta):
-            raise ValueError("step index must be integer-valued")
-        if ti.ndim == 0:
-            # A scalar step stays scalar: it indexes one embedding row that
-            # broadcasts over the batch, with no (B,) array to build.
-            tb = int(ti)
-            in_range = 0 <= tb <= T
-        else:
-            tb = np.broadcast_to(ti, (xb.shape[0],))
-            in_range = not (np.any(tb < 0) or np.any(tb > T))
-        if not in_range:
-            raise ValueError(f"step index outside 0..{T}")
-        return xb, tb, single
+        tb = step_indices(t, 0, T)
+        if tb.ndim and tb.shape != xb.shape[:1]:
+            raise ValueError(f"expected one step per row, got {tb.shape} steps for {xb.shape[0]} rows")
+        return xb, tb if tb.ndim else int(tb), single
 
     def _layers(self, xb: np.ndarray, tb: int | np.ndarray, T: int, keep: bool):
         """Output rows and, when ``keep``, every layer's input and every

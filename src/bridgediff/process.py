@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schedule import BridgeSchedule
+from .schedule import BridgeSchedule, step_indices
 
 
 @dataclass(frozen=True)
@@ -33,36 +33,30 @@ class GaussianParams:
             raise ValueError(f"variance must be finite and non-negative, got {self.var}")
 
 
-def _rows(schedule: BridgeSchedule, t, lo: int, hi: int, *states,
+def _rows(t, lo: int, hi: int, *states,
           one_step: bool = False) -> tuple[list[np.ndarray], np.ndarray, tuple[int, ...]]:
     """The states as (B, d) rows, the steps as a (B,) array, and the
     states' own shape to give results back in.
 
-    A scalar or (d,) state with one step is a batch of one; (B, d) states
-    with (B,) steps pass through. Steps must be integers (bool is not) in
-    lo..hi, and ``one_step`` refuses a step array.
+    Steps follow ``schedule.step_indices`` over lo..hi. A scalar or (d,)
+    state with one step is a batch of one; (B, d) states with (B,) steps
+    pass through, and ``one_step`` refuses a step array.
     """
-    steps = np.asarray(t)
-    if not np.issubdtype(steps.dtype, np.integer):
-        raise TypeError(f"step indices must be integers, got dtype {steps.dtype}")
+    steps = step_indices(t, lo, hi)
     if one_step and steps.ndim:
         raise TypeError(f"expected one integer step, got an array of shape {steps.shape}")
     rows = [np.asarray(s, dtype=np.float64) for s in states]
     shapes = [a.shape for a in rows]
     shape = shapes[0]
-    batch_ok = steps.ndim == 1 and len(shape) == 2 and shape[0] == len(steps)
-    if len(set(shapes)) > 1 or not (len(shape) <= 1 if steps.ndim == 0 else batch_ok):
+    ok = len(shape) == 2 and shape[:1] == steps.shape if steps.ndim else len(shape) <= 1
+    if len(set(shapes)) > 1 or not ok:
         raise ValueError(
             f"batched states must share one shape, (d,) for one step or (B, d) for B steps; "
             f"got {shapes} for steps of shape {steps.shape}"
         )
-    bad = steps[(steps < lo) | (steps > hi)]
-    if bad.size:
-        raise ValueError(f"step index {bad.flat[0]} outside {lo}..{hi} (T={schedule.T})")
     if steps.ndim == 0:
-        steps = steps.reshape(1)
         rows = [a.reshape(1, -1) for a in rows]
-    return rows, steps, shape
+    return rows, steps.reshape(-1), shape
 
 
 def forward_sample(schedule: BridgeSchedule, x0, y, t, eps) -> np.ndarray:
@@ -73,7 +67,7 @@ def forward_sample(schedule: BridgeSchedule, x0, y, t, eps) -> np.ndarray:
     bit-for-bit regardless of x0 and eps. With an integer array ``t`` of
     shape (B,) and (B, d) states, row i is drawn at step t[i].
     """
-    (x0, y, eps), t, shape = _rows(schedule, t, 0, schedule.T, x0, y, eps)
+    (x0, y, eps), t, shape = _rows(t, 0, schedule.T, x0, y, eps)
     m = schedule.mix[t][:, None]
     sd = np.sqrt(schedule.marginal_var[t])[:, None]
     return ((1.0 - m) * x0 + m * y + sd * eps).reshape(shape)[()]
@@ -92,7 +86,7 @@ def posterior(schedule: BridgeSchedule, x_t, x0, y, t: int) -> GaussianParams:
     with A + B + C = 1. Only the interior steps 2 <= t <= T-1 are
     non-degenerate; the sampler owns the endpoint special cases.
     """
-    (x_t, x0, y), (t,), shape = _rows(schedule, t, 2, schedule.T - 1, x_t, x0, y, one_step=True)
+    (x_t, x0, y), (t,), shape = _rows(t, 2, schedule.T - 1, x_t, x0, y, one_step=True)
     mv = schedule.marginal_var[t]
     mv_prev = schedule.marginal_var[t - 1]
     tv = schedule.transition_var[t]
@@ -122,7 +116,6 @@ def reverse_mean(schedule: BridgeSchedule, x_t, y, eps_pred, t: int) -> Gaussian
     eps_pred equal to the true loss_target this reproduces the posterior
     mean.
     """
-    (x_t, y, eps_pred), (t,), shape = _rows(schedule, t, 2, schedule.T - 1, x_t, y, eps_pred,
-                                            one_step=True)
+    (x_t, y, eps_pred), (t,), shape = _rows(t, 2, schedule.T - 1, x_t, y, eps_pred, one_step=True)
     mean = schedule.coef_state[t] * x_t + schedule.coef_cond[t] * y - schedule.coef_noise[t] * eps_pred
     return GaussianParams(mean=mean.reshape(shape), var=schedule.posterior_var[t])

@@ -20,12 +20,13 @@ The stepper advances a (B, d) batch of chains: each grid step makes one
 ``eps_fn`` call for all B rows, and a (d,) input is a batch of one on the
 same path. Every row has its own seed and its own PCG64 stream,
 ``rng_for(seed_b, "chain")``, from which the row's normals for all moves
-are drawn in one call; an int seed is shared by every row. A row's noise
-is therefore the same whatever batch it runs in, and with an elementwise
-predictor (such as ``oracle.optimal_eps``) its output is bit for bit that
-of the chain run alone. A network's batched matmuls may round differently
-from B = 1, so with the MLP a row's last bits can depend on the batch it
-ran in (within 1e-12; ``verify`` checks both).
+are drawn in one call; an int seed is shared by every row, and a bool,
+float or str seed is refused (``_row_seeds``). A row's noise is
+therefore the same whatever batch it runs in, and with an elementwise
+predictor (such as ``oracle.optimal_eps``) its output is bit for bit
+that of the chain run alone. A network's batched matmuls may round
+differently from B = 1, so with the MLP a row's last bits can depend on
+the batch it ran in (within 1e-12; ``verify`` checks both).
 
 Everything in a move that does not depend on the state is planned once
 per call: the mixing weights of both ends, the bridge scale and sigma for
@@ -85,7 +86,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schedule import BridgeSchedule, coarse_posterior_var
+from .schedule import BridgeSchedule, coarse_posterior_var, step_indices
 from .seeding import rng_for
 
 Trajectory = list[tuple[int, np.ndarray]]
@@ -93,7 +94,8 @@ Trajectory = list[tuple[int, np.ndarray]]
 
 @dataclass(frozen=True)
 class SamplerPlan:
-    """Step grid and noise policy for one sampling run."""
+    """Step grid and noise policy for one sampling run. The grid's steps
+    follow ``schedule.step_indices``; the seeds are checked when it runs."""
 
     grid: tuple[int, ...]
     eta: float = 1.0
@@ -101,14 +103,14 @@ class SamplerPlan:
     record_trajectory: bool = False
 
     def __post_init__(self):
-        if not isinstance(self.seed, (int, np.integer)):
-            object.__setattr__(self, "seed", tuple(int(s) for s in self.seed))
-        grid = tuple(int(t) for t in self.grid)
-        object.__setattr__(self, "grid", grid)
-        if not grid:
+        if np.ndim(self.seed):  # a sequence of seeds, kept hashable
+            object.__setattr__(self, "seed", tuple(self.seed))
+        if not (grid := tuple(self.grid)):  # before np.asarray reads () as float64
             raise ValueError("step grid must be non-empty")
-        if grid[0] < 1 or any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ValueError(f"step grid must be strictly increasing and >= 1, got {grid}")
+        steps = step_indices(grid, 1, grid[-1])  # _run_chain checks that grid[-1] is T
+        if steps.ndim != 1 or np.any(steps[1:] <= steps[:-1]):
+            raise ValueError(f"step grid must be strictly increasing, got {grid}")
+        object.__setattr__(self, "grid", tuple(steps.tolist()))
         if not 0.0 <= float(self.eta) <= 1.0:
             raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
         object.__setattr__(self, "eta", float(self.eta))
@@ -117,6 +119,8 @@ class SamplerPlan:
 def make_grid(T: int, S: int) -> tuple[int, ...]:
     """S strictly increasing steps, evenly spaced by rounding, ending at T.
     As T/S >= 1, the rounded i*T/S are distinct and >= 1, and S*T/S is T."""
+    if isinstance(S, bool) or not isinstance(S, (int, np.integer)):
+        raise TypeError(f"steps must be an integer, got {S!r}")
     if not 1 <= S <= T:
         raise ValueError(f"steps must lie in 1..T={T}, got {S}")
     return tuple(int(math.floor(i * T / S + 0.5)) for i in range(1, S + 1))
@@ -138,12 +142,14 @@ def _check_state(x: np.ndarray, t: int) -> None:
 
 
 def _row_seeds(seed, rows: int) -> list[int]:
-    if isinstance(seed, (int, np.integer)):
-        return [int(seed)] * rows
-    seeds = [int(s) for s in seed]
+    """The seed rule of both entry points: an int seed is every row's, a
+    sequence gives one per row, and a bool, float or str is a ``TypeError``."""
+    seeds = [seed] * rows if isinstance(seed, int) or np.ndim(seed) == 0 else list(seed)
+    if bad := [s for s in seeds if isinstance(s, bool) or not isinstance(s, (int, np.integer))]:
+        raise TypeError(f"seed must be an integer, got {bad[0]!r}")
     if len(seeds) != rows:
         raise ValueError(f"need one seed per chain: {rows} chains, {len(seeds)} seeds")
-    return seeds
+    return [int(s) for s in seeds]
 
 
 def _run_chain(

@@ -26,7 +26,8 @@ coefficients singular. Those slots, and slot 0 of every transition-level
 array (no transition enters ``t = 0``), hold NaN: that is the one way a
 degenerate slot is represented, and ``bridgediff info`` prints it as an
 empty field. The sampler never reads them: its move out of ``t = T`` is
-its loop's first iteration, with bridge scale 0.
+its loop's first iteration, with bridge scale 0. ``step_indices`` checks
+every step the package takes.
 """
 
 from __future__ import annotations
@@ -130,6 +131,23 @@ def build_schedule(T: int, s: float) -> BridgeSchedule:
     )
 
 
+def step_indices(t, lo: int, hi: int) -> np.ndarray:
+    """Steps as an integer array, 0-d for one step: a bool, float (2.0 too) or
+    str is a ``TypeError``, and a step outside lo..hi a ``ValueError`` naming it."""
+    steps = np.asarray(t)
+    mixed = isinstance(t, (list, tuple)) and any(isinstance(v, (bool, np.bool_)) for v in t)
+    if mixed or steps.dtype.kind not in "iu":  # np.asarray reads (True, 10) as ints
+        what = repr(t) if mixed or steps.ndim == 0 else f"dtype {steps.dtype}"
+        raise TypeError(f"step indices must be integers, got {what}")
+    if steps.ndim == 0:  # as a Python int: the cheap path of every sampler move
+        bad = [] if lo <= (v := int(steps)) <= hi else [v]
+    else:
+        bad = steps[(steps < lo) | (steps > hi)]
+    if len(bad):
+        raise ValueError(f"step index {bad[0]} outside {lo}..{hi}")
+    return steps
+
+
 def coarse_posterior_var(
     schedule: BridgeSchedule, t_prev: int | np.ndarray, t_cur: int | np.ndarray
 ) -> float | np.ndarray:
@@ -145,9 +163,8 @@ def coarse_posterior_var(
     give an array that holds, entry for entry, the bits of the scalar
     calls; the sampler builds its per-move plan this way.
     """
-    prev, cur = np.asarray(t_prev), np.asarray(t_cur)
-    bad = ~((0 <= prev) & (prev < cur) & (cur <= schedule.T - 1))
-    if bad.any():
+    prev, cur = (step_indices(t, 0, schedule.T - 1) for t in (t_prev, t_cur))
+    if (bad := prev >= cur).any():
         k = np.flatnonzero(bad)[0]
         prev, cur = np.broadcast_arrays(prev, cur)
         raise ValueError(

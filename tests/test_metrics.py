@@ -51,6 +51,21 @@ class TestDiversity:
             loop = float(np.mean([float(np.mean(np.std(s, axis=0))) for s in sets]))
             assert diversity(sets, k=k) == loop
 
+    def test_grouped_array_is_read_without_a_copy(self):
+        # eval passes the reader's (inputs, k, d) array as it is: the same
+        # bits as the list of its sets, and a peak below a second copy of it.
+        groups = rng_for(72, "div").normal(size=(20_000, 5, 2))
+        assert diversity(groups, k=5) == diversity(list(groups), k=5)
+        with pytest.raises(ValueError, match=r"set 0 must hold exactly k=4 samples, got shape \(5, 2\)"):
+            diversity(groups, k=4)
+        tracemalloc.start()
+        try:
+            diversity(groups, k=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * groups.nbytes
+
 
 class TestEnergyDistance:
     def test_identical_sets_zero(self):

@@ -1,7 +1,9 @@
 import io
 import math
+import re
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -295,6 +297,27 @@ class TestBatch:
         plan = SamplerPlan(grid=(1, 2), seed=[3, 4])
         assert plan.seed == (3, 4)
         hash(plan)
+
+    @pytest.mark.parametrize("seed,named", [("17", "'17'"), ((1.5, 2), "1.5"), (True, "True"),
+                                            (1.5, "1.5"), ([3, False], "False")])
+    def test_non_integer_seed_is_named(self, schedule, model, seed, named):
+        # Both entry points run one seed rule; nothing is truncated or split.
+        y = np.zeros((2, 2))
+        with pytest.raises(TypeError, match=f"^seed must be an integer, got {re.escape(named)}$"):
+            ancestral_sample(schedule, model.eps_fn(30), y, seed=seed)
+        with pytest.raises(TypeError, match=f"^seed must be an integer, got {re.escape(named)}$"):
+            accelerated_sample(schedule, model.eps_fn(30), y, SamplerPlan(grid=(10, 30), seed=seed))
+
+    def test_plan_keeps_seeds_as_given(self, schedule, model):
+        # Any int is a seed, large ones included; a plan no longer converts
+        # its seeds, so (1.5, 2) is refused when it runs, not run as (1, 2).
+        y = np.zeros((2, 2))
+        plan = SamplerPlan(grid=(10, 30), seed=(2**70, np.uint64(2**63)))
+        out, _ = accelerated_sample(schedule, model.eps_fn(30), y, plan)
+        ref, _ = accelerated_sample(schedule, model.eps_fn(30), y, replace(plan, seed=[2**70, 2**63]))
+        np.testing.assert_array_equal(out, ref)
+        ancestral_sample(schedule, model.eps_fn(30), y, seed=2**70)
+        assert SamplerPlan(grid=(10, 30), seed=[1.5, 2]).seed == (1.5, 2)
 
     def test_nonfinite_state_names_step_and_row(self, schedule):
         def bad_eps(x, t):

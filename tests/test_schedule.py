@@ -7,7 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bridgediff.nn import NoisePredictor
+from bridgediff.process import forward_sample, loss_target, posterior, reverse_mean
+from bridgediff.sampling import SamplerPlan, make_grid
 from bridgediff.schedule import build_schedule, coarse_posterior_var
+from bridgediff.seeding import rng_for
 
 
 @pytest.fixture(scope="module")
@@ -154,10 +158,13 @@ class TestCoarsePosteriorVar:
     def test_rejects_bad_pairs(self):
         sch = build_schedule(10, 1.0)
         good_prev, good_cur = np.array([1, 4, 8]), np.array([2, 6, 9])
-        for prev, cur in [(5, 5), (3, 10), (6, 5), (-1, 3), (0, 11)]:
-            with pytest.raises(ValueError, match=rf"\({prev}, {cur}\)"):
+        # Steps outside 0..T-1 are named by the step rule, misordered pairs as pairs.
+        for prev, cur, message in [(5, 5, r"\(5, 5\)"), (3, 10, "step index 10 outside 0..9"),
+                                   (6, 5, r"\(6, 5\)"), (-1, 3, "step index -1 outside 0..9"),
+                                   (0, 11, "step index 11 outside 0..9")]:
+            with pytest.raises(ValueError, match=message):
                 coarse_posterior_var(sch, prev, cur)
-            with pytest.raises(ValueError, match=rf"\({prev}, {cur}\)"):
+            with pytest.raises(ValueError, match=message):
                 coarse_posterior_var(sch, np.append(good_prev, prev), np.append(good_cur, cur))
         assert coarse_posterior_var(sch, good_prev, good_cur).shape == (3,)
 
@@ -183,3 +190,44 @@ class TestCoarsePosteriorVar:
         scalar = np.array([coarse_posterior_var(sch, int(p), int(c)) for p, c in zip(prev, cur)])
         assert batched.dtype == np.float64 and batched.shape == prev.shape
         np.testing.assert_array_equal(batched.view(np.int64), scalar.view(np.int64))
+
+
+_SCH10 = build_schedule(10, 1.0)
+_NET = NoisePredictor.create(2, (8,), 4, rng_for(1, "step-rule"))
+
+# Each public entry that takes a step, called with step t and states x.
+STEP_ENTRIES = {
+    "forward": lambda t, x: _NET.forward(x, t, 10),
+    "loss_and_grads": lambda t, x: _NET.loss_and_grads(x, t, x, 10),
+    "forward_sample": lambda t, x: forward_sample(_SCH10, x, x, t, x),
+    "loss_target": lambda t, x: loss_target(_SCH10, x, x, t, x),
+    "posterior": lambda t, x: posterior(_SCH10, x, x, x, t),
+    "reverse_mean": lambda t, x: reverse_mean(_SCH10, x, x, x, t),
+    "coarse_posterior_var": lambda t, x: coarse_posterior_var(_SCH10, t, 9),
+    "SamplerPlan": lambda t, x: SamplerPlan(grid=(t, 10) if np.ndim(t) == 0 else t),
+    "make_grid": lambda t, x: make_grid(10, t),
+}
+
+
+class TestStepRule:
+    def test_same_answer_from_every_entry(self):
+        # Every entry, every bad step: a TypeError for a non-integer (2.0
+        # and True included), a ValueError naming a step out of range, and
+        # no numpy warning. One table, so a differing entry shows beside the rest.
+        form = {TypeError: r"^steps? (indices )?must be (an integer|integers), got ",
+                ValueError: r"^(step index -1 outside \d+\.\.\d+|steps must lie in 1\.\.T=10, got -1)$"}
+        cases = [(2.5, TypeError), (2.0, TypeError), (True, TypeError), ("3", TypeError),
+                 (np.array([True, False]), TypeError), (-1, ValueError)]
+        wrong = []
+        for entry, call in STEP_ENTRIES.items():
+            for step, error in cases:
+                x = np.zeros((2, 2)) if np.ndim(step) else np.zeros(2)
+                try:
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")
+                        call(step, x)
+                    wrong.append(f"{entry}({step!r}): accepted")
+                except Exception as exc:  # any type: a wrong one is what the table reports
+                    if type(exc) is not error or not re.search(form[error], str(exc)):
+                        wrong.append(f"{entry}({step!r}): {type(exc).__name__}: {exc}")
+        assert wrong == []
